@@ -27,15 +27,14 @@ from .oracle import (InequalityProbe, QuadratureCase, compare_kernels,
                      localized_element, near_diagonal_pairs,
                      pointwise_bound_check, sp_quadrature_check)
 from .phase import build_good_contour, build_inversion_contour, build_phase, verify_contour
-from .projector import (DecayFit, assemble_kernel, decay_fit, make_domain,
-                        reproducing_error)
+from .projector import (FIT_FLOOR, DecayFit, assemble_kernel, decay_fit,
+                        make_domain, reproducing_error)
 from .series import TruncatedSeries
 from .weight import levi_form, polarize, quadratic_gap_estimate, validate_weight
 
 SCHEMA_TAG = "bergman-report/1"
 SUITES = ("validate", "amplitude", "kernel", "verify")
 DEFAULT_H_GRID = (0.2, 0.15, 0.1, 0.07, 0.05)
-FIT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

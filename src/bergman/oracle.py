@@ -24,7 +24,8 @@ from .series import HGradedSeries
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sobol_ball
 from .series import TruncatedSeries
-from .weight import Polarization, Weight, _as_points, polarize, quadratic_gap_estimate
+from .weight import (Polarization, Weight, _as_points, _pair_points, polarize,
+                     quadratic_gap_estimate)
 
 # Sign of the theta-contour orientation, fixed once by requiring the
 # Gaussian u = 1 inversion to return +1.  Guarded by a regression test.
@@ -55,27 +56,12 @@ class GramKernel:
     def h(self) -> float:
         return self.dom.h
 
-    def _monomials(self, pts: np.ndarray) -> np.ndarray:
-        disp = pts - self.w.base[None, :]
-        out = np.empty((disp.shape[0], len(self.basis)), dtype=complex)
-        for col, alpha in enumerate(self.basis):
-            acc = np.ones(disp.shape[0], dtype=complex)
-            for j, a in enumerate(alpha):
-                if a:
-                    acc = acc * disp[:, j] ** a
-            out[:, col] = acc
-        return out
-
     def eval(self, x, y) -> np.ndarray:
         """K_exact(x_i, conj(y_i)) for paired points (either may broadcast)."""
-        xs = _as_points(x, self.w.n)
-        ys = _as_points(y, self.w.n)
-        if xs.shape[0] == 1 and ys.shape[0] > 1:
-            xs = np.broadcast_to(xs, ys.shape)
-        if ys.shape[0] == 1 and xs.shape[0] > 1:
-            ys = np.broadcast_to(ys, xs.shape)
-        a = self._monomials(xs) * self.scale[None, :]
-        b = self._monomials(ys).conj() * self.scale[None, :]
+        xs, ys = _pair_points(x, y, self.w.n)
+        base = self.w.base[None, :]
+        a = _monomial_table(xs - base, self.basis) * self.scale[None, :]
+        b = _monomial_table(ys - base, self.basis).conj() * self.scale[None, :]
         solved = cho_solve(self.chol, b.T)
         return np.einsum("pk,kp->p", a, solved)
 
@@ -98,6 +84,18 @@ def _degree_basis(n: int, degree: int) -> tuple:
     return tuple(idx)
 
 
+def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
+    """Columns disp^alpha for alpha in the basis, rows of disp (m, n)."""
+    out = np.empty((disp.shape[0], len(basis)), dtype=complex)
+    for col, alpha in enumerate(basis):
+        acc = np.ones(disp.shape[0], dtype=complex)
+        for j, a in enumerate(alpha):
+            if a:
+                acc = acc * disp[:, j] ** a
+        out[:, col] = acc
+    return out
+
+
 def gram_bergman(w: Weight, dom: DomainSpec, degree: int) -> GramKernel:
     """Brute-force reproducing kernel on monomials of total degree <= degree."""
     check_domain(dom, w)
@@ -109,14 +107,7 @@ def gram_bergman(w: Weight, dom: DomainSpec, degree: int) -> GramKernel:
             f"need at least {4 * degree}")
     basis = _degree_basis(w.n, degree)
     # G = V^H diag(weights e^{-2 phi/h}) V over the quadrature nodes.
-    disp = dom.nodes - w.base[None, :]
-    V = np.empty((disp.shape[0], len(basis)), dtype=complex)
-    for col, alpha in enumerate(basis):
-        acc = np.ones(disp.shape[0], dtype=complex)
-        for j, a in enumerate(alpha):
-            if a:
-                acc = acc * disp[:, j] ** a
-        V[:, col] = acc
+    V = _monomial_table(dom.nodes - w.base[None, :], basis)
     wts = dom.weights * np.exp(-2.0 * w.phi(dom.nodes) / dom.h)
     G = V.conj().T @ (wts[:, None] * V)
     herm = np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300)
@@ -281,6 +272,16 @@ class MarginSuite:
     n_samples: int
 
 
+def _theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(phi(x) - phi(y) + Im((x - y).theta(x, y))) / |x - y|^2 at paired points.
+
+    ``x`` and ``y`` are (m, n) arrays; either may be a single row.
+    """
+    d = x - y
+    pairing = (d * theta_pairs(w, x, y)).sum(axis=1)
+    return (w.phi(x) - w.phi(y) + pairing.imag) / (np.abs(d) ** 2).sum(axis=1)
+
+
 def inequality_suite(probe: InequalityProbe) -> MarginSuite:
     """Sampled minima of the two contour inequalities; both must be positive.
 
@@ -298,12 +299,8 @@ def inequality_suite(probe: InequalityProbe) -> MarginSuite:
     x = sobol_ball(w.n, probe.radius, m, seed=probe.seed) + w.base[None, :]
     y = sobol_ball(w.n, probe.radius, m, seed=probe.seed + 1) + w.base[None, :]
 
-    sep2 = (np.abs(x - y) ** 2).sum(axis=1)
-    keep = sep2 > (1e-8 * probe.radius) ** 2
-    th = theta_pairs(w, x[keep], y[keep])
-    pairing = ((x[keep] - y[keep]) * th).sum(axis=1)
-    ratio = (w.phi(x[keep]) - w.phi(y[keep]) + pairing.imag) / sep2[keep]
-    ratio_min = float(ratio.min())
+    keep = (np.abs(x - y) ** 2).sum(axis=1) > (1e-8 * probe.radius) ** 2
+    ratio_min = float(_theta_ratio(w, x[keep], y[keep]).min())
     theta_margin = ratio_min - probe.delta
 
     dz_x = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
@@ -496,10 +493,7 @@ def localized_element(v: TruncatedSeries, z, w: Weight, h: float,
     x = sobol_ball(w.n, support, n_samples, seed=seed) + w.base[None, :]
     sep2 = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
     keep = sep2 > (1e-8 * support) ** 2
-    th = theta_pairs(w, x[keep], z[None, :])
-    pairing = ((x[keep] - z[None, :]) * th).sum(axis=1)
-    ratio = (w.phi(x[keep]) - float(w.phi(z[None, :])[0]) + pairing.imag) / sep2[keep]
-    margin = float(ratio.min()) - delta
+    margin = float(_theta_ratio(w, x[keep], z[None, :]).min()) - delta
     if margin <= 0.0:
         raise BadContour(
             f"localized element at {z} violates domination: margin {margin:.3e}")

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BadContour, CriticalStructureViolation, DegenerateHessian
 from .quadrature import sobol_ball
 from .series import TruncatedSeries
-from .weight import Polarization, Weight, _as_points
+from .weight import Polarization, Weight, _pair_points
 
 GRAD_TOL = 1e-12
 HESS_FLOOR = 1e-10
@@ -44,9 +44,6 @@ class PhaseData:
     b0: np.ndarray               # B at the base point
     hess_det: complex            # fast-block Hessian determinant, sign-normalized
     remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
-
-    def uv_degree(self, mi) -> int:
-        return sum(mi[2 * self.n:])
 
 
 @dataclass
@@ -79,24 +76,10 @@ class ContourSpec:
         """Inversion family: theta(x, y) at ambient points y, shape (m, n)."""
         return theta_pairs(self.weight, self.x, y)
 
-    def theta_jacobian(self, y) -> np.ndarray:
-        """det of d(theta)/d(conj y) at ambient points y, shape (m,)."""
-        return theta_jacobian_pairs(self.weight, self.x, y)
-
-
-def _pair_shapes(w: Weight, x, y) -> tuple[np.ndarray, np.ndarray]:
-    xs = _as_points(x, w.n)
-    ys = _as_points(y, w.n)
-    if xs.shape[0] == 1 and ys.shape[0] > 1:
-        xs = np.broadcast_to(xs, ys.shape)
-    if ys.shape[0] == 1 and xs.shape[0] > 1:
-        ys = np.broadcast_to(ys, xs.shape)
-    return xs, ys
-
 
 def theta_pairs(w: Weight, x, y) -> np.ndarray:
     """theta(x_i, y_i) = (2/i)(grad phi(y) + (1/2) hess phi(y) (x - y))."""
-    xs, ys = _pair_shapes(w, x, y)
+    xs, ys = _pair_points(x, y, w.n)
     pts = w.displacements(ys)
     dxy = xs - ys
     m = ys.shape[0]
@@ -114,7 +97,7 @@ def theta_pairs(w: Weight, x, y) -> np.ndarray:
 def theta_jacobian_pairs(w: Weight, x, y) -> np.ndarray:
     """det of d(theta)/d(conj y) at paired points, shape (m,)."""
     n = w.n
-    xs, ys = _pair_shapes(w, x, y)
+    xs, ys = _pair_points(x, y, w.n)
     pts = w.displacements(ys)
     dxy = xs - ys
     m = ys.shape[0]

@@ -17,7 +17,10 @@ from .amplitude import Amplitude, RealizedSymbol, realize
 from .errors import ConfigInvalid, DegenerateFit, QuadratureUnderresolved
 from .quadrature import disc_grid, polydisc_grid
 from .series import TruncatedSeries
-from .weight import Polarization, Weight, _as_points
+from .weight import Polarization, Weight, _as_points, _pair_points
+
+# Elements of one (evaluation rows x quadrature nodes) block in apply_projection.
+BLOCK_ELEMENTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -90,19 +93,10 @@ class KernelEvaluator:
     def n(self) -> int:
         return self.pol.n
 
-    def pair_coords(self, x, y) -> np.ndarray:
-        """Stack (x - base, conj(y - base)) rows for the 2n-variable series."""
-        n = self.n
-        xd = _as_points(x, n) - self.pol.base[None, :]
-        yd = np.conj(_as_points(y, n) - self.pol.base[None, :])
-        if xd.shape[0] == 1 and yd.shape[0] > 1:
-            xd = np.broadcast_to(xd, yd.shape)
-        if yd.shape[0] == 1 and xd.shape[0] > 1:
-            yd = np.broadcast_to(yd, xd.shape)
-        return np.concatenate([xd, yd], axis=1)
-
     def eval(self, x, y) -> np.ndarray:
-        pts = self.pair_coords(x, y)
+        xs, ys = _pair_points(x, y, self.n)
+        base = self.pol.base[None, :]
+        pts = np.concatenate([xs - base, np.conj(ys - base)], axis=1)
         psi = self.pol.psi.eval_grid(pts)
         amp = self.symbol.series.eval_grid(pts)
         return self.h ** (-self.n) * np.exp(2.0 * psi / self.h) * amp
@@ -127,30 +121,24 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
         raise ConfigInvalid(f"test function has {u.nvars} variables, expected {K.n}")
     check_domain(dom, w)
 
+    xd = _as_points(eval_pts, K.n) - K.pol.base[None, :]
+
     def run(d: DomainSpec) -> np.ndarray:
-        uy = u.eval_grid(d.nodes - w.base[None, :])
+        yd = np.conj(d.nodes - K.pol.base[None, :])
         phiy = w.phi(d.nodes)
-        xs = _as_points(eval_pts, K.n)
-        out = np.empty(xs.shape[0], dtype=complex)
-        if K.n == 1:
-            # Product-grid path: one bilinear evaluation per chunk of x rows.
-            xd = xs[:, 0] - K.pol.base[0]
-            yd = np.conj(d.nodes[:, 0] - K.pol.base[0])
-            load = d.weights * uy * np.exp(-2.0 * phiy / K.h)
-            chunk = max(1, int(2e6 // max(yd.size, 1)))
-            for lo in range(0, xd.size, chunk):
-                sl = slice(lo, lo + chunk)
-                psi = K.pol.psi.eval_bilinear(xd[sl], yd)
-                amp = K.symbol.series.eval_bilinear(xd[sl], yd)
-                out[sl] = (np.exp(2.0 * psi / K.h) * amp) @ load / K.h
-            return out
-        for i in range(xs.shape[0]):
-            pts = K.pair_coords(xs[i:i + 1], d.nodes)
-            psi = K.pol.psi.eval_grid(pts)
-            amp = K.symbol.series.eval_grid(pts)
-            out[i] = (d.weights * np.exp(2.0 * (psi - phiy) / K.h)
-                      * amp * uy).sum() * K.h ** (-K.n)
-        return out
+        load = d.weights * u.eval_grid(d.nodes - w.base[None, :])
+        out = np.empty(xd.shape[0], dtype=complex)
+        chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
+        for lo in range(0, xd.shape[0], chunk):
+            # One exponent per (x, y) pair: Psi - phi stays bounded where the
+            # two terms alone overflow and underflow at small h.
+            E = K.pol.psi.eval_bilinear(xd[lo:lo + chunk], yd)
+            E -= phiy
+            E *= 2.0 / K.h
+            np.exp(E, out=E)
+            E *= K.symbol.series.eval_bilinear(xd[lo:lo + chunk], yd)
+            out[lo:lo + chunk] = E @ load
+        return out * K.h ** (-K.n)
 
     vals = run(dom)
     if tol is not None:

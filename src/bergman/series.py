@@ -12,6 +12,7 @@ frozen.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -348,30 +349,55 @@ class TruncatedSeries:
         return acc
 
     def eval_bilinear(self, u_vals: np.ndarray, v_vals: np.ndarray) -> np.ndarray:
-        """Product-grid evaluation of a 2-variable series as U A V^T.
+        """Product-grid evaluation of a 2k-variable series as X A Y^T.
 
-        Returns shape (len(u_vals), len(v_vals)); much cheaper than calling
-        eval_grid on all pairs when both axes are large.
+        Rows of ``u_vals`` (p, k) fill the first k variables and rows of
+        ``v_vals`` (m, k) the last k; for k = 1 both may be flat.  X and Y
+        hold every monomial of each block up to the block's largest total
+        degree, so A is the coefficient table between them.  Returns shape
+        (p, m); much cheaper than calling eval_grid on all pairs when both
+        axes are large.
         """
-        if self.nvars != 2:
+        if self.nvars % 2:
             raise VariableMismatch(
-                f"bilinear evaluation needs a 2-variable series, ring has {self.nvars}")
-        u = np.asarray(u_vals, dtype=complex).reshape(-1)
-        v = np.asarray(v_vals, dtype=complex).reshape(-1)
+                f"bilinear evaluation needs an even variable count, ring has {self.nvars}")
+        k = self.nvars // 2
+        u = np.asarray(u_vals, dtype=complex).reshape(-1, k)
+        v = np.asarray(v_vals, dtype=complex).reshape(-1, k)
         if not self.coeffs:
-            return np.zeros((u.size, v.size), dtype=complex)
-        du = max(mi[0] for mi in self.coeffs)
-        dv = max(mi[1] for mi in self.coeffs)
-        A = np.zeros((du + 1, dv + 1), dtype=complex)
-        for (a, b), c in self.coeffs.items():
-            A[a, b] = c
-        U = np.ones((u.size, du + 1), dtype=complex)
-        for k in range(1, du + 1):
-            U[:, k] = U[:, k - 1] * u
-        V = np.ones((v.size, dv + 1), dtype=complex)
-        for k in range(1, dv + 1):
-            V[:, k] = V[:, k - 1] * v
-        return (U @ A) @ V.T
+            return np.zeros((u.shape[0], v.shape[0]), dtype=complex)
+        xmon = _block_monomials(k, max(sum(mi[:k]) for mi in self.coeffs))
+        ymon = _block_monomials(k, max(sum(mi[k:]) for mi in self.coeffs))
+        xcol = {mi: i for i, mi in enumerate(xmon)}
+        ycol = {mi: i for i, mi in enumerate(ymon)}
+        A = np.zeros((len(xmon), len(ymon)), dtype=complex)
+        for mi, c in self.coeffs.items():
+            A[xcol[mi[:k]], ycol[mi[k:]]] = c
+        return (_monomial_table(u, xmon) @ A) @ _monomial_table(v, ymon).T
+
+
+def _block_monomials(k: int, degree: int) -> list[MultiIndex]:
+    """Exponent vectors in k variables of total degree <= degree."""
+    return [mi for mi in itertools.product(range(degree + 1), repeat=k)
+            if sum(mi) <= degree]
+
+
+def _monomial_table(pts: np.ndarray, monomials: list[MultiIndex]) -> np.ndarray:
+    """Columns z^alpha over rows of ``pts`` (m, k); powers by repeated products."""
+    m, k = pts.shape
+    pw = []
+    for j in range(k):
+        tab = np.ones((max(mi[j] for mi in monomials) + 1, m), dtype=complex)
+        for d in range(1, tab.shape[0]):
+            tab[d] = tab[d - 1] * pts[:, j]
+        pw.append(tab)
+    out = np.empty((m, len(monomials)), dtype=complex)
+    for col, mi in enumerate(monomials):
+        v = pw[0][mi[0]]
+        for j in range(1, k):
+            v = v * pw[j][mi[j]]
+        out[:, col] = v
+    return out
 
 
 def max_abs_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
@@ -431,9 +457,3 @@ class HGradedSeries:
             acc += hp * t.eval(point)
             hp *= h
         return acc
-
-    @classmethod
-    def from_constant(cls, value: complex, nvars: int, maxdeg: int, hmax: int = 0):
-        terms = [TruncatedSeries.constant(value, nvars, maxdeg)]
-        terms += [TruncatedSeries.zero(nvars, maxdeg) for _ in range(hmax)]
-        return cls(terms)

@@ -36,6 +36,17 @@ def _as_points(x, n: int) -> np.ndarray:
     return pts
 
 
+def _pair_points(x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paired (m, n) point arrays; a single point on either side broadcasts."""
+    xs = _as_points(x, n)
+    ys = _as_points(y, n)
+    if xs.shape[0] == 1 and ys.shape[0] > 1:
+        xs = np.broadcast_to(xs, ys.shape)
+    if ys.shape[0] == 1 and xs.shape[0] > 1:
+        ys = np.broadcast_to(ys, xs.shape)
+    return xs, ys
+
+
 @dataclass(frozen=True)
 class Weight:
     """A validated weight: Taylor series around ``base`` plus a trust radius."""

@@ -15,9 +15,13 @@ GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
 
 
-def pipeline(triples, order, maxdeg=16, trust=1.2):
-    s = TruncatedSeries.from_triples(triples, 2, maxdeg)
-    w = validate_weight(s, [0j], trust)
+PRODUCT = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
+           ((2, 0, 2, 0), 0.1, 0.0), ((0, 2, 0, 2), 0.05, 0.0)]
+
+
+def pipeline(triples, order, maxdeg=16, trust=1.2, n=1):
+    s = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
+    w = validate_weight(s, [0j] * n, trust)
     pol = polarize(w)
     amp = solve_amplitude(build_phase(pol), order)
     return w, pol, amp
@@ -82,19 +86,40 @@ def test_projection_is_linear():
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
-def test_projection_fast_path_matches_generic():
-    # same nodes, same integrand: vectorized path must agree with direct sums
-    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=20, trust=1.0)
+@pytest.mark.parametrize("triples, n, order, maxdeg, shape, u, pts", [
+    pytest.param(QUARTIC, 1, 4, 20, "disc", monomial(2, 6),
+                 [[0.1 + 0.05j], [0.0j], [0.25j]], id="n1-quartic"),
+    pytest.param(PRODUCT, 2, 1, 8, "polydisc",
+                 TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 4),
+                 [[0.1 + 0.05j, -0.1j], [0.0j, 0.0j], [0.25j, 0.15 + 0.0j]],
+                 id="n2-product"),
+])
+def test_projection_fast_path_matches_generic(triples, n, order, maxdeg, shape, u, pts):
+    # same nodes, same integrand: block-bilinear path must agree with direct sums
+    w, pol, amp = pipeline(triples, order, maxdeg=maxdeg, trust=1.0, n=n)
     K = assemble_kernel(pol, amp, 0.1)
-    dom = make_domain("disc", (0.7,), 0.1, n_radial=24, n_angular=48)
-    pts = np.array([[0.1 + 0.05j], [0.0j], [0.25j]])
-    u = monomial(2, 6)
+    n_radial, n_angular = (24, 48) if n == 1 else (6, 12)
+    dom = make_domain(shape, (0.7,) * n, 0.1, n_radial=n_radial, n_angular=n_angular)
+    pts = np.array(pts)
     fast = apply_projection(K, u, w, dom, pts)
     phiy = w.phi(dom.nodes)
     uy = u.eval_grid(dom.nodes)
     slow = np.array([(dom.weights * K.eval(np.broadcast_to(x[None, :], dom.nodes.shape), dom.nodes)
                       * np.exp(-2.0 * phiy / 0.1) * uy).sum() for x in pts])
     assert np.allclose(fast, slow, rtol=1e-12)
+
+
+def test_projection_small_h_stays_finite():
+    # exp(2 Psi / h) alone overflows at this h; the combined exponent does not
+    w, pol, amp = pipeline(GAUSS, 4, maxdeg=16)
+    h = 3e-4
+    K = assemble_kernel(pol, amp, h)
+    dom = make_domain("disc", (1.0,), h, n_radial=64, n_angular=128)
+    pts = np.array([[0.1 + 0.0j], [0.3j], [-0.35 + 0.2j]])
+    got = apply_projection(K, monomial(0, 4), w, dom, pts)
+    # P u(0.3i) is ~1e32 from cancellation; e^{-phi/h} sets the meaningful scale
+    weighted = np.abs(got - 1.0) * np.exp(-w.phi(pts) / h)
+    assert np.all(weighted < 1e-12), weighted
 
 
 def test_projection_refinement_guard():

@@ -133,13 +133,18 @@ def test_diff_product_rule():
     assert max_abs_diff(lhs, rhs) < 1e-13
 
 
-def test_eval_bilinear_matches_eval_grid():
-    f = TruncatedSeries.from_triples(
-        [((2, 1), 1.0, -0.5), ((0, 3), 0.25, 0.0), ((1, 0), -1.0, 0.0)], 2, 5)
-    u = rand_points(1, m=7, seed=1)[:, 0]
-    v = rand_points(1, m=4, seed=2)[:, 0]
+@pytest.mark.parametrize("triples, k", [
+    pytest.param([((2, 1), 1.0, -0.5), ((0, 3), 0.25, 0.0), ((1, 0), -1.0, 0.0)], 1,
+                 id="k1"),
+    pytest.param([((1, 0, 1, 0), 0.5, 0.0), ((0, 2, 1, 1), 0.25, -0.75),
+                  ((2, 1, 0, 0), -1.0, 0.5), ((0, 0, 0, 3), 0.3, 0.0)], 2, id="k2"),
+])
+def test_eval_bilinear_matches_eval_grid(triples, k):
+    f = TruncatedSeries.from_triples(triples, 2 * k, 5)
+    u = rand_points(k, m=7, seed=1)
+    v = rand_points(k, m=4, seed=2)
     grid = f.eval_bilinear(u, v)
-    pts = np.stack([np.repeat(u, v.size), np.tile(v, u.size)], axis=1)
+    pts = np.concatenate([np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1))], axis=1)
     assert np.allclose(grid.ravel(), f.eval_grid(pts), atol=1e-13)
 
 
