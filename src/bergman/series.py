@@ -348,15 +348,17 @@ class TruncatedSeries:
             acc += c if v is None else c * v
         return acc
 
-    def eval_bilinear(self, u_vals: np.ndarray, v_vals: np.ndarray) -> np.ndarray:
-        """Product-grid evaluation of a 2k-variable series as X A Y^T.
+    def bilinear_factors(self, u_vals: np.ndarray,
+                         v_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Factors X, B of a 2k-variable series on a product grid.
 
         Rows of ``u_vals`` (p, k) fill the first k variables and rows of
-        ``v_vals`` (m, k) the last k; for k = 1 both may be flat.  X and Y
-        hold every monomial of each block up to the block's largest total
-        degree, so A is the coefficient table between them.  Returns shape
-        (p, m); much cheaper than calling eval_grid on all pairs when both
-        axes are large.
+        ``v_vals`` (m, k) the last k; for k = 1 both may be flat.  X (p, r)
+        holds every monomial of the first block up to its largest total
+        degree, constant monomial first, and B = A Y^T (r, m) folds the
+        coefficient table A into the second block's monomials, so the
+        series at (u_i, v_j) is (X @ B)[i, j].  Row blocks of X can share
+        one B, which is much cheaper than eval_grid on all pairs.
         """
         if self.nvars % 2:
             raise VariableMismatch(
@@ -364,16 +366,19 @@ class TruncatedSeries:
         k = self.nvars // 2
         u = np.asarray(u_vals, dtype=complex).reshape(-1, k)
         v = np.asarray(v_vals, dtype=complex).reshape(-1, k)
-        if not self.coeffs:
-            return np.zeros((u.shape[0], v.shape[0]), dtype=complex)
-        xmon = _block_monomials(k, max(sum(mi[:k]) for mi in self.coeffs))
-        ymon = _block_monomials(k, max(sum(mi[k:]) for mi in self.coeffs))
+        xmon = _block_monomials(k, max((sum(mi[:k]) for mi in self.coeffs), default=0))
+        ymon = _block_monomials(k, max((sum(mi[k:]) for mi in self.coeffs), default=0))
         xcol = {mi: i for i, mi in enumerate(xmon)}
         ycol = {mi: i for i, mi in enumerate(ymon)}
         A = np.zeros((len(xmon), len(ymon)), dtype=complex)
         for mi, c in self.coeffs.items():
             A[xcol[mi[:k]], ycol[mi[k:]]] = c
-        return (_monomial_table(u, xmon) @ A) @ _monomial_table(v, ymon).T
+        return _monomial_table(u, xmon), A @ _monomial_table(v, ymon).T
+
+    def eval_bilinear(self, u_vals: np.ndarray, v_vals: np.ndarray) -> np.ndarray:
+        """The series on the product grid, X @ B of bilinear_factors; shape (p, m)."""
+        X, B = self.bilinear_factors(u_vals, v_vals)
+        return X @ B
 
 
 def _block_monomials(k: int, degree: int) -> list[MultiIndex]:

@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import bergman
 
 from bergman.cli import (RunConfig, config_from_dict, emit, load_config, main,
                          report_csv, report_json, run)
@@ -170,3 +174,62 @@ def test_main_h_grid_override(tmp_path, capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["config"]["h_grid"] == [0.3, 0.2]
+
+
+def test_kernel_rows_report_cutoff():
+    cfg = cfg_with(suites=["kernel"], h_grid=[0.2, 0.15, 0.1], n_radial=16,
+                   n_angular=32, test_functions=[[0]])
+    rows = json.loads(report_json(run(cfg)))["stages"]["kernel"]["rows"]
+    assert rows
+    for row in rows:
+        assert isinstance(row["cutoff"], int) and 0 <= row["cutoff"] <= row["N"]
+
+
+PRODUCT_2D = {
+    "name": "product-2d",
+    "dimension": 2,
+    "coefficients": [{"exponents": [1, 0, 1, 0], "re": 0.5},
+                     {"exponents": [0, 1, 0, 1], "re": 0.5},
+                     {"exponents": [2, 0, 2, 0], "re": 0.1},
+                     {"exponents": [0, 2, 0, 2], "re": 0.05}],
+    "trust_radius": 1.0,
+    "maxdeg": 8,
+    "order": 1,
+    "h_grid": [0.2, 0.1, 0.05],
+    "radius_u": 0.35,
+    "radius_v": 0.7,
+    "n_radial": 6,
+    "n_angular": 12,
+    "err_n_radial": 4,
+    "err_n_angular": 8,
+    "test_functions": [[1, 1]],
+}
+
+
+def test_verify_two_dimensional_skips_n1_oracles(tmp_path, capsys):
+    # gram and fourier must be skipped before building any grid: the fourier
+    # polydisc alone would hold ~3.4e8 nodes at n = 2
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(PRODUCT_2D, suites=["verify"])))
+    rc = main(["verify", "--config", str(cfg_path)])
+    assert rc == 0
+    verify = json.loads(capsys.readouterr().out)["stages"]["verify"]
+    assert "error" not in verify
+    skipped = {k for k, v in verify.items() if "skipped" in v}
+    assert skipped == {"gram", "fourier", "sp_quadrature"}
+    for key in ("pointwise", "inequalities", "localized"):
+        assert "error" not in verify[key]
+
+
+def test_python_dash_m_entry_point():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bergman.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bergman", "validate", "--config",
+         os.path.join(root, "configs", "gaussian.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["stages"]["validate"]["dimension"] == 1

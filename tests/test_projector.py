@@ -158,6 +158,17 @@ def test_weighted_norm_gaussian_closed_form():
     assert abs(got - want) < 1e-12
 
 
+def test_weighted_norm_survives_huge_values():
+    # P u - u reaches ~1e270 at small h; squaring before damping overflows
+    w, _, _ = pipeline(GAUSS, 2)
+    h = 0.1
+    dom = make_domain("disc", (0.8,), h)
+    huge = 1e200 * np.ones(dom.nodes.shape[0], dtype=complex)
+    got = weighted_norm(w, huge, dom)
+    want = 1e200 * np.sqrt(np.pi * h * (1.0 - np.exp(-0.64 / h)))
+    assert abs(got - want) < 1e-12 * want
+
+
 def test_reproducing_error_decreases_with_h():
     w, pol, amp = pipeline(QUARTIC, 4, maxdeg=20, trust=1.0)
     errs = []

@@ -139,19 +139,21 @@ def test_diff_product_rule():
     pytest.param([((1, 0, 1, 0), 0.5, 0.0), ((0, 2, 1, 1), 0.25, -0.75),
                   ((2, 1, 0, 0), -1.0, 0.5), ((0, 0, 0, 3), 0.3, 0.0)], 2, id="k2"),
 ])
-def test_eval_bilinear_matches_eval_grid(triples, k):
+def test_bilinear_factors_match_eval_grid(triples, k):
     f = TruncatedSeries.from_triples(triples, 2 * k, 5)
     u = rand_points(k, m=7, seed=1)
     v = rand_points(k, m=4, seed=2)
-    grid = f.eval_bilinear(u, v)
+    X, B = f.bilinear_factors(u, v)
+    grid = X @ B
+    assert np.array_equal(f.eval_bilinear(u, v), grid)
     pts = np.concatenate([np.repeat(u, len(v), axis=0), np.tile(v, (len(u), 1))], axis=1)
     assert np.allclose(grid.ravel(), f.eval_grid(pts), atol=1e-13)
 
 
-def test_eval_bilinear_rejects_wrong_arity():
+def test_bilinear_factors_rejects_wrong_arity():
     f = TruncatedSeries.from_triples([((1, 0, 0), 1.0, 0.0)], 3, 3)
     with pytest.raises(VariableMismatch):
-        f.eval_bilinear(np.array([0.1]), np.array([0.2]))
+        f.bilinear_factors(np.array([0.1]), np.array([0.2]))
 
 
 def test_ring_mismatch_raises():
