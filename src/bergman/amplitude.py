@@ -40,8 +40,6 @@ def _series_det(mat: list[list[TruncatedSeries]]) -> TruncatedSeries:
     n = len(mat)
     if n == 1:
         return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     acc = None
     for k in range(n):
         minor = [[mat[i][j] for j in range(n) if j != k] for i in range(1, n)]
@@ -105,9 +103,8 @@ class ExpansionTermOps:
     slow variables (y, xt) at the same common truncation degree.
     """
 
-    def __init__(self, pd: PhaseData, hmax: int):
+    def __init__(self, pd: PhaseData):
         self.n = pd.n
-        self.hmax = hmax
         n = pd.n
         self.slow_deg = max(pd.maxdeg - 2, 0)
 
@@ -167,16 +164,16 @@ class ExpansionTermOps:
         return acc
 
     def _project_slow(self, s: TruncatedSeries) -> TruncatedSeries:
+        # Called after full contraction, so every term has u- and v-degree 0.
         n = self.n
-        kept = s.filter(lambda mi: self._u_deg(mi) == 0 and self._v_deg(mi) == 0)
-        return kept.rename(list(range(2 * n)) + [0] * (2 * n), 2 * n)
+        return s.rename(list(range(2 * n)) + [0] * (2 * n), 2 * n)
 
     # -- the operators ---------------------------------------------------------
 
     def apply(self, j: int, f: TruncatedSeries) -> TruncatedSeries:
         """T_j f as a series in the slow variables."""
         if j == 0:
-            return f.truncate(min(f.maxdeg, self.slow_deg)).truncate(self.slow_deg)
+            return f.truncate(self.slow_deg)
         fc = self._lift(f)
         total = TruncatedSeries.zero(2 * self.n, self.slow_deg)
         for q in range(0, 2 * j + 1):
@@ -213,7 +210,7 @@ def formal_expansion(pd: PhaseData, u: HGradedSeries, hmax: int) -> HGradedSerie
     if u.maxdeg < 2 * hmax + 2:
         raise InsufficientDegree(
             f"symbol maxdeg {u.maxdeg} below the budget 2*hmax+2 = {2 * hmax + 2}")
-    ops = ExpansionTermOps(pd, hmax)
+    ops = ExpansionTermOps(pd)
     deg = min(ops.slow_deg, u.maxdeg)
     c0 = ops.c0.truncate(deg)
     out = []
@@ -237,7 +234,7 @@ def solve_amplitude(pd: PhaseData, order: int) -> Amplitude:
     if pd.maxdeg < budget:
         raise InsufficientDegree(
             f"phase maxdeg {pd.maxdeg} below the budget 2N+4 = {budget} for order {order}")
-    ops = ExpansionTermOps(pd, order)
+    ops = ExpansionTermOps(pd)
     coeffs = [ops.c0.invert()]
     for m in range(1, order + 1):
         acc = TruncatedSeries.zero(2 * pd.n, ops.slow_deg)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .amplitude import estimate_growth, formal_expansion, solve_amplitude
+from .amplitude import estimate_growth, solve_amplitude
 from .errors import BergmanError, ConfigInvalid, IoError
 from .oracle import (InequalityProbe, QuadratureCase, compare_kernels,
                      fourier_inversion_check, gram_bergman, inequality_suite,
@@ -151,6 +151,17 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         if len(t) != n or any(not isinstance(k, int) or k < 0 for k in t):
             raise ConfigInvalid(f"test function exponents {t!r} must be {n} nonnegative ints")
         tfs_t.append(tuple(t))
+    if not tfs_t:
+        raise ConfigInvalid("test_functions must be a nonempty list")
+
+    nodes = {k: int(data.get(k, RunConfig.__dataclass_fields__[k].default))
+             for k in ("n_radial", "n_angular", "err_n_radial", "err_n_angular")}
+    small = {k: v for k, v in nodes.items() if v < 1}
+    if small:
+        raise ConfigInvalid(f"quadrature node counts must be at least 1, got {small}")
+    hmax, seed = int(data.get("hmax", 4)), int(data.get("seed", 0))
+    if hmax < 0 or seed < 0:
+        raise ConfigInvalid(f"hmax ({hmax}) and seed ({seed}) must be nonnegative")
 
     delta = data.get("delta")
     return RunConfig(
@@ -158,15 +169,11 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         coefficients=tuple(coeffs), trust_radius=trust, maxdeg=maxdeg,
         order=order, radius_u=ru, radius_v=rv,
         base=tuple((float(z[0]), float(z[1])) for z in base),
-        hmax=int(data.get("hmax", 4)), h_grid=h_grid,
+        hmax=hmax, h_grid=h_grid,
         gram_degree=int(data.get("gram_degree", 25)),
-        n_radial=int(data.get("n_radial", 64)),
-        n_angular=int(data.get("n_angular", 128)),
-        err_n_radial=int(data.get("err_n_radial", 24)),
-        err_n_angular=int(data.get("err_n_angular", 48)),
         delta=None if delta is None else float(delta),
-        seed=int(data.get("seed", 0)), suites=suites,
-        test_functions=tuple(tfs_t))
+        seed=seed, suites=suites,
+        test_functions=tuple(tfs_t), **nodes)
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -209,16 +216,20 @@ def _amplitude(cfg: RunConfig, ctx: dict) -> dict:
     return ctx
 
 
+def _gap(cfg: RunConfig, ctx: dict) -> tuple[float, float]:
+    """Sampled (cmin, cmax) of the quadratic gap, computed once per run."""
+    if "gap" not in ctx:
+        _core(cfg, ctx)
+        ctx["gap"] = quadratic_gap_estimate(
+            ctx["w"], ctx["pol"], 0.5 * cfg.trust_radius, n_samples=4096,
+            seed=cfg.seed)
+    return ctx["gap"]
+
+
 def _delta(cfg: RunConfig, ctx: dict) -> float:
     if cfg.delta is not None:
         return cfg.delta
-    if "cmin" not in ctx:
-        _core(cfg, ctx)
-        cmin, cmax = quadratic_gap_estimate(
-            ctx["w"], ctx["pol"], 0.5 * cfg.trust_radius, n_samples=4096,
-            seed=cfg.seed)
-        ctx["cmin"], ctx["cmax"] = cmin, cmax
-    return 0.5 * ctx["cmin"]
+    return 0.5 * _gap(cfg, ctx)[0]
 
 
 def _fit_or_floor(pairs) -> dict:
@@ -239,9 +250,7 @@ def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
     w, pol, pd = ctx["w"], ctx["pol"], ctx["pd"]
     levi = levi_form(w, w.base)
     eigs = [float(v) for v in np.linalg.eigvalsh(levi)]
-    if "cmin" not in ctx:
-        ctx["cmin"], ctx["cmax"] = quadratic_gap_estimate(
-            w, pol, 0.5 * cfg.trust_radius, n_samples=4096, seed=cfg.seed)
+    cmin, cmax = _gap(cfg, ctx)
     delta = _delta(cfg, ctx)
     checksum = hashlib.sha256(
         json.dumps(pol.psi.to_triples(), sort_keys=True).encode()).hexdigest()[:16]
@@ -253,7 +262,7 @@ def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
     return {
         "dimension": w.n,
         "levi_eigenvalues": eigs,
-        "gap": {"cmin": ctx.get("cmin"), "cmax": ctx.get("cmax")},
+        "gap": {"cmin": cmin, "cmax": cmax},
         "delta": delta,
         "polarization_checksum": checksum,
         "hessian_determinant": [pd.hess_det.real, pd.hess_det.imag],
@@ -265,12 +274,11 @@ def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
 
 def stage_amplitude(cfg: RunConfig, ctx: dict) -> dict:
     _amplitude(cfg, ctx)
-    amp, pd = ctx["amp"], ctx["pd"]
+    amp = ctx["amp"]
     a0 = amp.coeffs[0].constant_term
-    terms = formal_expansion(pd, amp.as_graded(), cfg.order)
-    one = TruncatedSeries.constant(1.0, 2 * cfg.dimension, terms.coefficient(0).maxdeg)
-    unit_defect = (terms.coefficient(0) - one).max_abs()
-    residuals = [terms.coefficient(j).max_abs() for j in range(1, cfg.order + 1)]
+    # Orders >= 1 of the expansion vanish by construction of a_1..a_N; the
+    # order-zero product c0 * a0 = 1 is the one that can drift.
+    unit_defect = (amp.c0 * amp.coeffs[0] - 1).max_abs()
     return {
         "order": amp.order,
         "a0_constant": [a0.real, a0.imag],
@@ -278,7 +286,6 @@ def stage_amplitude(cfg: RunConfig, ctx: dict) -> dict:
         "growth_C": amp.growth_C,
         "growth_profile": list(amp.growth_profile),
         "feedback_unit_defect": unit_defect,
-        "feedback_residuals": residuals,
     }
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import (
     BadVariable,
+    ConfigInvalid,
+    InsufficientDegree,
     NonzeroConstantTerm,
     VariableMismatch,
     ZeroConstantTerm,
@@ -41,7 +43,7 @@ class TruncatedSeries:
         if nvars < 1:
             raise BadVariable(f"need at least one variable, got {nvars}")
         if maxdeg < 0:
-            raise ValueError(f"maxdeg must be nonnegative, got {maxdeg}")
+            raise ConfigInvalid(f"maxdeg must be nonnegative, got {maxdeg}")
         self.nvars = nvars
         self.maxdeg = maxdeg
         if coeffs is None:
@@ -302,20 +304,6 @@ class TruncatedSeries:
 
     # -- evaluation --------------------------------------------------------------
 
-    def eval(self, point: Sequence[complex]) -> complex:
-        if len(point) != self.nvars:
-            raise VariableMismatch(
-                f"point has {len(point)} coordinates, ring has {self.nvars} variables")
-        z = [complex(p) for p in point]
-        acc = 0.0 + 0.0j
-        for mi, c in sorted(self.coeffs.items(), key=lambda t: total_degree(t[0])):
-            v = c
-            for zi, k in zip(z, mi):
-                if k:
-                    v *= zi ** k
-            acc += v
-        return acc
-
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at many points; ``points`` has shape (m, nvars)."""
         pts = np.asarray(points, dtype=complex)
@@ -431,7 +419,7 @@ class HGradedSeries:
     def __init__(self, terms: Sequence[TruncatedSeries]):
         terms = list(terms)
         if not terms:
-            raise ValueError("need at least the h^0 term")
+            raise InsufficientDegree("need at least the h^0 term")
         nv, deg = terms[0].nvars, terms[0].maxdeg
         for t in terms[1:]:
             if t.nvars != nv or t.maxdeg != deg:
@@ -454,11 +442,3 @@ class HGradedSeries:
         if j >= len(self.terms):
             return TruncatedSeries.zero(self.nvars, self.maxdeg)
         return self.terms[j]
-
-    def eval(self, point: Sequence[complex], h: float) -> complex:
-        acc = 0.0 + 0.0j
-        hp = 1.0
-        for t in self.terms:
-            acc += hp * t.eval(point)
-            hp *= h
-        return acc

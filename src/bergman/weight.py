@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, Degenerate, GapViolation, NotRealValued
+from .errors import (ConfigInvalid, Degenerate, GapViolation, NotRealValued,
+                     VariableMismatch)
 from .quadrature import sobol_ball
 from .series import TruncatedSeries
 
@@ -32,7 +33,7 @@ def _as_points(x, n: int) -> np.ndarray:
     elif pts.ndim == 1:
         pts = pts[:, None] if n == 1 else pts[None, :]
     if pts.shape[1] != n:
-        raise ValueError(f"points have {pts.shape[1]} coordinates, expected {n}")
+        raise VariableMismatch(f"points have {pts.shape[1]} coordinates, expected {n}")
     return pts
 
 
@@ -131,7 +132,7 @@ def levi_form(w: Weight, x) -> np.ndarray:
     """Mixed second-derivative matrix d2(phi)/dx_j dconj(x)_k at a point."""
     pts = w.displacements(x)
     if pts.shape[0] != 1:
-        raise ValueError("levi_form evaluates one point at a time")
+        raise VariableMismatch("levi_form evaluates one point at a time")
     n = w.n
     out = np.empty((n, n), dtype=complex)
     for j in range(n):
@@ -167,7 +168,7 @@ def quadratic_gap_estimate(w: Weight, pol: Polarization, radius: float,
     a nonpositive sampled minimum raises GapViolation.
     """
     if radius <= 0.0 or radius > w.trust_radius:
-        raise ValueError("sampling radius must lie in (0, trust_radius]")
+        raise ConfigInvalid("sampling radius must lie in (0, trust_radius]")
     pts = sobol_ball(2 * w.n, radius, n_samples, seed=seed)
     x = pts[:, :w.n] + w.base[None, :]
     y = pts[:, w.n:] + w.base[None, :]

@@ -7,6 +7,7 @@ import pytest
 
 import bergman
 
+from bergman.amplitude import ExpansionTermOps
 from bergman.cli import (RunConfig, config_from_dict, emit, load_config, main,
                          report_csv, report_json, run)
 from bergman.errors import ConfigInvalid, IoError
@@ -74,6 +75,40 @@ def test_exponent_arity_checked():
         cfg_with(coefficients=[{"exponents": [1, 1, 1], "re": 0.5}])
     with pytest.raises(ConfigInvalid):
         cfg_with(test_functions=[[0, 0]])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_radial", 0), ("n_angular", 0), ("err_n_radial", 0), ("err_n_angular", 0),
+    ("test_functions", []), ("hmax", -1), ("seed", -1),
+])
+def test_values_that_cannot_run_are_rejected(field, value):
+    with pytest.raises(ConfigInvalid, match=field):
+        cfg_with(**{field: value})
+
+
+def test_main_rejects_zero_angular_nodes(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(BASE, n_angular=0)))
+    rc = main(["kernel", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_amplitude_stage_runs_the_engine_once(monkeypatch):
+    calls = []
+    apply = ExpansionTermOps.apply
+
+    def counted(self, j, f):
+        calls.append(j)
+        return apply(self, j, f)
+
+    monkeypatch.setattr(ExpansionTermOps, "apply", counted)
+    order = 3
+    amp = run(cfg_with(suites=["amplitude"], order=order))["stages"]["amplitude"]
+    assert len(calls) == order * (order + 1) // 2
+    assert amp["feedback_unit_defect"] < 1e-12
+    assert "feedback_residuals" not in amp
 
 
 def test_suite_selection_shapes_report():

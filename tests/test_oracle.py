@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bergman.amplitude import Amplitude, solve_amplitude
-from bergman.errors import BadContour, ConfigInvalid, IllConditioned
+from bergman.errors import BadContour, BergmanError, ConfigInvalid, IllConditioned
 from bergman.oracle import (InequalityProbe, QuadratureCase, compare_kernels,
                             fourier_inversion_check, gram_bergman,
                             inequality_suite, localized_element,
@@ -137,6 +137,19 @@ def test_compare_kernels_null_amplitude():
     x, y = near_diagonal_pairs(0.25, 10)
     stats = compare_kernels(K, gk, x, y)
     assert abs(stats.max_rel - 1.0) < 1e-6
+
+
+def test_n1_pairs_on_n2_kernel_raise_package_error():
+    # compare_kernels evaluates the asymptotic kernel first; near_diagonal_pairs
+    # gives (m, 1) points, which an n = 2 kernel must refuse by a BergmanError
+    product = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
+               ((2, 0, 2, 0), 0.1, 0.0), ((0, 2, 0, 2), 0.05, 0.0)]
+    w = validate_weight(TruncatedSeries.from_triples(product, 4, 8), [0j, 0j], 1.0)
+    pol = polarize(w)
+    K = assemble_kernel(pol, solve_amplitude(build_phase(pol), 1), 0.1)
+    x, y = near_diagonal_pairs(0.1, 20)
+    with pytest.raises(BergmanError):
+        K.eval(x, y)
 
 
 # -- Fourier inversion --------------------------------------------------------
