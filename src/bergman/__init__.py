@@ -29,15 +29,15 @@ from .phase import (ContourSpec, MarginReport, PhaseData, build_good_contour,
 from .projector import (DecayFit, DomainSpec, KernelEvaluator, apply_projection,
                         assemble_kernel, check_domain, decay_fit, make_domain,
                         reproducing_error, weighted_norm)
-from .series import HGradedSeries, TruncatedSeries, max_abs_diff
+from .series import TruncatedSeries, max_abs_diff
 from .weight import (Polarization, Weight, levi_form, polarize,
                      quadratic_gap_estimate, validate_weight)
 
 __all__ = [
     "Amplitude", "BadContour", "BergmanError", "CompareStats", "ConfigInvalid",
     "ContourSpec", "DecayFit", "DegenerateFit", "DomainSpec",
-    "ExpansionTermOps", "FourierCheck", "GramKernel", "HGradedSeries",
-    "IllConditioned", "InequalityProbe", "InsufficientDegree", "IoError",
+    "ExpansionTermOps", "FourierCheck", "GramKernel", "IllConditioned",
+    "InequalityProbe", "InsufficientDegree", "IoError",
     "KernelEvaluator", "LocalizedElement", "MarginReport", "MarginSuite",
     "PhaseData", "PointwiseBound", "Polarization", "QuadratureCase",
     "QuadratureResult", "QuadratureUnderresolved", "RealizedSymbol",

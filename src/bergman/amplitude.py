@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InsufficientDegree
 from .phase import PhaseData
 from .quadrature import sobol_ball
-from .series import HGradedSeries, TruncatedSeries
+from .series import TruncatedSeries
 
 # Coefficient of h <d_u, B^{-T} d_v> in the pairing exponent, and the
 # order-zero factor c0 = LEADING_NUM^n / det B.  Calibrated on the Gaussian
@@ -82,9 +82,6 @@ class Amplitude:
     @property
     def maxdeg(self) -> int:
         return self.coeffs[0].maxdeg
-
-    def as_graded(self) -> HGradedSeries:
-        return HGradedSeries(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -198,29 +195,34 @@ class ExpansionTermOps:
         return total
 
 
-def formal_expansion(pd: PhaseData, u: HGradedSeries, hmax: int) -> HGradedSeries:
-    """Expansion of the fast contour integral applied to the symbol u.
+def formal_expansion(pd: PhaseData, terms: list[TruncatedSeries],
+                     hmax: int) -> list[TruncatedSeries]:
+    """Expansion of the fast contour integral applied to a symbol.
 
-    Returns c0(y, xt) * sum_j h^j (T_j u)(y, xt) collected by total h-order,
-    including the h-grading already present in u.
+    ``terms[k]`` is the symbol's h^k coefficient.  Returns [e_0, ..., e_hmax]
+    with e_m = c0(y, xt) * sum_{j+k=m} (T_j terms[k])(y, xt), the h^m
+    coefficient of the expansion.
     """
-    if u.nvars != 2 * pd.n:
+    if not terms:
+        raise InsufficientDegree("need at least the h^0 term")
+    if any(t.nvars != 2 * pd.n for t in terms):
         raise InsufficientDegree(
-            f"symbol has {u.nvars} variables, phase expects {2 * pd.n}")
-    if u.maxdeg < 2 * hmax + 2:
+            f"symbol terms must have {2 * pd.n} variables, as the phase expects")
+    maxdeg = min(t.maxdeg for t in terms)
+    if maxdeg < 2 * hmax + 2:
         raise InsufficientDegree(
-            f"symbol maxdeg {u.maxdeg} below the budget 2*hmax+2 = {2 * hmax + 2}")
+            f"symbol maxdeg {maxdeg} below the budget 2*hmax+2 = {2 * hmax + 2}")
     ops = ExpansionTermOps(pd)
-    deg = min(ops.slow_deg, u.maxdeg)
+    deg = min(ops.slow_deg, maxdeg)
     c0 = ops.c0.truncate(deg)
     out = []
     for m in range(hmax + 1):
         acc = TruncatedSeries.zero(2 * pd.n, deg)
-        for k in range(0, min(m, u.hmax) + 1):
-            tj = ops.apply(m - k, u.coefficient(k))
+        for k in range(0, min(m, len(terms) - 1) + 1):
+            tj = ops.apply(m - k, terms[k])
             acc = acc + tj.truncate(deg)
         out.append((c0 * acc).truncate(deg))
-    return HGradedSeries(out)
+    return out
 
 
 def solve_amplitude(pd: PhaseData, order: int) -> Amplitude:

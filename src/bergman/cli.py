@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .oracle import (InequalityProbe, QuadratureCase, compare_kernels,
                      localized_element, near_diagonal_pairs,
                      pointwise_bound_check, sp_quadrature_check)
 from .phase import build_good_contour, build_inversion_contour, build_phase, verify_contour
-from .projector import (FIT_FLOOR, DecayFit, assemble_kernel, decay_fit,
-                        make_domain, reproducing_error)
+from .projector import (FIT_FLOOR, assemble_kernel, decay_fit, make_domain,
+                        reproducing_error)
 from .series import TruncatedSeries
 from .weight import levi_form, polarize, quadratic_gap_estimate, validate_weight
 
@@ -108,21 +108,38 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     n = data["dimension"]
     if not isinstance(n, int) or n < 1:
         raise ConfigInvalid("dimension must be a positive integer")
-    base = data.get("base") or [[0.0, 0.0]] * n
-    if len(base) != n or any(len(z) != 2 for z in base):
-        raise ConfigInvalid("base must list [re, im] pairs, one per dimension")
-    coeffs = []
-    for entry in data["coefficients"]:
+
+    def read(key: str, convert, default=None):
+        """convert(value of key); a value of the wrong type names its field."""
+        value = data.get(key, default)
         try:
-            e, re_, im_ = entry["exponents"], float(entry["re"]), float(entry.get("im", 0.0))
-        except (KeyError, TypeError) as exc:
-            raise ConfigInvalid(f"bad coefficient entry {entry!r}") from exc
+            return convert(value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(
+                f"{key}: cannot read {value!r} ({type(exc).__name__}: {exc})") from exc
+
+    def base_pairs(base):
+        base = base or [[0.0, 0.0]] * n
+        if len(base) != n or any(len(z) != 2 for z in base):
+            raise ConfigInvalid("base must list [re, im] pairs, one per dimension")
+        return tuple((float(z[0]), float(z[1])) for z in base)
+
+    def coefficient(entry):
+        e = entry["exponents"]
         if len(e) != 2 * n or any(not isinstance(k, int) or k < 0 for k in e):
             raise ConfigInvalid(
                 f"coefficient exponents {e!r} must be {2 * n} nonnegative integers")
-        coeffs.append((tuple(e), re_, im_))
+        return tuple(e), float(entry["re"]), float(entry.get("im", 0.0))
 
-    maxdeg, order = int(data["maxdeg"]), int(data["order"])
+    def exponents(t):
+        if len(t) != n or any(not isinstance(k, int) or k < 0 for k in t):
+            raise ConfigInvalid(f"test function exponents {t!r} must be {n} nonnegative ints")
+        return tuple(t)
+
+    base = read("base", base_pairs)
+    coeffs = read("coefficients", lambda cs: tuple(coefficient(c) for c in cs))
+
+    maxdeg, order = read("maxdeg", int), read("order", int)
     if order < 0:
         raise ConfigInvalid("order must be nonnegative")
     if maxdeg < 2 * order + 4:
@@ -130,50 +147,43 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
             f"degree budget violated: maxdeg ({maxdeg}) must be at least "
             f"2N+4 = {2 * order + 4} for amplitude order N = {order}")
 
-    trust = float(data["trust_radius"])
-    ru, rv = float(data["radius_u"]), float(data["radius_v"])
+    trust = read("trust_radius", float)
+    ru, rv = read("radius_u", float), read("radius_v", float)
     if not (0.0 < ru < rv < trust):
         raise ConfigInvalid(
             f"need 0 < radius_u ({ru}) < radius_v ({rv}) < trust_radius ({trust})")
 
-    h_grid = tuple(float(h) for h in data.get("h_grid", DEFAULT_H_GRID))
+    h_grid = read("h_grid", lambda g: tuple(float(h) for h in g), DEFAULT_H_GRID)
     if not h_grid or any(h <= 0 for h in h_grid):
         raise ConfigInvalid("h_grid must be a nonempty list of positive values")
 
-    suites = tuple(data.get("suites", SUITES))
+    suites = read("suites", tuple, SUITES)
     bad = [s for s in suites if s not in SUITES]
     if bad or not suites:
         raise ConfigInvalid(f"suites must be a nonempty subset of {SUITES}, got {bad}")
 
-    tfs = data.get("test_functions", [[0], [1], [2]] if n == 1 else [[0] * n])
-    tfs_t = []
-    for t in tfs:
-        if len(t) != n or any(not isinstance(k, int) or k < 0 for k in t):
-            raise ConfigInvalid(f"test function exponents {t!r} must be {n} nonnegative ints")
-        tfs_t.append(tuple(t))
-    if not tfs_t:
+    tfs = read("test_functions", lambda ts: tuple(exponents(t) for t in ts),
+               [[0], [1], [2]] if n == 1 else [[0] * n])
+    if not tfs:
         raise ConfigInvalid("test_functions must be a nonempty list")
 
-    nodes = {k: int(data.get(k, RunConfig.__dataclass_fields__[k].default))
+    nodes = {k: read(k, int, RunConfig.__dataclass_fields__[k].default)
              for k in ("n_radial", "n_angular", "err_n_radial", "err_n_angular")}
     small = {k: v for k, v in nodes.items() if v < 1}
     if small:
         raise ConfigInvalid(f"quadrature node counts must be at least 1, got {small}")
-    hmax, seed = int(data.get("hmax", 4)), int(data.get("seed", 0))
+    hmax, seed = read("hmax", int, 4), read("seed", int, 0)
     if hmax < 0 or seed < 0:
         raise ConfigInvalid(f"hmax ({hmax}) and seed ({seed}) must be nonnegative")
 
-    delta = data.get("delta")
     return RunConfig(
         name=str(data["name"]), dimension=n,
-        coefficients=tuple(coeffs), trust_radius=trust, maxdeg=maxdeg,
-        order=order, radius_u=ru, radius_v=rv,
-        base=tuple((float(z[0]), float(z[1])) for z in base),
+        coefficients=coeffs, trust_radius=trust, maxdeg=maxdeg,
+        order=order, radius_u=ru, radius_v=rv, base=base,
         hmax=hmax, h_grid=h_grid,
-        gram_degree=int(data.get("gram_degree", 25)),
-        delta=None if delta is None else float(delta),
-        seed=seed, suites=suites,
-        test_functions=tuple(tfs_t), **nodes)
+        gram_degree=read("gram_degree", int, 25),
+        delta=read("delta", lambda d: None if d is None else float(d)),
+        seed=seed, suites=suites, test_functions=tfs, **nodes)
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -297,16 +307,13 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
     amps = {cfg.order: ctx["amp"]}
     for N in orders[1:]:
         amps[N] = solve_amplitude(pd, N)
+    outer = make_domain((cfg.radius_v,) * w.n, cfg.n_radial, cfg.n_angular)
+    inner = make_domain((cfg.radius_u,) * w.n, cfg.err_n_radial, cfg.err_n_angular)
     rows = []
     fits = {}
     for N in orders:
         errs = []
         for h in cfg.h_grid:
-            outer = make_domain("disc" if w.n == 1 else "polydisc",
-                                (cfg.radius_v,) * w.n, h, cfg.n_radial, cfg.n_angular)
-            inner = make_domain("disc" if w.n == 1 else "polydisc",
-                                (cfg.radius_u,) * w.n, h, cfg.err_n_radial,
-                                cfg.err_n_angular)
             K = assemble_kernel(pol, amps[N], h)
             err = max(reproducing_error(K, u, w, inner, outer)
                       for _, u in dictionary)
@@ -349,7 +356,6 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     w, pol, pd, amp = ctx["w"], ctx["pol"], ctx["pd"], ctx["amp"]
     out: dict = {}
     n = cfg.dimension
-    shape = "disc" if n == 1 else "polydisc"
 
     def attempt(key, fn):
         try:
@@ -359,12 +365,11 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
 
     def gram_section():
         x, y = near_diagonal_pairs(0.3 * cfg.radius_u, 20)
+        dom = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
         pairs = []
         per_h = []
         for h in cfg.h_grid:
-            dom = make_domain(shape, (cfg.radius_v,) * n, h,
-                              cfg.n_radial, cfg.n_angular)
-            gk = gram_bergman(w, dom, cfg.gram_degree)
+            gk = gram_bergman(w, dom, h, cfg.gram_degree)
             st = compare_kernels(assemble_kernel(pol, amp, h), gk, x, y)
             per_h.append({"h": h, "max_rel": st.max_rel,
                           "median_rel": st.median_rel, "cond": gk.cond})
@@ -372,12 +377,12 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
         return {"points": 20, "per_h": per_h, "fit": _fit_or_floor(pairs)}
 
     def fourier_section():
+        dom = make_domain((cfg.radius_v,) * n, 96, 192)
         res = {}
         for t in cfg.test_functions:
             u = _monomial(t, n)
             pairs = []
             for h in cfg.h_grid:
-                dom = make_domain(shape, (cfg.radius_v,) * n, h, 96, 192)
                 chk = fourier_inversion_check(w, u, w.base, dom, h)
                 pairs.append((h, chk.residual))
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
@@ -385,10 +390,8 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
         return res
 
     def pointwise_section():
-        inner = make_domain(shape, (cfg.radius_u,) * n, cfg.h_grid[0],
-                            cfg.err_n_radial, cfg.err_n_angular)
-        outer = make_domain(shape, (cfg.radius_v,) * n, cfg.h_grid[0],
-                            cfg.n_radial, cfg.n_angular)
+        inner = make_domain((cfg.radius_u,) * n, cfg.err_n_radial, cfg.err_n_angular)
+        outer = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
         res = {}
         for t in cfg.test_functions:
             pb = pointwise_bound_check(w, _monomial(t, n), inner, outer, cfg.h_grid)

@@ -20,7 +20,6 @@ from .errors import BadContour, ConfigInvalid, IllConditioned, QuadratureUnderre
 from .phase import (PhaseData, build_good_contour, phase_on_contour,
                     theta_jacobian_pairs, theta_pairs)
 from .amplitude import formal_expansion
-from .series import HGradedSeries
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sobol_ball
 from .series import TruncatedSeries
@@ -45,16 +44,13 @@ class GramKernel:
 
     w: Weight
     dom: DomainSpec
+    h: float
     degree: int
     basis: tuple                 # multi-indices, degree-sorted
     gram: np.ndarray             # raw Hermitian Gram matrix
     scale: np.ndarray            # diagonal normalization applied before factoring
     chol: tuple                  # cho_factor of the scaled Gram matrix
     cond: float
-
-    @property
-    def h(self) -> float:
-        return self.dom.h
 
     def eval(self, x, y) -> np.ndarray:
         """K_exact(x_i, conj(y_i)) for paired points (either may broadcast)."""
@@ -96,9 +92,11 @@ def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
     return out
 
 
-def gram_bergman(w: Weight, dom: DomainSpec, degree: int) -> GramKernel:
+def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKernel:
     """Brute-force reproducing kernel on monomials of total degree <= degree."""
     check_domain(dom, w)
+    if h <= 0:
+        raise ConfigInvalid(f"h must be positive, got {h}")
     if degree < 0:
         raise ConfigInvalid("basis degree must be nonnegative")
     if dom.n_angular < 4 * degree:
@@ -108,7 +106,7 @@ def gram_bergman(w: Weight, dom: DomainSpec, degree: int) -> GramKernel:
     basis = _degree_basis(w.n, degree)
     # G = V^H diag(weights e^{-2 phi/h}) V over the quadrature nodes.
     V = _monomial_table(dom.nodes - w.base[None, :], basis)
-    wts = dom.weights * np.exp(-2.0 * w.phi(dom.nodes) / dom.h)
+    wts = dom.weights * np.exp(-2.0 * w.phi(dom.nodes) / h)
     G = V.conj().T @ (wts[:, None] * V)
     herm = np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300)
     if herm > GRAM_HERMITIAN_TOL:
@@ -128,8 +126,8 @@ def gram_bergman(w: Weight, dom: DomainSpec, degree: int) -> GramKernel:
         chol = cho_factor(Gs, lower=True)
     except LinAlgError as exc:
         raise IllConditioned(f"gram factorization failed: {exc}") from exc
-    return GramKernel(w=w, dom=dom, degree=degree, basis=basis, gram=G,
-                      scale=scale, chol=chol, cond=cond)
+    return GramKernel(w=w, dom=dom, h=float(h), degree=degree, basis=basis,
+                      gram=G, scale=scale, chol=chol, cond=cond)
 
 
 @dataclass(frozen=True)
@@ -394,9 +392,8 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values, center=None,
         if f.nvars != 2 * pd.n:
             raise ConfigInvalid(f"case {case.name}: symbol must have {2 * pd.n} variables")
         lifted = f.truncate(max(f.maxdeg, 2 * hmax + 2, pd.maxdeg - 2))
-        terms = formal_expansion(pd, HGradedSeries([lifted]), hmax)
-        vals = np.array([terms.coefficient(j).eval_grid(center_pt)[0]
-                         for j in range(hmax + 1)])
+        terms = formal_expansion(pd, [lifted], hmax)
+        vals = np.array([t.eval_grid(center_pt)[0] for t in terms])
 
         for h in h_values:
             rho, g = _contour_radius(pd, contour, h, max_radius)

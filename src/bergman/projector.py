@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplitude import Amplitude, RealizedSymbol, realize
 from .errors import ConfigInvalid, DegenerateFit, QuadratureUnderresolved
-from .quadrature import disc_grid, polydisc_grid
+from .quadrature import polydisc_grid
 from .series import TruncatedSeries
 from .weight import Polarization, Weight, _as_points, _pair_points
 
@@ -28,16 +28,16 @@ BLOCK_ELEMENTS = 2 ** 18
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Quadrature domain: nodes, Lebesgue weights, and the h they serve."""
+    """Quadrature domain: nodes and Lebesgue weights over a (poly)disc.
 
-    shape: str
+    The grid is geometry only; it serves every h.
+    """
+
     radii: tuple[float, ...]
-    h: float
     n_radial: int
     n_angular: int
     nodes: np.ndarray      # (m, n) complex
     weights: np.ndarray    # (m,) positive
-    breakpoints: tuple[float, ...] = ()
 
     @property
     def n(self) -> int:
@@ -48,32 +48,20 @@ class DomainSpec:
         return max(self.radii)
 
     def refined(self, factor: int = 2) -> "DomainSpec":
-        return make_domain(self.shape, self.radii, self.h,
-                           self.n_radial * factor, self.n_angular * factor,
-                           self.breakpoints)
+        return make_domain(self.radii, self.n_radial * factor,
+                           self.n_angular * factor)
 
 
-def make_domain(shape: str, radii, h: float, n_radial: int = 64,
-                n_angular: int = 128, breakpoints: tuple[float, ...] = ()) -> DomainSpec:
+def make_domain(radii, n_radial: int = 64, n_angular: int = 128) -> DomainSpec:
+    """Tensor grid over the polydisc with these radii (a disc for one radius)."""
     if np.isscalar(radii):
         radii = (float(radii),)
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii):
         raise ConfigInvalid(f"domain radii must be positive, got {radii}")
-    if h <= 0:
-        raise ConfigInvalid(f"h must be positive, got {h}")
-    if shape in ("disc", "ball") and len(radii) == 1:
-        nodes, weights = disc_grid(radii[0], n_radial, n_angular, breakpoints)
-        nodes = nodes[:, None]
-    elif shape == "polydisc":
-        nodes, weights = polydisc_grid(radii, n_radial, n_angular)
-    elif shape == "ball":
-        raise ConfigInvalid("ball quadrature is only available for n = 1; use polydisc")
-    else:
-        raise ConfigInvalid(f"unknown domain shape {shape!r}")
-    return DomainSpec(shape=shape, radii=radii, h=float(h), n_radial=n_radial,
-                      n_angular=n_angular, nodes=nodes, weights=weights,
-                      breakpoints=tuple(breakpoints))
+    nodes, weights = polydisc_grid(radii, n_radial, n_angular)
+    return DomainSpec(radii=radii, n_radial=n_radial, n_angular=n_angular,
+                      nodes=nodes, weights=weights)
 
 
 def check_domain(dom: DomainSpec, w: Weight) -> None:
@@ -162,15 +150,13 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
     return vals
 
 
-def weighted_norm(w: Weight, values: np.ndarray, dom: DomainSpec,
-                  h: float | None = None) -> float:
+def weighted_norm(w: Weight, values: np.ndarray, dom: DomainSpec, h: float) -> float:
     """L2 norm against exp(-2 phi / h) over the domain's quadrature.
 
     The values are damped by exp(-phi / h) and scaled by their peak before
     squaring, so neither the square nor the damping overflows at small h.
     """
-    hh = dom.h if h is None else h
-    mag = np.abs(values * np.exp(-w.phi(dom.nodes) / hh))
+    mag = np.abs(values * np.exp(-w.phi(dom.nodes) / h))
     peak = mag.max()
     if peak == 0.0:
         return 0.0

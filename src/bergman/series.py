@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     BadVariable,
     ConfigInvalid,
-    InsufficientDegree,
     NonzeroConstantTerm,
     VariableMismatch,
     ZeroConstantTerm,
@@ -407,38 +406,3 @@ def max_abs_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
             worst = d
     return worst
 
-
-class HGradedSeries:
-    """A polynomial in the small parameter h with series coefficients.
-
-    ``terms[j]`` multiplies h**j; all members share the ambient ring.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Sequence[TruncatedSeries]):
-        terms = list(terms)
-        if not terms:
-            raise InsufficientDegree("need at least the h^0 term")
-        nv, deg = terms[0].nvars, terms[0].maxdeg
-        for t in terms[1:]:
-            if t.nvars != nv or t.maxdeg != deg:
-                raise VariableMismatch("h-graded terms must share nvars and maxdeg")
-        self.terms = terms
-
-    @property
-    def hmax(self) -> int:
-        return len(self.terms) - 1
-
-    @property
-    def nvars(self) -> int:
-        return self.terms[0].nvars
-
-    @property
-    def maxdeg(self) -> int:
-        return self.terms[0].maxdeg
-
-    def coefficient(self, j: int) -> TruncatedSeries:
-        if j >= len(self.terms):
-            return TruncatedSeries.zero(self.nvars, self.maxdeg)
-        return self.terms[j]

@@ -88,10 +88,10 @@ def perturbed_amps(perturbed_core):
 @pytest.fixture(scope="module")
 def perturbed_grams(perturbed_core):
     w = perturbed_core[0]
+    dom = make_domain(0.7, 64, 128)
     out = {}
     for h in H_GRID:
-        dom = make_domain("disc", 0.7, h, 64, 128)
-        out[h] = gram_bergman(w, dom, 25)
+        out[h] = gram_bergman(w, dom, h, 25)
     return out
 
 
@@ -127,8 +127,8 @@ def test_criterion_2_quadratic_family():
         w, pol, pd = build([((1, 1), lam, 0.0)], 12, 1.2)
         amp = solve_amplitude(pd, 3)
         c_err = abs(amp.coeffs[0].constant_term - 2.0 * lam / np.pi)
-        dom = make_domain("disc", 1.0, 0.1, 64, 128)
-        gram = gram_bergman(w, dom, 30)
+        dom = make_domain(1.0, 64, 128)
+        gram = gram_bergman(w, dom, 0.1, 30)
         K = assemble_kernel(pol, amp, 0.1)
         zero = np.zeros((1, 1), dtype=complex)
         kv, gv = K.eval(zero, zero)[0], gram.eval(zero, zero)[0]
@@ -238,12 +238,12 @@ def test_criterion_6_contour_margins(gaussian_core, lambda1_core,
 
 def test_criterion_7_fourier_inversion(gaussian_core):
     w = gaussian_core[0]
+    dom = make_domain(1.0, 96, 192)
     parts, ok = [], True
     for k in range(4):
         u = TruncatedSeries.from_triples([((k,), 1.0, 0.0)], 1, 3)
         res = []
         for h in H_GRID:
-            dom = make_domain("disc", 1.0, h, 96, 192)
             res.append(fourier_inversion_check(w, u, [0.0], dom, h).residual)
         if max(res) < 1e-12:
             # already below any fit floor at every h; nothing left to decay
@@ -281,10 +281,10 @@ def test_criterion_9_formal_defining_equation(gaussian_core, gaussian_amp,
             ("perturbed-quartic", perturbed_core[2], perturbed_amps[4], 4)]
     parts, ok = [], True
     for name, pd, amp, N in runs:
-        terms = formal_expansion(pd, amp.as_graded(), N)
-        one = TruncatedSeries.constant(1.0, 2, terms.coefficient(0).maxdeg)
-        d0 = (terms.coefficient(0) - one).max_abs()
-        tail = max(terms.coefficient(j).max_abs() for j in range(1, N + 1))
+        terms = formal_expansion(pd, amp.coeffs, N)
+        one = TruncatedSeries.constant(1.0, 2, terms[0].maxdeg)
+        d0 = (terms[0] - one).max_abs()
+        tail = max(terms[j].max_abs() for j in range(1, N + 1))
         good = d0 < 1e-10 and tail < 1e-10
         ok = ok and good
         parts.append(f"{name}: |order0 - 1|={d0:.1e}, sup h^1..h^{N}={tail:.1e}")

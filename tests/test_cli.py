@@ -12,6 +12,8 @@ from bergman.cli import (RunConfig, config_from_dict, emit, load_config, main,
                          report_csv, report_json, run)
 from bergman.errors import ConfigInvalid, IoError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 BASE = {
     "name": "t",
     "dimension": 1,
@@ -80,6 +82,8 @@ def test_exponent_arity_checked():
 @pytest.mark.parametrize("field,value", [
     ("n_radial", 0), ("n_angular", 0), ("err_n_radial", 0), ("err_n_angular", 0),
     ("test_functions", []), ("hmax", -1), ("seed", -1),
+    ("trust_radius", "abc"), ("base", [["a", 0]]), ("h_grid", ["x"]),
+    ("gram_degree", "big"), ("coefficients", [{"exponents": [1, 1], "re": "x"}]),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
@@ -93,6 +97,29 @@ def test_main_rejects_zero_angular_nodes(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_each_stage_builds_its_grids_once(monkeypatch):
+    # quadrature grids do not depend on h: one per domain per stage
+    built = []
+    make_domain = bergman.cli.make_domain
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make_domain(*args, **kwargs)
+
+    monkeypatch.setattr(bergman.cli, "make_domain", counted)
+    path = os.path.join(ROOT, "configs", "gaussian.json")
+    for suite, grids in (("kernel", 2), ("verify", 4)):
+        built.clear()
+        cfg = load_config(path, {"suites": [suite], "h_grid": [0.2, 0.1, 0.05],
+                                 "test_functions": [[0]], "n_radial": 16,
+                                 "n_angular": 32, "gram_degree": 8})
+        stage = run(cfg)["stages"][suite]
+        assert len(built) == grids, (suite, built)
+        assert "error" not in stage
+        for section in ("gram", "fourier", "pointwise"):
+            assert "error" not in stage.get(section, {}), section
 
 
 def test_amplitude_stage_runs_the_engine_once(monkeypatch):
@@ -257,13 +284,12 @@ def test_verify_two_dimensional_skips_n1_oracles(tmp_path, capsys):
 
 
 def test_python_dash_m_entry_point():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(bergman.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bergman", "validate", "--config",
-         os.path.join(root, "configs", "gaussian.json")],
+         os.path.join(ROOT, "configs", "gaussian.json")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr

@@ -31,8 +31,8 @@ def monomial(k, maxdeg=None):
 
 def test_gram_gaussian_origin_closed_form():
     w = make_weight(GAUSS)
-    dom = make_domain("disc", (1.0,), 0.1)
-    gk = gram_bergman(w, dom, 25)
+    dom = make_domain((1.0,))
+    gk = gram_bergman(w, dom, 0.1, 25)
     # truncating the plane to the disc scales the constant's norm by 1 - e^{-1/h}
     want = 1.0 / (np.pi * 0.1 * (1.0 - np.exp(-10.0)))
     got = gk.eval(np.array([[0j]]), np.array([[0j]]))[0]
@@ -42,8 +42,8 @@ def test_gram_gaussian_origin_closed_form():
 
 def test_gram_diagonal_for_radial_weight():
     w = make_weight(QUARTIC, trust=1.0)
-    dom = make_domain("disc", (0.7,), 0.1)
-    gk = gram_bergman(w, dom, 12)
+    dom = make_domain((0.7,))
+    gk = gram_bergman(w, dom, 0.1, 12)
     off = gk.gram - np.diag(np.diag(gk.gram))
     assert np.max(np.abs(off)) < 1e-12 * np.max(np.abs(gk.gram))
 
@@ -52,24 +52,24 @@ def test_gram_diagonal_for_radial_weight():
 def test_gram_lambda_family_origin(lam):
     w = make_weight([((1, 1), lam, 0.0)])
     h = 0.05
-    dom = make_domain("disc", (1.0,), h)
-    gk = gram_bergman(w, dom, 28)
+    dom = make_domain((1.0,))
+    gk = gram_bergman(w, dom, h, 28)
     got = gk.eval(np.array([[0j]]), np.array([[0j]]))[0]
     assert abs(got - 2 * lam / (np.pi * h)) / (2 * lam / (np.pi * h)) < 1e-6
 
 
 def test_gram_degree_stability():
     w = make_weight(QUARTIC, trust=1.0)
-    dom = make_domain("disc", (0.7,), 0.1)
-    at0 = [gram_bergman(w, dom, D).eval(np.array([[0j]]), np.array([[0j]]))[0]
+    dom = make_domain((0.7,))
+    at0 = [gram_bergman(w, dom, 0.1, D).eval(np.array([[0j]]), np.array([[0j]]))[0]
            for D in (20, 25)]
     assert abs(at0[1] - at0[0]) / abs(at0[0]) < 1e-6
 
 
 def test_gram_reproduces_basis_monomials():
     w = make_weight(QUARTIC, trust=1.0)
-    dom = make_domain("disc", (0.7,), 0.1)
-    gk = gram_bergman(w, dom, 15)
+    dom = make_domain((0.7,))
+    gk = gram_bergman(w, dom, 0.1, 15)
     xs = np.array([[0.0j], [0.15 + 0.1j], [0.2 - 0.05j]])
     for k in range(4):
         got = gk.project(monomial(k, 6), xs)
@@ -79,8 +79,8 @@ def test_gram_reproduces_basis_monomials():
 
 def test_gram_kernel_hermitian_eval():
     w = make_weight(QUARTIC, trust=1.0)
-    dom = make_domain("disc", (0.7,), 0.1)
-    gk = gram_bergman(w, dom, 12)
+    dom = make_domain((0.7,))
+    gk = gram_bergman(w, dom, 0.1, 12)
     rng = np.random.default_rng(5)
     xs = 0.3 * (rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1)))
     ys = 0.3 * (rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1)))
@@ -89,9 +89,11 @@ def test_gram_kernel_hermitian_eval():
 
 def test_gram_angular_resolution_guard():
     w = make_weight(GAUSS)
-    dom = make_domain("disc", (1.0,), 0.1, n_radial=32, n_angular=64)
+    dom = make_domain((1.0,), n_radial=32, n_angular=64)
     with pytest.raises(ConfigInvalid):
-        gram_bergman(w, dom, 20)     # needs n_angular >= 80
+        gram_bergman(w, dom, 0.1, 20)     # needs n_angular >= 80
+    with pytest.raises(ConfigInvalid):
+        gram_bergman(w, dom, 0.0, 10)     # h must be positive
 
 
 def test_gram_ill_conditioned_anisotropic():
@@ -99,9 +101,9 @@ def test_gram_ill_conditioned_anisotropic():
     # monomial family becomes numerically collinear and the cap trips
     w = make_weight([((1, 1), 0.5, 0.0), ((2, 0), 0.245, 0.0),
                      ((0, 2), 0.245, 0.0)])
-    dom = make_domain("disc", (1.0,), 0.02, n_radial=96, n_angular=160)
+    dom = make_domain((1.0,), n_radial=96, n_angular=160)
     with pytest.raises(IllConditioned):
-        gram_bergman(w, dom, 35)
+        gram_bergman(w, dom, 0.02, 35)
 
 
 # -- kernel comparison --------------------------------------------------------
@@ -119,7 +121,7 @@ def test_compare_kernels_gaussian():
     pol = polarize(w)
     amp = solve_amplitude(build_phase(pol), 6)
     K = assemble_kernel(pol, amp, 0.1)
-    gk = gram_bergman(w, make_domain("disc", (1.0,), 0.1), 25)
+    gk = gram_bergman(w, make_domain((1.0,)), 0.1, 25)
     # sampling radius 0.1: the disc-truncation deficit e^{-(1-r)^2/h} of the
     # Gram oracle stays below the 1e-3 budget
     x, y = near_diagonal_pairs(0.1, 20)
@@ -133,7 +135,7 @@ def test_compare_kernels_null_amplitude():
     zero = TruncatedSeries.zero(2, 4)
     null = Amplitude(n=1, order=0, coeffs=[zero], c0=0.0 + 0.0j)
     K = assemble_kernel(pol, null, 0.1)
-    gk = gram_bergman(w, make_domain("disc", (1.0,), 0.1), 20)
+    gk = gram_bergman(w, make_domain((1.0,)), 0.1, 20)
     x, y = near_diagonal_pairs(0.25, 10)
     stats = compare_kernels(K, gk, x, y)
     assert abs(stats.max_rel - 1.0) < 1e-6
@@ -156,9 +158,9 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
 
 def test_fourier_gaussian_constant():
     w = make_weight(GAUSS)
+    dom = make_domain((1.0,), n_radial=96, n_angular=192)
     residuals = []
     for h in (0.2, 0.1, 0.05):
-        dom = make_domain("disc", (1.0,), h, n_radial=96, n_angular=192)
         chk = fourier_inversion_check(w, monomial(0, 2), w.base, dom, h)
         assert abs(chk.target - 1.0) < 1e-15
         residuals.append(chk.residual)
@@ -169,7 +171,7 @@ def test_fourier_gaussian_constant():
 
 def test_fourier_odd_monomial_vanishes():
     w = make_weight(GAUSS)
-    dom = make_domain("disc", (1.0,), 0.1, n_radial=64, n_angular=128)
+    dom = make_domain((1.0,), n_radial=64, n_angular=128)
     chk = fourier_inversion_check(w, monomial(1, 2), w.base, dom, 0.1)
     assert abs(chk.value) < 1e-14
     assert chk.residual < 1e-14
@@ -177,7 +179,7 @@ def test_fourier_odd_monomial_vanishes():
 
 def test_fourier_orientation_detector():
     w = make_weight(GAUSS)
-    dom = make_domain("disc", (1.0,), 0.1, n_radial=64, n_angular=128)
+    dom = make_domain((1.0,), n_radial=64, n_angular=128)
     chk = fourier_inversion_check(w, monomial(0, 2), w.base, dom, 0.1,
                                   orientation=-1.0)
     assert abs(chk.value + 1.0) < 1e-2
@@ -186,7 +188,7 @@ def test_fourier_orientation_detector():
 
 def test_fourier_point_must_sit_on_plateau():
     w = make_weight(GAUSS)
-    dom = make_domain("disc", (1.0,), 0.1)
+    dom = make_domain((1.0,))
     with pytest.raises(ConfigInvalid):
         fourier_inversion_check(w, monomial(0, 2), np.array([0.7 + 0.0j]), dom, 0.1)
 
@@ -195,8 +197,8 @@ def test_fourier_point_must_sit_on_plateau():
 
 def test_pointwise_bound_gaussian_closed_form():
     w = make_weight(GAUSS)
-    inner = make_domain("disc", (0.5,), 0.2, n_radial=24, n_angular=48)
-    outer = make_domain("disc", (1.0,), 0.2)
+    inner = make_domain((0.5,), n_radial=24, n_angular=48)
+    outer = make_domain((1.0,))
     hs = [0.2, 0.15, 0.1, 0.07, 0.05]
     pb = pointwise_bound_check(w, monomial(0, 2), inner, outer, hs)
     # sup |e^{-phi/h}| = 1 at 0; norm = sqrt(pi h (1 - e^{-1/h})); the grid
@@ -209,8 +211,8 @@ def test_pointwise_bound_gaussian_closed_form():
 
 def test_pointwise_bound_scale_invariant():
     w = make_weight(QUARTIC, trust=1.0)
-    inner = make_domain("disc", (0.35,), 0.1, n_radial=24, n_angular=48)
-    outer = make_domain("disc", (0.7,), 0.1)
+    inner = make_domain((0.35,), n_radial=24, n_angular=48)
+    outer = make_domain((0.7,))
     u = monomial(2, 4)
     two_u = TruncatedSeries.from_triples([((2,), 2.0, 0.0)], 1, 4)
     a = pointwise_bound_check(w, u, inner, outer, [0.1, 0.05])

@@ -7,6 +7,7 @@ from bergman.errors import (ConfigInvalid, DegenerateFit,
 from bergman.projector import (apply_projection, assemble_kernel, check_domain,
                                decay_fit, make_domain, reproducing_error,
                                weighted_norm)
+from bergman.quadrature import disc_grid
 from bergman.series import TruncatedSeries
 from bergman.weight import polarize, validate_weight
 from bergman.phase import build_phase
@@ -64,7 +65,7 @@ def test_kernel_hermitian():
 def test_projection_reproduces_holomorphic_inputs():
     w, pol, amp = pipeline(GAUSS, 6)
     K = assemble_kernel(pol, amp, 0.1)
-    dom = make_domain("disc", (1.0,), 0.1)
+    dom = make_domain((1.0,))
     pts = np.array([[0.0j], [0.2 + 0.0j], [0.1 - 0.2j]])
     got1 = apply_projection(K, monomial(0, 4), w, dom, pts)
     # boundary truncation deficit at the origin: 1 - e^{-R^2/h} with R = 1
@@ -77,7 +78,7 @@ def test_projection_reproduces_holomorphic_inputs():
 def test_projection_is_linear():
     w, pol, amp = pipeline(GAUSS, 4)
     K = assemble_kernel(pol, amp, 0.1)
-    dom = make_domain("disc", (1.0,), 0.1)
+    dom = make_domain((1.0,))
     pts = np.array([[0.15 + 0.1j], [0.0j]])
     u = TruncatedSeries.from_triples([((0,), 1.0, 0.0), ((2,), -0.5, 0.25)], 1, 4)
     v = TruncatedSeries.from_triples([((1,), 2.0, 0.0)], 1, 4)
@@ -86,20 +87,20 @@ def test_projection_is_linear():
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
-@pytest.mark.parametrize("triples, n, order, maxdeg, shape, u, pts", [
-    pytest.param(QUARTIC, 1, 4, 20, "disc", monomial(2, 6),
+@pytest.mark.parametrize("triples, n, order, maxdeg, u, pts", [
+    pytest.param(QUARTIC, 1, 4, 20, monomial(2, 6),
                  [[0.1 + 0.05j], [0.0j], [0.25j]], id="n1-quartic"),
-    pytest.param(PRODUCT, 2, 1, 8, "polydisc",
+    pytest.param(PRODUCT, 2, 1, 8,
                  TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 4),
                  [[0.1 + 0.05j, -0.1j], [0.0j, 0.0j], [0.25j, 0.15 + 0.0j]],
                  id="n2-product"),
 ])
-def test_projection_fast_path_matches_generic(triples, n, order, maxdeg, shape, u, pts):
+def test_projection_fast_path_matches_generic(triples, n, order, maxdeg, u, pts):
     # same nodes, same integrand: block-bilinear path must agree with direct sums
     w, pol, amp = pipeline(triples, order, maxdeg=maxdeg, trust=1.0, n=n)
     K = assemble_kernel(pol, amp, 0.1)
     n_radial, n_angular = (24, 48) if n == 1 else (6, 12)
-    dom = make_domain(shape, (0.7,) * n, 0.1, n_radial=n_radial, n_angular=n_angular)
+    dom = make_domain((0.7,) * n, n_radial=n_radial, n_angular=n_angular)
     pts = np.array(pts)
     fast = apply_projection(K, u, w, dom, pts)
     phiy = w.phi(dom.nodes)
@@ -114,7 +115,7 @@ def test_projection_small_h_stays_finite():
     w, pol, amp = pipeline(GAUSS, 4, maxdeg=16)
     h = 3e-4
     K = assemble_kernel(pol, amp, h)
-    dom = make_domain("disc", (1.0,), h, n_radial=64, n_angular=128)
+    dom = make_domain((1.0,), n_radial=64, n_angular=128)
     pts = np.array([[0.1 + 0.0j], [0.3j], [-0.35 + 0.2j]])
     got = apply_projection(K, monomial(0, 4), w, dom, pts)
     # P u(0.3i) is ~1e32 from cancellation; e^{-phi/h} sets the meaningful scale
@@ -126,34 +127,37 @@ def test_projection_refinement_guard():
     w, pol, amp = pipeline(GAUSS, 4)
     K = assemble_kernel(pol, amp, 0.05)
     pts = np.array([[0.1 + 0.0j]])
-    coarse = make_domain("disc", (1.0,), 0.05, n_radial=3, n_angular=8)
+    coarse = make_domain((1.0,), n_radial=3, n_angular=8)
     with pytest.raises(QuadratureUnderresolved):
         apply_projection(K, monomial(3, 6), w, coarse, pts, tol=1e-10)
-    fine = make_domain("disc", (1.0,), 0.05, n_radial=64, n_angular=128)
+    fine = make_domain((1.0,), n_radial=64, n_angular=128)
     apply_projection(K, monomial(3, 6), w, fine, pts, tol=1e-8)
 
 
 def test_domain_guards():
-    with pytest.raises(ConfigInvalid):
-        make_domain("ball", (1.0, 1.0), 0.1)
-    with pytest.raises(ConfigInvalid):
-        make_domain("hexagon", (1.0,), 0.1)
     w, _, _ = pipeline(GAUSS, 2, trust=1.2)
-    too_big = make_domain("disc", (1.5,), 0.1)
+    too_big = make_domain((1.5,))
     with pytest.raises(ConfigInvalid):
         check_domain(too_big, w)
-    ok = make_domain("disc", (1.0,), 0.1)
+    ok = make_domain((1.0,))
     check_domain(ok, w)
     assert ok.refined(2).nodes.shape[0] == 4 * ok.nodes.shape[0]
+
+
+def test_single_radius_domain_is_the_disc_grid():
+    dom = make_domain((0.8,), 24, 48)
+    nodes, weights = disc_grid(0.8, 24, 48)
+    assert np.array_equal(dom.nodes, nodes[:, None])
+    assert np.array_equal(dom.weights, weights)
 
 
 def test_weighted_norm_gaussian_closed_form():
     # ||1||^2 = integral over |y|<R of e^{-|y|^2/h} = pi h (1 - e^{-R^2/h})
     w, _, _ = pipeline(GAUSS, 2)
     h = 0.1
-    dom = make_domain("disc", (0.8,), h)
+    dom = make_domain((0.8,))
     ones = np.ones(dom.nodes.shape[0], dtype=complex)
-    got = weighted_norm(w, ones, dom)
+    got = weighted_norm(w, ones, dom, h)
     want = np.sqrt(np.pi * h * (1.0 - np.exp(-0.64 / h)))
     assert abs(got - want) < 1e-12
 
@@ -162,20 +166,20 @@ def test_weighted_norm_survives_huge_values():
     # P u - u reaches ~1e270 at small h; squaring before damping overflows
     w, _, _ = pipeline(GAUSS, 2)
     h = 0.1
-    dom = make_domain("disc", (0.8,), h)
+    dom = make_domain((0.8,))
     huge = 1e200 * np.ones(dom.nodes.shape[0], dtype=complex)
-    got = weighted_norm(w, huge, dom)
+    got = weighted_norm(w, huge, dom, h)
     want = 1e200 * np.sqrt(np.pi * h * (1.0 - np.exp(-0.64 / h)))
     assert abs(got - want) < 1e-12 * want
 
 
 def test_reproducing_error_decreases_with_h():
     w, pol, amp = pipeline(QUARTIC, 4, maxdeg=20, trust=1.0)
+    inner = make_domain((0.35,), n_radial=16, n_angular=32)
+    outer = make_domain((0.7,), n_radial=48, n_angular=96)
     errs = []
     for h in (0.2, 0.1, 0.05):
         K = assemble_kernel(pol, amp, h)
-        inner = make_domain("disc", (0.35,), h, n_radial=16, n_angular=32)
-        outer = make_domain("disc", (0.7,), h, n_radial=48, n_angular=96)
         errs.append(reproducing_error(K, monomial(1, 6), w, inner, outer))
     assert errs[0] > errs[1] > errs[2] > 0
 
@@ -183,8 +187,8 @@ def test_reproducing_error_decreases_with_h():
 def test_reproducing_error_requires_nested_domains():
     w, pol, amp = pipeline(GAUSS, 2)
     K = assemble_kernel(pol, amp, 0.1)
-    inner = make_domain("disc", (1.0,), 0.1)
-    outer = make_domain("disc", (0.5,), 0.1)
+    inner = make_domain((1.0,))
+    outer = make_domain((0.5,))
     with pytest.raises(ConfigInvalid):
         reproducing_error(K, monomial(0, 2), w, inner, outer)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergman.errors import VariableMismatch
-from bergman.series import HGradedSeries, TruncatedSeries, max_abs_diff
+from bergman.series import TruncatedSeries, max_abs_diff
 
 
 def close(a, b, tol=1e-12):
@@ -164,11 +164,3 @@ def test_ring_mismatch_raises():
     with pytest.raises(VariableMismatch):
         _ = a * b
 
-
-def test_graded_series_coefficients():
-    c0 = TruncatedSeries.constant(1.0, 2, 3)
-    c1 = TruncatedSeries.variable(0, 2, 3)
-    g = HGradedSeries([c0, c1])
-    assert g.coefficient(0).constant_term == 1.0
-    assert g.coefficient(1).coeff((1, 0)) == 1.0
-    assert g.coefficient(5).is_zero()
