@@ -9,7 +9,9 @@ operator
 
 applied to u(y+u, xt+v) * exp((2/h) R), evaluated at u = v = 0.  Retained
 diagrams with p pairings and q remainder insertions carry h^(p-q); full
-contraction forces 2p >= 3q, so each h-order is a finite sum.
+contraction forces 2p >= 3q, so the order h^j is a finite sum whose deepest
+diagram has p = 3j pairings.  A pairing takes two derivatives, so each
+series here is known to fewer degrees than its inputs, and says so.
 
 The two normalization constants are not free: they are calibrated once
 against the exact Gaussian contour integral (weight |x|^2/2, for which the
@@ -74,14 +76,10 @@ class Amplitude:
 
     n: int
     order: int
-    coeffs: list                  # TruncatedSeries in (x, yt), common maxdeg
+    coeffs: list                  # TruncatedSeries in (x, yt), each at its own honest maxdeg
     c0: TruncatedSeries           # leading stationary-phase factor in (y, xt)
     growth_C: float | None = None
     growth_profile: list = field(default_factory=list)
-
-    @property
-    def maxdeg(self) -> int:
-        return self.coeffs[0].maxdeg
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class ExpansionTermOps:
     T_0 restricts to the critical point; for j >= 1, T_j collects every
     diagram with p = j + q pairings against q remainder insertions.  Inputs
     are series in the outgoing variables (x, yt); outputs are series in the
-    slow variables (y, xt) at the same common truncation degree.
+    slow variables (y, xt), two degrees shallower per pairing.
     """
 
     def __init__(self, pd: PhaseData):
@@ -118,16 +116,9 @@ class ExpansionTermOps:
         self._rpow: list[TruncatedSeries] = [
             TruncatedSeries.constant(1.0, 4 * n, pd.maxdeg)]
 
-        deg = self.slow_deg
-        self._lift_subs = []
-        for j in range(n):
-            self._lift_subs.append(
-                TruncatedSeries.variable(j, 4 * n, deg)
-                + TruncatedSeries.variable(2 * n + j, 4 * n, deg))
-        for j in range(n):
-            self._lift_subs.append(
-                TruncatedSeries.variable(n + j, 4 * n, deg)
-                + TruncatedSeries.variable(3 * n + j, 4 * n, deg))
+        self._lift_subs = [TruncatedSeries.variable(j, 4 * n, self.slow_deg)
+                           + TruncatedSeries.variable(2 * n + j, 4 * n, self.slow_deg)
+                           for j in range(2 * n)]
 
     # -- helpers -------------------------------------------------------------
 
@@ -138,7 +129,7 @@ class ExpansionTermOps:
 
     def _lift(self, f: TruncatedSeries) -> TruncatedSeries:
         """f(x, yt) -> f(y + u, xt + v) in the big ring."""
-        return f.truncate(min(f.maxdeg, self.slow_deg)).substitute(self._lift_subs)
+        return f.substitute(self._lift_subs)
 
     def _u_deg(self, mi) -> int:
         return sum(mi[2 * self.n:3 * self.n])
@@ -168,18 +159,24 @@ class ExpansionTermOps:
     # -- the operators ---------------------------------------------------------
 
     def apply(self, j: int, f: TruncatedSeries) -> TruncatedSeries:
-        """T_j f as a series in the slow variables."""
+        """T_j f, resolved to lift(f).maxdeg - 2 pmax: pmax = 3j, or j without remainder."""
         if j == 0:
             return f.truncate(self.slow_deg)
         fc = self._lift(f)
-        total = TruncatedSeries.zero(2 * self.n, self.slow_deg)
+        pmax = j if self._remainder.is_zero() else 3 * j
+        deg = fc.maxdeg - 2 * pmax
+        if deg < 0:
+            raise InsufficientDegree(f"T_{j} needs degree {2 * pmax}, its input has {fc.maxdeg}")
+        total = TruncatedSeries.zero(2 * self.n, deg)
         for q in range(0, 2 * j + 1):
             p = j + q
             rq = self._remainder_power(q)
             if q > 0 and rq.is_zero():
                 break
             # Only fully contractible terms survive: u- and v-degree both p.
-            fa = fc.filter(lambda mi: self._u_deg(mi) <= p and self._v_deg(mi) <= p)
+            # Pairing removes 2p degrees: the product is needed to deg + 2p.
+            fa = fc.truncate(deg + 2 * p).filter(
+                lambda mi: self._u_deg(mi) <= p and self._v_deg(mi) <= p)
             rb = rq.filter(lambda mi: self._u_deg(mi) <= p and self._v_deg(mi) <= p)
             if fa.is_zero() or rb.is_zero():
                 continue
@@ -191,7 +188,7 @@ class ExpansionTermOps:
                 g = self._pair_once(g)
             coef = (2.0 ** q) * (PAIRING_H ** p) / (
                 math.factorial(q) * math.factorial(p))
-            total = total + self._project_slow(g).truncate(self.slow_deg) * coef
+            total = total + self._project_slow(g) * coef
         return total
 
 
@@ -201,27 +198,20 @@ def formal_expansion(pd: PhaseData, terms: list[TruncatedSeries],
 
     ``terms[k]`` is the symbol's h^k coefficient.  Returns [e_0, ..., e_hmax]
     with e_m = c0(y, xt) * sum_{j+k=m} (T_j terms[k])(y, xt), the h^m
-    coefficient of the expansion.
+    coefficient of the expansion, each at the degree its diagrams resolve.
     """
     if not terms:
         raise InsufficientDegree("need at least the h^0 term")
     if any(t.nvars != 2 * pd.n for t in terms):
         raise InsufficientDegree(
             f"symbol terms must have {2 * pd.n} variables, as the phase expects")
-    maxdeg = min(t.maxdeg for t in terms)
-    if maxdeg < 2 * hmax + 2:
-        raise InsufficientDegree(
-            f"symbol maxdeg {maxdeg} below the budget 2*hmax+2 = {2 * hmax + 2}")
     ops = ExpansionTermOps(pd)
-    deg = min(ops.slow_deg, maxdeg)
-    c0 = ops.c0.truncate(deg)
     out = []
     for m in range(hmax + 1):
-        acc = TruncatedSeries.zero(2 * pd.n, deg)
+        acc = TruncatedSeries.zero(2 * pd.n, ops.slow_deg)
         for k in range(0, min(m, len(terms) - 1) + 1):
-            tj = ops.apply(m - k, terms[k])
-            acc = acc + tj.truncate(deg)
-        out.append((c0 * acc).truncate(deg))
+            acc = acc + ops.apply(m - k, terms[k])
+        out.append(ops.c0 * acc)
     return out
 
 
@@ -230,12 +220,9 @@ def solve_amplitude(pd: PhaseData, order: int) -> Amplitude:
 
     The order-zero equation fixes a0 as the reciprocal of c0; each higher
     order cancels the lower-order diagrams:  a_m = -sum_{j=1..m} T_j a_{m-j}.
-    Requires the phase resolved to total degree 2*order + 4.
+    a_m is known to degree maxdeg - 2 - 6m (maxdeg - 2 - 2m without a
+    remainder), so order N needs maxdeg >= 6N + 2.
     """
-    budget = 2 * order + 4
-    if pd.maxdeg < budget:
-        raise InsufficientDegree(
-            f"phase maxdeg {pd.maxdeg} below the budget 2N+4 = {budget} for order {order}")
     ops = ExpansionTermOps(pd)
     coeffs = [ops.c0.invert()]
     for m in range(1, order + 1):
@@ -270,16 +257,17 @@ def realize(amp: Amplitude, h: float) -> RealizedSymbol:
     """Sum a_k h^k for k <= min(order, floor(1 /(C e h))).
 
     Falls back to the full order when no growth constant has been estimated
-    (the k = 0 term is always retained).
+    (the k = 0 term is always retained).  Each a_k adds the degrees it
+    resolves; the ring's ``+`` would cut the sum to the last a_k's degree.
     """
     if amp.growth_C and amp.growth_C > 0.0:
         cutoff = int(math.floor(1.0 / (amp.growth_C * math.e * h)))
         cutoff = min(amp.order, max(cutoff, 0))
     else:
         cutoff = amp.order
-    acc = TruncatedSeries.zero(2 * amp.n, amp.maxdeg)
-    hp = 1.0
+    total: dict = {}
     for k in range(cutoff + 1):
-        acc = acc + amp.coeffs[k] * hp
-        hp *= h
-    return RealizedSymbol(series=acc, cutoff=cutoff, h=float(h))
+        for mi, c in amp.coeffs[k].coeffs.items():
+            total[mi] = total.get(mi, 0.0) + c * h ** k
+    series = TruncatedSeries(2 * amp.n, amp.coeffs[0].maxdeg, total)
+    return RealizedSymbol(series=series, cutoff=cutoff, h=float(h))

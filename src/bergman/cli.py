@@ -118,18 +118,24 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigInvalid(
                 f"{key}: cannot read {value!r} ({type(exc).__name__}: {exc})") from exc
 
+    def finite(value) -> float:
+        x = float(value)  # json parses NaN and Infinity; no stage can use them
+        if not math.isfinite(x):
+            raise ValueError("not a finite number")
+        return x
+
     def base_pairs(base):
         base = base or [[0.0, 0.0]] * n
         if len(base) != n or any(len(z) != 2 for z in base):
             raise ConfigInvalid("base must list [re, im] pairs, one per dimension")
-        return tuple((float(z[0]), float(z[1])) for z in base)
+        return tuple((finite(z[0]), finite(z[1])) for z in base)
 
     def coefficient(entry):
         e = entry["exponents"]
         if len(e) != 2 * n or any(not isinstance(k, int) or k < 0 for k in e):
             raise ConfigInvalid(
                 f"coefficient exponents {e!r} must be {2 * n} nonnegative integers")
-        return tuple(e), float(entry["re"]), float(entry.get("im", 0.0))
+        return tuple(e), finite(entry["re"]), finite(entry.get("im", 0.0))
 
     def exponents(t):
         if len(t) != n or any(not isinstance(k, int) or k < 0 for k in t):
@@ -142,18 +148,18 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     maxdeg, order = read("maxdeg", int), read("order", int)
     if order < 0:
         raise ConfigInvalid("order must be nonnegative")
-    if maxdeg < 2 * order + 4:
+    if maxdeg < 6 * order + 2:
         raise ConfigInvalid(
             f"degree budget violated: maxdeg ({maxdeg}) must be at least "
-            f"2N+4 = {2 * order + 4} for amplitude order N = {order}")
+            f"6N+2 = {6 * order + 2} for amplitude order N = {order}")
 
-    trust = read("trust_radius", float)
-    ru, rv = read("radius_u", float), read("radius_v", float)
+    trust = read("trust_radius", finite)
+    ru, rv = read("radius_u", finite), read("radius_v", finite)
     if not (0.0 < ru < rv < trust):
         raise ConfigInvalid(
             f"need 0 < radius_u ({ru}) < radius_v ({rv}) < trust_radius ({trust})")
 
-    h_grid = read("h_grid", lambda g: tuple(float(h) for h in g), DEFAULT_H_GRID)
+    h_grid = read("h_grid", lambda g: tuple(finite(h) for h in g), DEFAULT_H_GRID)
     if not h_grid or any(h <= 0 for h in h_grid):
         raise ConfigInvalid("h_grid must be a nonempty list of positive values")
 
@@ -175,6 +181,9 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     hmax, seed = read("hmax", int, 4), read("seed", int, 0)
     if hmax < 0 or seed < 0:
         raise ConfigInvalid(f"hmax ({hmax}) and seed ({seed}) must be nonnegative")
+    delta = read("delta", lambda d: None if d is None else finite(d))
+    if delta is not None and delta <= 0.0:
+        raise ConfigInvalid(f"delta must be positive, got {delta}")
 
     return RunConfig(
         name=str(data["name"]), dimension=n,
@@ -182,7 +191,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         order=order, radius_u=ru, radius_v=rv, base=base,
         hmax=hmax, h_grid=h_grid,
         gram_degree=read("gram_degree", int, 25),
-        delta=read("delta", lambda d: None if d is None else float(d)),
+        delta=delta,
         seed=seed, suites=suites, test_functions=tfs, **nodes)
 
 
@@ -292,6 +301,7 @@ def stage_amplitude(cfg: RunConfig, ctx: dict) -> dict:
     return {
         "order": amp.order,
         "a0_constant": [a0.real, a0.imag],
+        "degrees": [c.maxdeg for c in amp.coeffs],
         "coefficient_sup": [c.max_abs() for c in amp.coeffs],
         "growth_C": amp.growth_C,
         "growth_profile": list(amp.growth_profile),
@@ -338,7 +348,8 @@ def _sp_cases(cfg: RunConfig, ctx: dict) -> list:
     cases = []
     for a, b in pairs:
         name = f"x^{a}yt^{b}"
-        sym = TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, max(a + b, 0))
+        # at the phase's slow degree, the most the expansion can use
+        sym = TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, ctx["pd"].maxdeg - 2)
         cases.append(QuadratureCase(name, sym, terminating))
     return cases
 
@@ -356,6 +367,7 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     w, pol, pd, amp = ctx["w"], ctx["pol"], ctx["pd"], ctx["amp"]
     out: dict = {}
     n = cfg.dimension
+    outer = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
 
     def attempt(key, fn):
         try:
@@ -365,11 +377,10 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
 
     def gram_section():
         x, y = near_diagonal_pairs(0.3 * cfg.radius_u, 20)
-        dom = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
         pairs = []
         per_h = []
         for h in cfg.h_grid:
-            gk = gram_bergman(w, dom, h, cfg.gram_degree)
+            gk = gram_bergman(w, outer, h, cfg.gram_degree)
             st = compare_kernels(assemble_kernel(pol, amp, h), gk, x, y)
             per_h.append({"h": h, "max_rel": st.max_rel,
                           "median_rel": st.median_rel, "cond": gk.cond})
@@ -377,13 +388,12 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
         return {"points": 20, "per_h": per_h, "fit": _fit_or_floor(pairs)}
 
     def fourier_section():
-        dom = make_domain((cfg.radius_v,) * n, 96, 192)
         res = {}
         for t in cfg.test_functions:
             u = _monomial(t, n)
             pairs = []
             for h in cfg.h_grid:
-                chk = fourier_inversion_check(w, u, w.base, dom, h)
+                chk = fourier_inversion_check(w, u, w.base, cfg.radius_v, 96, 192, h)
                 pairs.append((h, chk.residual))
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
                                  "fit": _fit_or_floor(pairs)}
@@ -391,7 +401,6 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
 
     def pointwise_section():
         inner = make_domain((cfg.radius_u,) * n, cfg.err_n_radial, cfg.err_n_angular)
-        outer = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
         res = {}
         for t in cfg.test_functions:
             pb = pointwise_bound_check(w, _monomial(t, n), inner, outer, cfg.h_grid)
@@ -439,8 +448,6 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
                 ("localized", localized_section), ("sp_quadrature", sp_section))
     for key, fn in sections:
         if n > 1 and key in _N1_ONLY:
-            # Skipped before any grid is built: at n = 2 the fourier
-            # section's 96 x 192-per-dimension polydisc has 3.4e8 nodes.
             out[key] = {"skipped": _N1_ONLY[key]}
         else:
             attempt(key, fn)

@@ -33,6 +33,17 @@ CONTOUR_ORIENTATION = 1.0
 GRAM_COND_CAP = 1e12
 GRAM_HERMITIAN_TOL = 1e-12
 
+# Fourier cutoff chi = 1 up to PLATEAU_FRAC * radius, 0 from SUPPORT_FRAC * radius.
+FOURIER_PLATEAU_FRAC = 0.6
+FOURIER_SUPPORT_FRAC = 0.9
+SP_MAX_RADIUS = 4.0
+SP_PROBE_RADII = 48
+SP_PROBE_ANGLES = 64
+SP_N_RADIAL = 160
+SP_N_ANGULAR = 256
+SP_TERMINATING_TOL = 1e-8
+SP_BOUND_FACTOR = 10.0
+
 
 # ---------------------------------------------------------------------------
 # Gram-matrix oracle
@@ -171,9 +182,8 @@ class FourierCheck:
     h: float
 
 
-def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, dom: DomainSpec,
-                            h: float, plateau_frac: float = 0.6,
-                            support_frac: float = 0.9,
+def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
+                            n_radial: int, n_angular: int, h: float,
                             orientation: float = CONTOUR_ORIENTATION,
                             tol: float | None = None) -> FourierCheck:
     """Inversion integral (2 pi h)^{-n} int e^{(i/h)(x-y) theta} u chi dy dtheta.
@@ -188,8 +198,8 @@ def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, dom: DomainSpec,
     if u.nvars != w.n:
         raise ConfigInvalid(f"u has {u.nvars} variables, expected {w.n}")
     xs = _as_points(x, w.n)
-    R = dom.radius
-    plateau, support = plateau_frac * R, support_frac * R
+    plateau = FOURIER_PLATEAU_FRAC * radius
+    support = FOURIER_SUPPORT_FRAC * radius
     if float(np.abs(xs - w.base[None, :]).max()) >= plateau:
         raise ConfigInvalid("evaluation point lies outside the cutoff plateau")
 
@@ -205,9 +215,9 @@ def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, dom: DomainSpec,
         const = orientation * (2j) ** w.n / (2.0 * np.pi * h) ** w.n
         return complex(const * (wts * vals).sum())
 
-    value = run(dom.n_radial, dom.n_angular)
+    value = run(n_radial, n_angular)
     if tol is not None:
-        fine = run(2 * dom.n_radial, 2 * dom.n_angular)
+        fine = run(2 * n_radial, 2 * n_angular)
         if abs(value - fine) > 10.0 * tol:
             raise QuadratureUnderresolved(
                 f"node doubling moved the inversion integral by {abs(value - fine):.3e}")
@@ -345,17 +355,16 @@ class QuadratureResult:
     ok: bool
 
 
-def _contour_radius(pd: PhaseData, contour, h: float, max_radius: float,
-                    n_probe: int = 48, n_angles: int = 64) -> tuple[float, float]:
+def _contour_radius(pd: PhaseData, contour, h: float) -> tuple[float, float]:
     """Smallest radius whose boundary decay suffices, else the best available.
 
     Returns (radius, g) with g = min of -Re(phi) on the bounding circle; the
     quadrature truncation error is of order e^{-2g/h}.
     """
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    angles = np.exp(2j * np.pi * np.arange(SP_PROBE_ANGLES) / SP_PROBE_ANGLES)
     target = 19.0 * h
     best = (0.0, -np.inf)
-    for rho in np.linspace(0.15, max_radius, n_probe):
+    for rho in np.linspace(0.15, SP_MAX_RADIUS, SP_PROBE_RADII):
         vals = phase_on_contour(pd, contour, (rho * angles)[:, None])
         g = float(-vals.real.max())
         if g <= 0.0:
@@ -369,35 +378,30 @@ def _contour_radius(pd: PhaseData, contour, h: float, max_radius: float,
     return best
 
 
-def sp_quadrature_check(pd: PhaseData, cases, h_values, center=None,
-                        hmax: int = 6, max_radius: float = 4.0,
-                        n_radial: int = 160, n_angular: int = 256,
-                        terminating_tol: float = 1e-8,
-                        bound_factor: float = 10.0) -> list[QuadratureResult]:
+def sp_quadrature_check(pd: PhaseData, cases, h_values,
+                        hmax: int = 6) -> list[QuadratureResult]:
     """Direct quadrature of the fast contour integral against the expansion.
 
     The integral h^{-n} conj(b) int e^{(2/h) phi} f L(du) over the good
-    contour through the center is compared with the formal series: exact
+    contour through the base is compared with the formal series: exact
     agreement for terminating symbols, next-term bound otherwise.
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
-    contour = build_good_contour(pd, center)
+    contour = build_good_contour(pd)
     b = complex(contour.b_at_center[0, 0])
-    center_pt = contour.center.reshape(1, 2 * pd.n)
 
     results = []
     for case in cases:
         f = case.symbol
         if f.nvars != 2 * pd.n:
             raise ConfigInvalid(f"case {case.name}: symbol must have {2 * pd.n} variables")
-        lifted = f.truncate(max(f.maxdeg, 2 * hmax + 2, pd.maxdeg - 2))
-        terms = formal_expansion(pd, [lifted], hmax)
-        vals = np.array([t.eval_grid(center_pt)[0] for t in terms])
+        terms = formal_expansion(pd, [f], hmax)
+        vals = np.array([t.constant_term for t in terms])
 
         for h in h_values:
-            rho, g = _contour_radius(pd, contour, h, max_radius)
-            nodes, wts = disc_grid(rho, n_radial, n_angular)
+            rho, g = _contour_radius(pd, contour, h)
+            nodes, wts = disc_grid(rho, SP_N_RADIAL, SP_N_ANGULAR)
             u = nodes[:, None]
             phi_vals = phase_on_contour(pd, contour, u)
             xfast, ytfast = contour.fast_map(u)
@@ -411,7 +415,7 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values, center=None,
                 partial = complex(np.polyval(vals[::-1], h))
                 order_used, next_term = hmax, 0.0
                 err = abs(quad - partial)
-                budget = terminating_tol * max(1.0, abs(partial))
+                budget = SP_TERMINATING_TOL * max(1.0, abs(partial))
                 if tail > 0.25 * budget:
                     raise QuadratureUnderresolved(
                         f"case {case.name}: boundary decay e^(-2*{g:.3f}/{h}) "
@@ -419,7 +423,7 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values, center=None,
                 ok = err <= budget
             else:
                 nxt = np.abs(vals[1:]) * h ** np.arange(1, hmax + 1)
-                # optimal truncation; exact zeros are truncation artifacts
+                # optimal truncation; exact zeros are skipped as next terms
                 masked = np.where(nxt > 0, nxt, np.inf)
                 order_used = int(np.argmin(masked)) if np.isfinite(masked).any() else 0
                 next_term = float(nxt[order_used])
@@ -429,7 +433,7 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values, center=None,
                     raise QuadratureUnderresolved(
                         f"case {case.name}: contour tail {tail:.3e} overwhelms "
                         f"the next-term bound {next_term:.3e} at h = {h}")
-                ok = err <= bound_factor * next_term
+                ok = err <= SP_BOUND_FACTOR * next_term
             results.append(QuadratureResult(
                 name=case.name, terminating=case.terminating, h=float(h),
                 quad=quad, partial=partial, order_used=order_used,

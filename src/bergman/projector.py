@@ -43,10 +43,6 @@ class DomainSpec:
     def n(self) -> int:
         return self.nodes.shape[1]
 
-    @property
-    def radius(self) -> float:
-        return max(self.radii)
-
     def refined(self, factor: int = 2) -> "DomainSpec":
         return make_domain(self.radii, self.n_radial * factor,
                            self.n_angular * factor)

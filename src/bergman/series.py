@@ -199,9 +199,9 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def truncate(self, maxdeg: int) -> "TruncatedSeries":
-        """Restrict to total degree <= maxdeg (may also raise the bound)."""
+        """Restrict to total degree <= maxdeg; a higher bound keeps self.maxdeg."""
         if maxdeg >= self.maxdeg:
-            return TruncatedSeries(self.nvars, maxdeg, dict(self.coeffs), _checked=True)
+            return self
         out = {mi: c for mi, c in self.coeffs.items() if sum(mi) <= maxdeg}
         return TruncatedSeries(self.nvars, maxdeg, out, _checked=True)
 
@@ -247,7 +247,8 @@ class TruncatedSeries:
         one = TruncatedSeries.constant(1.0, nv, deg)
         # Memoize powers of each substituted series.
         pows: list[list[TruncatedSeries]] = [[one] for _ in range(self.nvars)]
-        out = TruncatedSeries.zero(nv, deg)
+        # One dict for the sum: adding series would copy it once per term.
+        out: dict[MultiIndex, complex] = {}
         for mi in sorted(self.coeffs, key=total_degree):
             c = self.coeffs[mi]
             term = None
@@ -258,11 +259,15 @@ class TruncatedSeries:
                     pows[i].append(pows[i][-1] * subs[i].truncate(deg))
                 pk = pows[i][k]
                 term = pk if term is None else term * pk
-            if term is None:
-                out = out + TruncatedSeries.constant(c, nv, deg)
-            else:
-                out = out + term * c
-        return out
+            terms = [((0,) * nv, c)] if term is None else (
+                (key, v * c) for key, v in term.coeffs.items())
+            for key, v in terms:
+                acc = out.get(key, 0.0) + v
+                if acc == 0.0:
+                    out.pop(key, None)
+                else:
+                    out[key] = acc
+        return TruncatedSeries(nv, deg, out, _checked=True)
 
     def rename(self, new_positions: Sequence[int], nvars_new: int) -> "TruncatedSeries":
         """Exponent remap: old variable i becomes variable new_positions[i].

@@ -76,7 +76,7 @@ def lambda1_core():
 
 @pytest.fixture(scope="module")
 def perturbed_core():
-    return build(PERTURBED, 20, 1.0)
+    return build(PERTURBED, 26, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,7 @@ def test_criterion_3_perturbed_kernel_decay(perturbed_core, perturbed_amps,
 
 
 def test_criterion_4_pluriharmonic_gauge_invariance():
-    _, _, pd = build(PERTURBED, 16, 1.0)
+    _, _, pd = build(PERTURBED, 20, 1.0)
     base = solve_amplitude(pd, 3)
     rng = np.random.default_rng(23)
     worst = 0.0
@@ -173,7 +173,7 @@ def test_criterion_4_pluriharmonic_gauge_invariance():
         for a, ca in enumerate(c, start=1):
             gauge.append(((a, 0), ca.real / 2, ca.imag / 2))
             gauge.append(((0, a), ca.real / 2, -ca.imag / 2))
-        _, _, pdg = build(gauge, 16, 1.0)
+        _, _, pdg = build(gauge, 20, 1.0)
         shifted = solve_amplitude(pdg, 3)
         for k in range(4):
             worst = max(worst, (base.coeffs[k] - shifted.coeffs[k]).max_abs())
@@ -187,18 +187,20 @@ def test_criterion_5_stationary_phase_vs_quadrature(gaussian_core):
     pairs = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
              (2, 2), (3, 2), (3, 3), (4, 4)]
 
-    def cases(terminating):
+    def cases(pd, terminating):
+        # symbols at the phase's slow degree, the most the expansion can use
         return [QuadratureCase(
             f"x^{a}yt^{b}",
-            TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, a + b),
+            TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, pd.maxdeg - 2),
             terminating) for a, b in pairs]
 
-    rows_t = sp_quadrature_check(pd, cases(True), H_GRID)
+    rows_t = sp_quadrature_check(pd, cases(pd, True), H_GRID)
     worst_t = max(r.error / max(1.0, abs(r.partial)) for r in rows_t)
     term_ok = all(r.ok for r in rows_t) and worst_t < 1e-8
 
-    _, _, cpd = build(CUBIC, 16, 1.2)
-    rows_n = sp_quadrature_check(cpd, cases(False), H_GRID)
+    # hmax 4 needs 6 * 4 degrees below the slow degree 24
+    _, _, cpd = build(CUBIC, 26, 1.2)
+    rows_n = sp_quadrature_check(cpd, cases(cpd, False), H_GRID, hmax=4)
     nt_ok = all(r.ok and r.next_term > 0 for r in rows_n)
     worst_n = max(r.error / r.next_term for r in rows_n)
     ok = term_ok and nt_ok
@@ -238,13 +240,12 @@ def test_criterion_6_contour_margins(gaussian_core, lambda1_core,
 
 def test_criterion_7_fourier_inversion(gaussian_core):
     w = gaussian_core[0]
-    dom = make_domain(1.0, 96, 192)
     parts, ok = [], True
     for k in range(4):
         u = TruncatedSeries.from_triples([((k,), 1.0, 0.0)], 1, 3)
         res = []
         for h in H_GRID:
-            res.append(fourier_inversion_check(w, u, [0.0], dom, h).residual)
+            res.append(fourier_inversion_check(w, u, [0.0], 1.0, 96, 192, h).residual)
         if max(res) < 1e-12:
             # already below any fit floor at every h; nothing left to decay
             parts.append(f"y^{k}: at machine floor ({max(res):.1e})")
@@ -256,8 +257,9 @@ def test_criterion_7_fourier_inversion(gaussian_core):
     check(7, "fourier inversion residual decay", ok, "; ".join(parts))
 
 
-def test_criterion_8_symbol_growth_band(perturbed_core):
-    amp = solve_amplitude(perturbed_core[2], 8)
+def test_criterion_8_symbol_growth_band():
+    # order 8 needs maxdeg 6 * 8 + 2
+    amp = solve_amplitude(build(PERTURBED, 50, 1.0)[2], 8)
     estimate_growth(amp, 0.35, seed=0)
     prof = np.asarray(amp.growth_profile, dtype=float)
     med = float(np.median(prof))

@@ -19,7 +19,7 @@ BASE = {
     "dimension": 1,
     "coefficients": [{"exponents": [1, 1], "re": 0.5, "im": 0.0}],
     "trust_radius": 1.2,
-    "maxdeg": 12,
+    "maxdeg": 20,
     "order": 3,
     "radius_u": 0.5,
     "radius_v": 1.0,
@@ -43,8 +43,11 @@ def test_defaults_filled():
 
 
 def test_budget_rule_named():
-    with pytest.raises(ConfigInvalid, match="2N\\+4"):
+    with pytest.raises(ConfigInvalid, match="6N\\+2"):
         cfg_with(order=5)
+    quartic = [{"exponents": [1, 1], "re": 0.5}, {"exponents": [2, 2], "re": 0.1}]
+    with pytest.raises(ConfigInvalid, match="6N\\+2"):
+        cfg_with(coefficients=quartic, order=4, maxdeg=20)
 
 
 def test_radius_ordering_enforced():
@@ -84,6 +87,13 @@ def test_exponent_arity_checked():
     ("test_functions", []), ("hmax", -1), ("seed", -1),
     ("trust_radius", "abc"), ("base", [["a", 0]]), ("h_grid", ["x"]),
     ("gram_degree", "big"), ("coefficients", [{"exponents": [1, 1], "re": "x"}]),
+    # json parses NaN and Infinity; no stage can run on them
+    ("coefficients", [{"exponents": [1, 1], "re": float("nan")}]),
+    ("coefficients", [{"exponents": [1, 1], "re": 0.5, "im": float("inf")}]),
+    ("base", [[float("nan"), 0.0]]), ("trust_radius", float("inf")),
+    ("radius_u", float("nan")), ("radius_v", float("nan")),
+    ("h_grid", [0.2, float("nan")]), ("h_grid", [float("inf")]),
+    ("delta", float("nan")), ("delta", float("-inf")), ("delta", 0.0), ("delta", -0.1),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
@@ -110,7 +120,7 @@ def test_each_stage_builds_its_grids_once(monkeypatch):
 
     monkeypatch.setattr(bergman.cli, "make_domain", counted)
     path = os.path.join(ROOT, "configs", "gaussian.json")
-    for suite, grids in (("kernel", 2), ("verify", 4)):
+    for suite, grids in (("kernel", 2), ("verify", 2)):
         built.clear()
         cfg = load_config(path, {"suites": [suite], "h_grid": [0.2, 0.1, 0.05],
                                  "test_functions": [[0]], "n_radial": 16,
@@ -224,7 +234,7 @@ def test_main_overrides_revalidate(tmp_path, capsys):
     cfg_path.write_text(json.dumps(BASE))
     rc = main(["kernel", "--config", str(cfg_path), "--order", "9"])
     assert rc == 2
-    assert "2N+4" in capsys.readouterr().err
+    assert "6N+2" in capsys.readouterr().err
     rc = main(["kernel", "--config", str(cfg_path), "--h-grid", "0.2,zebra"])
     assert rc == 2
 

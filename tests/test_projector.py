@@ -45,7 +45,7 @@ def test_gaussian_kernel_closed_form():
 
 
 def test_kernel_diagonal_real_positive():
-    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=20, trust=1.0)
+    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
     K = assemble_kernel(pol, amp, 0.1)
     xs = np.array([[0.0j], [0.2 + 0.1j], [0.3 - 0.25j]])
     vals = K.eval(xs, xs)
@@ -54,7 +54,7 @@ def test_kernel_diagonal_real_positive():
 
 
 def test_kernel_hermitian():
-    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=20, trust=1.0)
+    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
     K = assemble_kernel(pol, amp, 0.1)
     rng = np.random.default_rng(0)
     xs = 0.3 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1)))
@@ -88,7 +88,7 @@ def test_projection_is_linear():
 
 
 @pytest.mark.parametrize("triples, n, order, maxdeg, u, pts", [
-    pytest.param(QUARTIC, 1, 4, 20, monomial(2, 6),
+    pytest.param(QUARTIC, 1, 4, 26, monomial(2, 6),
                  [[0.1 + 0.05j], [0.0j], [0.25j]], id="n1-quartic"),
     pytest.param(PRODUCT, 2, 1, 8,
                  TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 4),
@@ -174,7 +174,7 @@ def test_weighted_norm_survives_huge_values():
 
 
 def test_reproducing_error_decreases_with_h():
-    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=20, trust=1.0)
+    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
     inner = make_domain((0.35,), n_radial=16, n_angular=32)
     outer = make_domain((0.7,), n_radial=48, n_angular=96)
     errs = []
@@ -196,8 +196,7 @@ def test_reproducing_error_requires_nested_domains():
 def test_higher_order_correction_scales_like_h4():
     # |K_4 - K_3| at fixed points is a_4 h^4 e^{2 Re Psi / h} / h: the h^4
     # prefactor should emerge as slope ~4 on a log-log fit in h
-    w, pol, amp4 = pipeline(QUARTIC, 4, maxdeg=20, trust=1.0)
-    s = TruncatedSeries.from_triples(QUARTIC, 2, 20)
+    w, pol, amp4 = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
     amp3 = solve_amplitude(build_phase(polarize(w)), 3)
     x = np.array([[0.1 + 0.05j]])
     y = np.array([[0.12 - 0.02j]])

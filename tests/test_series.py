@@ -43,6 +43,8 @@ def test_truncation_drops_high_degree():
     assert t.coeff((3,)) == 0.0
     assert t.coeff((1,)) == 2.0
     assert t.maxdeg == 2
+    # a jet known to degree 5 cannot be promoted: a higher bound keeps 5
+    assert s.truncate(9).maxdeg == 5
 
 
 def test_arithmetic_against_pointwise_values():
