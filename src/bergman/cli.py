@@ -22,15 +22,15 @@ import numpy as np
 
 from .amplitude import estimate_growth, solve_amplitude
 from .errors import BergmanError, ConfigInvalid, IoError
-from .oracle import (InequalityProbe, QuadratureCase, compare_kernels,
-                     fourier_inversion_check, gram_bergman, inequality_suite,
-                     localized_element, near_diagonal_pairs,
-                     pointwise_bound_check, sp_quadrature_check)
-from .phase import build_good_contour, build_inversion_contour, build_phase, verify_contour
+from .oracle import (QuadratureCase, compare_kernels, fourier_inversion_check,
+                     gram_bergman, inequality_suite, localized_element,
+                     near_diagonal_pairs, pointwise_bound_check,
+                     sp_quadrature_check)
+from .phase import build_good_contour, build_phase, inversion_margin, verify_contour
 from .projector import (FIT_FLOOR, assemble_kernel, decay_fit, make_domain,
                         reproducing_error)
 from .series import TruncatedSeries
-from .weight import levi_form, polarize, quadratic_gap_estimate, validate_weight
+from .weight import levi_form, quadratic_gap_estimate, validate_weight
 
 SCHEMA_TAG = "bergman-report/1"
 SUITES = ("validate", "amplitude", "kernel", "verify")
@@ -221,8 +221,7 @@ def _core(cfg: RunConfig, ctx: dict) -> dict:
             list(cfg.coefficients), 2 * cfg.dimension, cfg.maxdeg)
         base = [complex(re_, im_) for re_, im_ in cfg.base]
         ctx["w"] = validate_weight(series, base, cfg.trust_radius)
-        ctx["pol"] = polarize(ctx["w"])
-        ctx["pd"] = build_phase(ctx["pol"])
+        ctx["pd"] = build_phase(ctx["w"])
     return ctx
 
 
@@ -240,8 +239,7 @@ def _gap(cfg: RunConfig, ctx: dict) -> tuple[float, float]:
     if "gap" not in ctx:
         _core(cfg, ctx)
         ctx["gap"] = quadratic_gap_estimate(
-            ctx["w"], ctx["pol"], 0.5 * cfg.trust_radius, n_samples=4096,
-            seed=cfg.seed)
+            ctx["w"], 0.5 * cfg.trust_radius, n_samples=4096, seed=cfg.seed)
     return ctx["gap"]
 
 
@@ -266,18 +264,17 @@ def _fit_or_floor(pairs) -> dict:
 
 def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
     _core(cfg, ctx)
-    w, pol, pd = ctx["w"], ctx["pol"], ctx["pd"]
+    w, pd = ctx["w"], ctx["pd"]
     levi = levi_form(w, w.base)
     eigs = [float(v) for v in np.linalg.eigvalsh(levi)]
     cmin, cmax = _gap(cfg, ctx)
     delta = _delta(cfg, ctx)
     checksum = hashlib.sha256(
-        json.dumps(pol.psi.to_triples(), sort_keys=True).encode()).hexdigest()[:16]
+        json.dumps(w.series.to_triples(), sort_keys=True).encode()).hexdigest()[:16]
     radius = 0.3 * cfg.trust_radius
     amp_margin = verify_contour(pd, build_good_contour(pd), radius,
                                 n_samples=10_000, seed=cfg.seed)
-    inv_margin = verify_contour(pd, build_inversion_contour(w, w.base), radius,
-                                n_samples=10_000, seed=cfg.seed)
+    inv_margin = inversion_margin(w, w.base, radius, n_samples=10_000, seed=cfg.seed)
     return {
         "dimension": w.n,
         "levi_eigenvalues": eigs,
@@ -285,8 +282,8 @@ def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
         "delta": delta,
         "polarization_checksum": checksum,
         "hessian_determinant": [pd.hess_det.real, pd.hess_det.imag],
-        "phase_margins": {"amplitude": amp_margin.margin,
-                          "inversion": inv_margin.margin,
+        "phase_margins": {"amplitude": amp_margin,
+                          "inversion": inv_margin,
                           "radius": radius},
     }
 
@@ -311,7 +308,7 @@ def stage_amplitude(cfg: RunConfig, ctx: dict) -> dict:
 
 def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
     _amplitude(cfg, ctx)
-    w, pol, pd = ctx["w"], ctx["pol"], ctx["pd"]
+    w, pd = ctx["w"], ctx["pd"]
     dictionary = [(list(t), _monomial(t, cfg.dimension)) for t in cfg.test_functions]
     orders = [cfg.order] + ([cfg.order - 1] if cfg.order >= 1 else [])
     amps = {cfg.order: ctx["amp"]}
@@ -324,7 +321,7 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
     for N in orders:
         errs = []
         for h in cfg.h_grid:
-            K = assemble_kernel(pol, amps[N], h)
+            K = assemble_kernel(w, amps[N], h)
             err = max(reproducing_error(K, u, w, inner, outer)
                       for _, u in dictionary)
             errs.append((h, err))
@@ -364,7 +361,7 @@ _N1_ONLY = {
 
 def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     _amplitude(cfg, ctx)
-    w, pol, pd, amp = ctx["w"], ctx["pol"], ctx["pd"], ctx["amp"]
+    w, pd, amp = ctx["w"], ctx["pd"], ctx["amp"]
     out: dict = {}
     n = cfg.dimension
     outer = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
@@ -381,7 +378,7 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
         per_h = []
         for h in cfg.h_grid:
             gk = gram_bergman(w, outer, h, cfg.gram_degree)
-            st = compare_kernels(assemble_kernel(pol, amp, h), gk, x, y)
+            st = compare_kernels(assemble_kernel(w, amp, h), gk, x, y)
             per_h.append({"h": h, "max_rel": st.max_rel,
                           "median_rel": st.median_rel, "cond": gk.cond})
             pairs.append((h, st.max_rel))
@@ -390,11 +387,9 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     def fourier_section():
         res = {}
         for t in cfg.test_functions:
-            u = _monomial(t, n)
-            pairs = []
-            for h in cfg.h_grid:
-                chk = fourier_inversion_check(w, u, w.base, cfg.radius_v, 96, 192, h)
-                pairs.append((h, chk.residual))
+            checks = fourier_inversion_check(w, _monomial(t, n), w.base,
+                                             cfg.radius_v, 96, 192, cfg.h_grid)
+            pairs = [(chk.h, chk.residual) for chk in checks]
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
                                  "fit": _fit_or_floor(pairs)}
         return res
@@ -408,9 +403,8 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
         return res
 
     def inequality_section():
-        probe = InequalityProbe(w, pol, w.base, _delta(cfg, ctx),
-                                0.3 * cfg.trust_radius, 10_000, cfg.seed)
-        suite = inequality_suite(probe)
+        suite = inequality_suite(w, w.base, _delta(cfg, ctx), 0.3 * cfg.trust_radius,
+                                 n_samples=10_000, seed=cfg.seed)
         return {"theta_margin": suite.theta_margin, "gz_margin": suite.gz_margin,
                 "ratio_min": suite.ratio_min, "delta": suite.delta,
                 "radius": suite.radius}
@@ -550,6 +544,19 @@ def emit(report: dict, out_dir: str, fmt: str = "json") -> list:
 # Entry point
 
 
+def _reported_errors(report: dict) -> list:
+    """Names of the stages, and of the verify sections, that hold an error.
+
+    Per-row errors inside a section (sp_quadrature cases) stay in the body.
+    """
+    stages = report["stages"]
+    names = [name for name, stage in stages.items() if "error" in stage]
+    verify = stages.get("verify", {})
+    if "error" not in verify:
+        names += [f"verify.{key}" for key, sec in verify.items() if "error" in sec]
+    return names
+
+
 def _parse_args(argv):
     ap = argparse.ArgumentParser(
         prog="bergman",
@@ -596,6 +603,10 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except BergmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    failed = _reported_errors(report)
+    if failed:
+        print(f"error: the report records errors in {', '.join(failed)}", file=sys.stderr)
         return 2
     return 0
 

@@ -4,7 +4,10 @@ Gram-matrix reproducing kernels, direct contour quadrature against the
 stationary-phase expansion, numerical Fourier inversion on the theta
 contour, localized elements, the pointwise-evaluation bound, and sampled
 contour inequalities.  Everything here is built from plain quadrature and
-linear algebra so it shares no code path with the formal expansion engine.
+linear algebra.  What is shared with the pipeline is named: theta_pairs,
+its Jacobian and theta_ratio from phase, formal_expansion (which
+sp_quadrature_check exists to check), and weighted_norm / check_domain from
+projector.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import BadContour, ConfigInvalid, IllConditioned, QuadratureUnderresolved
 from .phase import (PhaseData, build_good_contour, phase_on_contour,
-                    theta_jacobian_pairs, theta_pairs)
+                    theta_jacobian_pairs, theta_pairs, theta_ratio)
 from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sobol_ball
 from .series import TruncatedSeries
-from .weight import (Polarization, Weight, _as_points, _pair_points, polarize,
-                     quadratic_gap_estimate)
+from .weight import Weight, _as_points, _pair_points, quadratic_gap_estimate
 
 # Sign of the theta-contour orientation, fixed once by requiring the
 # Gaussian u = 1 inversion to return +1.  Guarded by a regression test.
@@ -183,15 +185,15 @@ class FourierCheck:
 
 
 def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
-                            n_radial: int, n_angular: int, h: float,
-                            orientation: float = CONTOUR_ORIENTATION,
-                            tol: float | None = None) -> FourierCheck:
+                            n_radial: int, n_angular: int, h_values,
+                            orientation: float = CONTOUR_ORIENTATION) -> list[FourierCheck]:
     """Inversion integral (2 pi h)^{-n} int e^{(i/h)(x-y) theta} u chi dy dtheta.
 
     The contour is parametrized by y with theta = theta(x, y), contributing
     the Jacobian det(d theta / d conj y) and a factor (2i)^n from rewriting
-    d(conj y) wedge dy as Lebesgue measure.  Returns the residual against
-    u(x), damped by e^{-phi(x)/h}.
+    d(conj y) wedge dy as Lebesgue measure.  Returns, for each h, the
+    residual against u(x), damped by e^{-phi(x)/h}.  The grid, theta, its
+    Jacobian and u(y) do not depend on h and are built once.
     """
     if w.n != 1:
         raise ConfigInvalid("fourier inversion quadrature is implemented for n = 1")
@@ -203,27 +205,23 @@ def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
     if float(np.abs(xs - w.base[None, :]).max()) >= plateau:
         raise ConfigInvalid("evaluation point lies outside the cutoff plateau")
 
-    def run(n_radial: int, n_angular: int) -> complex:
-        nodes, wts = disc_grid(support, n_radial, n_angular, (plateau,))
-        y = nodes[:, None] + w.base[None, :]
-        chi = radial_bump(np.abs(nodes), plateau, support)
-        th = theta_pairs(w, xs, y)
-        jac = theta_jacobian_pairs(w, xs, y)
-        pairing = ((xs - y) * th).sum(axis=1)
-        uy = u.eval_grid(y - w.base[None, :])
+    nodes, wts = disc_grid(support, n_radial, n_angular, (plateau,))
+    y = nodes[:, None] + w.base[None, :]
+    chi = radial_bump(np.abs(nodes), plateau, support)
+    th = theta_pairs(w, xs, y)
+    jac = theta_jacobian_pairs(w, xs, y)
+    pairing = ((xs - y) * th).sum(axis=1)
+    uy = u.eval_grid(y - w.base[None, :])
+    target = complex(u.eval_grid(xs - w.base[None, :])[0])
+    phi_x = float(w.phi(xs)[0])
+    checks = []
+    for h in h_values:
         vals = np.exp(1j * pairing / h) * uy * chi * jac
         const = orientation * (2j) ** w.n / (2.0 * np.pi * h) ** w.n
-        return complex(const * (wts * vals).sum())
-
-    value = run(n_radial, n_angular)
-    if tol is not None:
-        fine = run(2 * n_radial, 2 * n_angular)
-        if abs(value - fine) > 10.0 * tol:
-            raise QuadratureUnderresolved(
-                f"node doubling moved the inversion integral by {abs(value - fine):.3e}")
-    target = complex(u.eval_grid(xs - w.base[None, :])[0])
-    residual = abs(value - target) * math.exp(-float(w.phi(xs)[0]) / h)
-    return FourierCheck(value=value, target=target, residual=residual, h=h)
+        value = complex(const * (wts * vals).sum())
+        residual = abs(value - target) * math.exp(-phi_x / h)
+        checks.append(FourierCheck(value=value, target=target, residual=residual, h=h))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +258,6 @@ def pointwise_bound_check(w: Weight, u: TruncatedSeries, inner: DomainSpec,
 
 
 @dataclass(frozen=True)
-class InequalityProbe:
-    w: Weight
-    pol: Polarization
-    z: np.ndarray
-    delta: float
-    radius: float
-    n_samples: int = 10_000
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class MarginSuite:
     theta_margin: float
     gz_margin: float
@@ -280,55 +267,43 @@ class MarginSuite:
     n_samples: int
 
 
-def _theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(phi(x) - phi(y) + Im((x - y).theta(x, y))) / |x - y|^2 at paired points.
-
-    ``x`` and ``y`` are (m, n) arrays; either may be a single row.
-    """
-    d = x - y
-    pairing = (d * theta_pairs(w, x, y)).sum(axis=1)
-    return (w.phi(x) - w.phi(y) + pairing.imag) / (np.abs(d) ** 2).sum(axis=1)
-
-
-def inequality_suite(probe: InequalityProbe) -> MarginSuite:
+def inequality_suite(w: Weight, z, delta: float, radius: float,
+                     n_samples: int = 10_000, seed: int = 0) -> MarginSuite:
     """Sampled minima of the two contour inequalities; both must be positive.
 
     (a) phi(x) - phi(y) + Im((x - y).theta(x, y)) >= (delta + margin)|x - y|^2
     (b) phi(x) + phi(y) - 2 Re Psi(x, conj y) + delta|x - z|^2
           >= margin (|x - z|^2 + |y - z|^2)
     """
-    w, pol = probe.w, probe.pol
-    if probe.delta <= 0.0:
+    if delta <= 0.0:
         raise ConfigInvalid("delta must be positive")
-    if probe.radius > w.trust_radius:
+    if radius > w.trust_radius:
         raise ConfigInvalid("sampling radius exceeds the trust radius")
-    z = np.asarray(probe.z, dtype=complex).reshape(w.n)
-    m = probe.n_samples
-    x = sobol_ball(w.n, probe.radius, m, seed=probe.seed) + w.base[None, :]
-    y = sobol_ball(w.n, probe.radius, m, seed=probe.seed + 1) + w.base[None, :]
+    z = np.asarray(z, dtype=complex).reshape(w.n)
+    x = sobol_ball(w.n, radius, n_samples, seed=seed) + w.base[None, :]
+    y = sobol_ball(w.n, radius, n_samples, seed=seed + 1) + w.base[None, :]
 
-    keep = (np.abs(x - y) ** 2).sum(axis=1) > (1e-8 * probe.radius) ** 2
-    ratio_min = float(_theta_ratio(w, x[keep], y[keep]).min())
-    theta_margin = ratio_min - probe.delta
+    keep = (np.abs(x - y) ** 2).sum(axis=1) > (1e-8 * radius) ** 2
+    ratio_min = float(theta_ratio(w, x[keep], y[keep]).min())
+    theta_margin = ratio_min - delta
 
     dz_x = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
     dz_y = (np.abs(y - z[None, :]) ** 2).sum(axis=1)
     denom = dz_x + dz_y
-    keep2 = denom > (1e-8 * probe.radius) ** 2
-    gap = (w.phi(x) + w.phi(y)
-           - 2.0 * pol.eval(x, np.conj(y)).real)
-    gz_ratio = (gap[keep2] + probe.delta * dz_x[keep2]) / denom[keep2]
+    keep2 = denom > (1e-8 * radius) ** 2
+    gap = w.phi(x) + w.phi(y) - 2.0 * w.psi(x, np.conj(y)).real
+    gz_ratio = (gap[keep2] + delta * dz_x[keep2]) / denom[keep2]
     gz_margin = float(gz_ratio.min())
 
     if theta_margin <= 0.0:
         raise BadContour(
             f"theta-contour margin {theta_margin:.3e} not positive "
-            f"(sampled constant {ratio_min:.4f}, delta {probe.delta})")
+            f"(sampled constant {ratio_min:.4f}, delta {delta})")
     if gz_margin <= 0.0:
         raise BadContour(f"shifted-gap margin {gz_margin:.3e} not positive")
     return MarginSuite(theta_margin=theta_margin, gz_margin=gz_margin,
-                       ratio_min=ratio_min, delta=probe.delta,
-                       radius=probe.radius, n_samples=probe.n_samples)
+                       ratio_min=ratio_min, delta=delta,
+                       radius=radius, n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +364,7 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
     contour = build_good_contour(pd)
-    b = complex(contour.b_at_center[0, 0])
+    b = complex(contour.b[0, 0])
 
     results = []
     for case in cases:
@@ -487,14 +462,13 @@ def localized_element(v: TruncatedSeries, z, w: Weight, h: float,
     if zdist > plateau:
         raise ConfigInvalid("cutoff plateau does not cover z")
     if delta is None:
-        pol = polarize(w)
-        cmin, _ = quadratic_gap_estimate(w, pol, support, n_samples=2048, seed=seed)
+        cmin, _ = quadratic_gap_estimate(w, support, n_samples=2048, seed=seed)
         delta = 0.5 * cmin
 
     x = sobol_ball(w.n, support, n_samples, seed=seed) + w.base[None, :]
     sep2 = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
     keep = sep2 > (1e-8 * support) ** 2
-    margin = float(_theta_ratio(w, x[keep], z[None, :]).min()) - delta
+    margin = float(theta_ratio(w, x[keep], z[None, :]).min()) - delta
     if margin <= 0.0:
         raise BadContour(
             f"localized element at {z} violates domination: margin {margin:.3e}")

@@ -1,6 +1,6 @@
 """The four-point phase and its good contours.
 
-From a polarization Psi the phase
+From the polarization Psi of a weight the phase
 
     phi(y, xt; x, yt) = Psi(x, yt) - Psi(x, xt) - Psi(y, yt) + Psi(y, xt)
 
@@ -13,8 +13,8 @@ u^T B(y, xt) v with B the mixed block of Psi.
 Good contours for the fast integral follow the family v = -conj(B^T u),
 on which the quadratic part equals -|B^T u|^2.  Inversion contours pair a
 point x with theta(x, y) built from the weight's holomorphic gradient and
-Hessian; their quality is measured by the sampled margin of the defining
-inequality.
+Hessian; ``theta_ratio`` is the one formula for the defining inequality,
+and the quality of either contour is the sampled margin of its inequality.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BadContour, CriticalStructureViolation, DegenerateHessian
 from .quadrature import sobol_ball
 from .series import TruncatedSeries
-from .weight import Polarization, Weight, _pair_points
+from .weight import Weight, _pair_points, polarize
 
 GRAD_TOL = 1e-12
 HESS_FLOOR = 1e-10
@@ -46,35 +46,26 @@ class PhaseData:
     remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
 
 
-@dataclass
-class ContourSpec:
-    """A concrete integration contour; ``margin`` is set by verify_contour."""
+@dataclass(frozen=True)
+class GoodContour:
+    """Amplitude contour through (y0, xt0) with v = -conj(B^T u), B frozen there."""
 
-    kind: str                    # "amplitude" or "inversion"
-    n: int
-    margin: float | None = None
-    # amplitude contours
-    center: np.ndarray | None = None      # (2n,) displacement of (y0, xt0)
-    b_at_center: np.ndarray | None = None
-    # inversion contours
-    x: np.ndarray | None = None           # ambient point the contour targets
-    weight: Weight | None = None
+    center: np.ndarray           # (2n,) displacement of (y0, xt0)
+    b: np.ndarray                # B(y0, xt0), shape (n, n)
+
+    @property
+    def n(self) -> int:
+        return self.b.shape[0]
 
     def fast_map(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitude family: u -> (x, yt) displacements through the center."""
-        if self.kind != "amplitude":
-            raise BadContour("fast_map only exists for amplitude contours")
+        """u -> (x, yt) displacements through the center."""
         u = np.asarray(u, dtype=complex)
         if u.ndim == 1:
             u = u[:, None]
-        v = -np.conj(u) @ np.conj(self.b_at_center)
+        v = -np.conj(u) @ np.conj(self.b)
         x = self.center[None, :self.n] + u
         yt = self.center[None, self.n:] + v
         return x, yt
-
-    def theta(self, y) -> np.ndarray:
-        """Inversion family: theta(x, y) at ambient points y, shape (m, n)."""
-        return theta_pairs(self.weight, self.x, y)
 
 
 def theta_pairs(w: Weight, x, y) -> np.ndarray:
@@ -114,13 +105,14 @@ def theta_jacobian_pairs(w: Weight, x, y) -> np.ndarray:
     return np.linalg.det(jac)
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    kind: str
-    radius: float
-    n_samples: int
-    margin: float
-    worst: list
+def theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(phi(x) - phi(y) + Im((x - y).theta(x, y))) / |x - y|^2 at paired points.
+
+    ``x`` and ``y`` are (m, n) arrays; either may be a single row.
+    """
+    d = x - y
+    pairing = (d * theta_pairs(w, x, y)).sum(axis=1)
+    return (w.phi(x) - w.phi(y) + pairing.imag) / (np.abs(d) ** 2).sum(axis=1)
 
 
 def _embed_psi(psi: TruncatedSeries, n: int, first: int, second: int) -> TruncatedSeries:
@@ -135,10 +127,10 @@ def _diag_restrict(s: TruncatedSeries, n: int) -> TruncatedSeries:
     return s.rename(positions, 2 * n)
 
 
-def build_phase(pol: Polarization) -> PhaseData:
+def build_phase(w: Weight) -> PhaseData:
     """Assemble the four-point phase and verify its critical structure."""
-    n = pol.n
-    psi = pol.psi
+    n = w.n
+    psi = polarize(w)
     maxdeg = psi.maxdeg
     phi4 = (_embed_psi(psi, n, 2, 3) - _embed_psi(psi, n, 2, 1)
             - _embed_psi(psi, n, 0, 3) + _embed_psi(psi, n, 0, 1))
@@ -212,7 +204,7 @@ def build_phase(pol: Polarization) -> PhaseData:
                      b0=b0, hess_det=hess_det, remainder=remainder)
 
 
-def eval_b_matrix(pd: PhaseData, center: np.ndarray) -> np.ndarray:
+def eval_b(pd: PhaseData, center: np.ndarray) -> np.ndarray:
     """Numeric B(y0, xt0) at a slow displacement point."""
     pt = np.asarray(center, dtype=complex).reshape(1, 2 * pd.n)
     n = pd.n
@@ -223,25 +215,19 @@ def eval_b_matrix(pd: PhaseData, center: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_good_contour(pd: PhaseData, center=None) -> ContourSpec:
+def build_good_contour(pd: PhaseData, center=None) -> GoodContour:
     """Contour through (y0, xt0) with v = -conj(B^T u); B frozen at the center."""
     n = pd.n
     if center is None:
         center = np.zeros(2 * n, dtype=complex)
     center = np.asarray(center, dtype=complex).reshape(2 * n)
-    b = eval_b_matrix(pd, center)
+    b = eval_b(pd, center)
     if np.linalg.svd(b, compute_uv=False).min() <= HESS_FLOOR:
         raise DegenerateHessian(f"mixed block singular at contour center: {b}")
-    return ContourSpec(kind="amplitude", n=n, center=center, b_at_center=b)
+    return GoodContour(center=center, b=b)
 
 
-def build_inversion_contour(w: Weight, x) -> ContourSpec:
-    """Contour y -> (y, theta(x, y)) from the weight's gradient and Hessian."""
-    x = np.asarray(x, dtype=complex).reshape(w.n)
-    return ContourSpec(kind="inversion", n=w.n, x=x, weight=w)
-
-
-def phase_on_contour(pd: PhaseData, c: ContourSpec, u: np.ndarray) -> np.ndarray:
+def phase_on_contour(pd: PhaseData, c: GoodContour, u: np.ndarray) -> np.ndarray:
     """Evaluate phi at contour points parametrized by fast displacements u."""
     x, yt = c.fast_map(u)
     m = x.shape[0]
@@ -250,44 +236,35 @@ def phase_on_contour(pd: PhaseData, c: ContourSpec, u: np.ndarray) -> np.ndarray
     return pd.phi4.eval_grid(pts)
 
 
-def verify_contour(pd: PhaseData | None, c: ContourSpec, radius: float,
-                   n_samples: int = 10_000, seed: int = 0) -> MarginReport:
-    """Sampled margin of the contour inequality; must be strictly positive.
-
-    Amplitude contours: min of -Re(phi) / (|u|^2 + |v|^2) over fast samples.
-    Inversion contours: min of (phi(x) - phi(y) + Im((x-y).theta)) / |x-y|^2
-    over ambient samples y around the weight base.
+def verify_contour(pd: PhaseData, c: GoodContour, radius: float,
+                   n_samples: int = 10_000, seed: int = 0) -> float:
+    """Sampled margin of the good contour: min of -Re(phi) / (|u|^2 + |v|^2)
+    over fast samples u.  It must be strictly positive.
     """
-    if c.kind == "amplitude":
-        u = sobol_ball(c.n, radius, n_samples, seed=seed)
-        v = -np.conj(u) @ np.conj(c.b_at_center)
-        vals = phase_on_contour(pd, c, u)
-        denom = (np.abs(u) ** 2).sum(axis=1) + (np.abs(v) ** 2).sum(axis=1)
-        keep = denom > (1e-8 * radius) ** 2
-        ratio = -vals[keep].real / denom[keep]
-        idx = int(np.argmin(ratio))
-        margin = float(ratio[idx])
-        worst = u[keep][idx]
-    elif c.kind == "inversion":
-        w = c.weight
-        y = sobol_ball(w.n, radius, n_samples, seed=seed) + w.base[None, :]
-        xv = c.x[None, :]
-        sep2 = (np.abs(xv - y) ** 2).sum(axis=1)
-        keep = sep2 > (1e-8 * max(radius, 1.0)) ** 2
-        y, sep2 = y[keep], sep2[keep]
-        th = c.theta(y)
-        pairing = ((xv - y) * th).sum(axis=1)
-        ratio = (w.phi(xv)[0] - w.phi(y) + pairing.imag) / sep2
-        idx = int(np.argmin(ratio))
-        margin = float(ratio[idx])
-        worst = y[idx]
-    else:
-        raise BadContour(f"unknown contour kind {c.kind!r}")
-
+    u = sobol_ball(c.n, radius, n_samples, seed=seed)
+    v = -np.conj(u) @ np.conj(c.b)
+    vals = phase_on_contour(pd, c, u)
+    denom = (np.abs(u) ** 2).sum(axis=1) + (np.abs(v) ** 2).sum(axis=1)
+    keep = denom > (1e-8 * radius) ** 2
+    margin = float((-vals[keep].real / denom[keep]).min())
     if margin <= 0.0:
         raise BadContour(
-            f"{c.kind} contour margin {margin:.3e} is not positive at radius {radius}")
-    c.margin = margin
-    return MarginReport(kind=c.kind, radius=float(radius), n_samples=int(n_samples),
-                        margin=margin,
-                        worst=[[z.real, z.imag] for z in np.atleast_1d(worst)])
+            f"amplitude contour margin {margin:.3e} is not positive at radius {radius}")
+    return margin
+
+
+def inversion_margin(w: Weight, x, radius: float, n_samples: int = 10_000,
+                     seed: int = 0) -> float:
+    """Sampled min of theta_ratio(x, y) over ambient samples y around the base.
+
+    This is the margin of the inversion contour y -> (y, theta(x, y)); it
+    must be strictly positive.
+    """
+    xv = np.asarray(x, dtype=complex).reshape(1, w.n)
+    y = sobol_ball(w.n, radius, n_samples, seed=seed) + w.base[None, :]
+    keep = (np.abs(xv - y) ** 2).sum(axis=1) > (1e-8 * max(radius, 1.0)) ** 2
+    margin = float(theta_ratio(w, xv, y[keep]).min())
+    if margin <= 0.0:
+        raise BadContour(
+            f"inversion contour margin {margin:.3e} is not positive at radius {radius}")
+    return margin

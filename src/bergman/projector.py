@@ -20,7 +20,7 @@ from .amplitude import Amplitude, RealizedSymbol, realize
 from .errors import ConfigInvalid, DegenerateFit, QuadratureUnderresolved
 from .quadrature import polydisc_grid
 from .series import TruncatedSeries
-from .weight import Polarization, Weight, _as_points, _pair_points
+from .weight import Weight, _as_points, _pair_points
 
 # Elements of one (evaluation rows x quadrature nodes) block in apply_projection.
 BLOCK_ELEMENTS = 2 ** 18
@@ -72,27 +72,27 @@ def check_domain(dom: DomainSpec, w: Weight) -> None:
 class KernelEvaluator:
     """Evaluates h^{-n} exp((2/h) Psi(x, conj y)) a(x, conj y) at point pairs."""
 
-    pol: Polarization
+    w: Weight
     symbol: RealizedSymbol
     h: float
 
     @property
     def n(self) -> int:
-        return self.pol.n
+        return self.w.n
 
     def eval(self, x, y) -> np.ndarray:
         xs, ys = _pair_points(x, y, self.n)
-        base = self.pol.base[None, :]
+        base = self.w.base[None, :]
         pts = np.concatenate([xs - base, np.conj(ys - base)], axis=1)
-        psi = self.pol.psi.eval_grid(pts)
+        psi = self.w.series.eval_grid(pts)
         amp = self.symbol.series.eval_grid(pts)
         return self.h ** (-self.n) * np.exp(2.0 * psi / self.h) * amp
 
 
-def assemble_kernel(pol: Polarization, amp: Amplitude, h: float) -> KernelEvaluator:
+def assemble_kernel(w: Weight, amp: Amplitude, h: float) -> KernelEvaluator:
     if h <= 0:
         raise ConfigInvalid(f"h must be positive, got {h}")
-    return KernelEvaluator(pol=pol, symbol=realize(amp, h), h=float(h))
+    return KernelEvaluator(w=w, symbol=realize(amp, h), h=float(h))
 
 
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
@@ -108,15 +108,15 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
         raise ConfigInvalid(f"test function has {u.nvars} variables, expected {K.n}")
     check_domain(dom, w)
 
-    xd = _as_points(eval_pts, K.n) - K.pol.base[None, :]
+    xd = _as_points(eval_pts, K.n) - K.w.base[None, :]
 
     def run(d: DomainSpec) -> np.ndarray:
-        yd = np.conj(d.nodes - K.pol.base[None, :])
+        yd = np.conj(d.nodes - K.w.base[None, :])
         # Node-side factors, once per grid: Psi = X @ P and a = Xa @ Pa.  Row 0
         # of P multiplies the constant monomial, so subtracting phi(y) there
         # makes the GEMM return Psi - phi(y), which stays bounded where the
         # two terms alone overflow and underflow at small h.
-        X, P = K.pol.psi.bilinear_factors(xd, yd)
+        X, P = K.w.series.bilinear_factors(xd, yd)
         P[0] -= w.phi(d.nodes)
         Xa, Pa = K.symbol.series.bilinear_factors(xd, yd)
         load = d.weights * u.eval_grid(d.nodes - w.base[None, :])

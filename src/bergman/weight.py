@@ -6,9 +6,10 @@ conj(x0)).  Realness is the Hermitian symmetry c[beta,alpha] =
 conj(c[alpha,beta]) of the coefficient array; strict plurisubharmonicity is
 positive definiteness of the mixed-derivative (Levi) matrix.
 
-The polarization Psi(x, ytilde) is the unique holomorphic extension obtained
-by relabeling the anti-holomorphic block as an independent holomorphic block:
-restricting ytilde back to conj(x) recovers the weight.
+The polarization Psi(x, ytilde) is the unique holomorphic extension: the
+same Taylor table, with the anti-holomorphic block read as an independent
+holomorphic variable ytilde.  Restricting ytilde back to conj(x) recovers
+the weight.
 """
 
 from __future__ import annotations
@@ -72,27 +73,11 @@ class Weight:
         vals = self.series.eval_grid(self.displacements(x))
         return vals.real
 
-    def holo_gradient(self, x) -> np.ndarray:
-        """d(phi)/dx_j at the given points, shape (m, n)."""
-        pts = self.displacements(x)
-        cols = [self.series.diff(j).eval_grid(pts) for j in range(self.n)]
-        return np.stack(cols, axis=1)
-
-
-@dataclass(frozen=True)
-class Polarization:
-    """Holomorphic extension Psi(x, ytilde) of a weight."""
-
-    n: int
-    base: np.ndarray
-    psi: TruncatedSeries        # 2n variables: x-block then ytilde-block
-    b_matrix: np.ndarray        # mixed block d2Psi/dx dytilde at the base
-
-    def eval(self, x, ytilde) -> np.ndarray:
-        """Psi at displaced coordinates; both arguments are ambient points."""
+    def psi(self, x, ytilde) -> np.ndarray:
+        """Polarization Psi(x, ytilde) at ambient points; Psi(x, conj x) = phi(x)."""
         xp = _as_points(x, self.n) - self.base[None, :]
         yp = _as_points(ytilde, self.n) - np.conj(self.base)[None, :]
-        return self.psi.eval_grid(np.concatenate([xp, yp], axis=1))
+        return self.series.eval_grid(np.concatenate([xp, yp], axis=1))
 
 
 def validate_weight(series: TruncatedSeries, base, trust_radius: float) -> Weight:
@@ -143,25 +128,14 @@ def levi_form(w: Weight, x) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def polarize(w: Weight) -> Polarization:
-    """Relabel the conj block as an independent holomorphic block."""
-    psi = TruncatedSeries(w.series.nvars, w.series.maxdeg,
-                          dict(w.series.coeffs), _checked=True)
-    n = w.n
-    b = np.empty((n, n), dtype=complex)
-    origin = np.zeros((1, 2 * n), dtype=complex)
-    for j in range(n):
-        dj = psi.diff(j)
-        for k in range(n):
-            b[j, k] = dj.diff(n + k).eval_grid(origin)[0]
-    smin = np.linalg.svd(b, compute_uv=False).min()
-    if smin <= LEVI_EIG_FLOOR:
-        raise Degenerate(f"mixed block of the polarization is singular: smin={smin}")
-    return Polarization(n=n, base=w.base.copy(), psi=psi, b_matrix=b)
+# Kept only because the benchmark tracer (perfbench/tracer.py) resolves it.
+def polarize(w: Weight) -> TruncatedSeries:
+    """Psi's series: the weight's own Taylor table, conj block read as ytilde."""
+    return w.series
 
 
-def quadratic_gap_estimate(w: Weight, pol: Polarization, radius: float,
-                           n_samples: int = 4096, seed: int = 0) -> tuple[float, float]:
+def quadratic_gap_estimate(w: Weight, radius: float, n_samples: int = 4096,
+                           seed: int = 0) -> tuple[float, float]:
     """Sampled bounds for (phi(x) + phi(y) - 2 Re Psi(x, conj(y))) / |x-y|^2.
 
     The gap must be strictly positive for a strictly plurisubharmonic weight;
@@ -175,7 +149,7 @@ def quadratic_gap_estimate(w: Weight, pol: Polarization, radius: float,
     sep2 = (np.abs(x - y) ** 2).sum(axis=1)
     keep = sep2 > (1e-6 * radius) ** 2
     x, y, sep2 = x[keep], y[keep], sep2[keep]
-    gap = w.phi(x) + w.phi(y) - 2.0 * pol.eval(x, np.conj(y)).real
+    gap = w.phi(x) + w.phi(y) - 2.0 * w.psi(x, np.conj(y)).real
     ratio = gap / sep2
     cmin, cmax = float(ratio.min()), float(ratio.max())
     if cmin <= 0.0:

@@ -11,15 +11,15 @@ import pytest
 from bergman.amplitude import (estimate_growth, formal_expansion,
                                solve_amplitude)
 from bergman.errors import BergmanError
-from bergman.oracle import (InequalityProbe, QuadratureCase, compare_kernels,
+from bergman.oracle import (QuadratureCase, compare_kernels,
                             fourier_inversion_check, gram_bergman,
                             inequality_suite, near_diagonal_pairs,
                             sp_quadrature_check)
-from bergman.phase import (build_good_contour, build_inversion_contour,
-                           build_phase, verify_contour)
+from bergman.phase import (build_good_contour, build_phase, inversion_margin,
+                           verify_contour)
 from bergman.projector import assemble_kernel, decay_fit, make_domain
 from bergman.series import TruncatedSeries
-from bergman.weight import polarize, quadratic_gap_estimate, validate_weight
+from bergman.weight import quadratic_gap_estimate, validate_weight
 
 H_GRID = (0.2, 0.15, 0.1, 0.07, 0.05)
 
@@ -55,8 +55,7 @@ def check(num, label, ok, detail):
 def build(triples, maxdeg, trust):
     series = TruncatedSeries.from_triples(list(triples), 2, maxdeg)
     w = validate_weight(series, [0.0], trust)
-    pol = polarize(w)
-    return w, pol, build_phase(pol)
+    return w, build_phase(w)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def gaussian_core():
 
 @pytest.fixture(scope="module")
 def gaussian_amp(gaussian_core):
-    return solve_amplitude(gaussian_core[2], 6)
+    return solve_amplitude(gaussian_core[1], 6)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +80,7 @@ def perturbed_core():
 
 @pytest.fixture(scope="module")
 def perturbed_amps(perturbed_core):
-    pd = perturbed_core[2]
+    pd = perturbed_core[1]
     return {N: solve_amplitude(pd, N) for N in (3, 4)}
 
 
@@ -102,7 +101,7 @@ def _disc_samples(rng, radius, count):
 
 
 def test_criterion_1_gaussian_exactness(gaussian_core, gaussian_amp):
-    _, pol, _ = gaussian_core
+    w = gaussian_core[0]
     amp = gaussian_amp
     a0_err = abs(amp.coeffs[0].constant_term - 1.0 / np.pi)
     tail = max(amp.coeffs[k].max_abs() for k in range(1, 7))
@@ -111,7 +110,7 @@ def test_criterion_1_gaussian_exactness(gaussian_core, gaussian_amp):
     y = _disc_samples(rng, 0.5, 100)
     worst = 0.0
     for h in H_GRID:
-        K = assemble_kernel(pol, amp, h)
+        K = assemble_kernel(w, amp, h)
         exact = np.exp(x[:, 0] * np.conj(y[:, 0]) / h) / (np.pi * h)
         rel = np.abs(K.eval(x, y) - exact) / np.abs(exact)
         worst = max(worst, float(rel.max()))
@@ -124,12 +123,12 @@ def test_criterion_1_gaussian_exactness(gaussian_core, gaussian_amp):
 def test_criterion_2_quadratic_family():
     parts, ok = [], True
     for lam in (0.5, 1.0, 2.0):
-        w, pol, pd = build([((1, 1), lam, 0.0)], 12, 1.2)
+        w, pd = build([((1, 1), lam, 0.0)], 12, 1.2)
         amp = solve_amplitude(pd, 3)
         c_err = abs(amp.coeffs[0].constant_term - 2.0 * lam / np.pi)
         dom = make_domain(1.0, 64, 128)
         gram = gram_bergman(w, dom, 0.1, 30)
-        K = assemble_kernel(pol, amp, 0.1)
+        K = assemble_kernel(w, amp, 0.1)
         zero = np.zeros((1, 1), dtype=complex)
         kv, gv = K.eval(zero, zero)[0], gram.eval(zero, zero)[0]
         o_err = abs(kv - gv) / abs(kv)
@@ -141,12 +140,12 @@ def test_criterion_2_quadratic_family():
 
 def test_criterion_3_perturbed_kernel_decay(perturbed_core, perturbed_amps,
                                             perturbed_grams):
-    pol = perturbed_core[1]
+    w = perturbed_core[0]
     x, y = near_diagonal_pairs(0.3 * 0.35, 20)
     errs = {N: [] for N in (3, 4)}
     for h in H_GRID:
         for N in (3, 4):
-            K = assemble_kernel(pol, perturbed_amps[N], h)
+            K = assemble_kernel(w, perturbed_amps[N], h)
             errs[N].append(compare_kernels(K, perturbed_grams[h], x, y).max_rel)
     e4, e3 = errs[4], errs[3]
     mono = all(a > b for a, b in zip(e4, e4[1:]))
@@ -163,7 +162,7 @@ def test_criterion_3_perturbed_kernel_decay(perturbed_core, perturbed_amps,
 
 
 def test_criterion_4_pluriharmonic_gauge_invariance():
-    _, _, pd = build(PERTURBED, 20, 1.0)
+    _, pd = build(PERTURBED, 20, 1.0)
     base = solve_amplitude(pd, 3)
     rng = np.random.default_rng(23)
     worst = 0.0
@@ -173,7 +172,7 @@ def test_criterion_4_pluriharmonic_gauge_invariance():
         for a, ca in enumerate(c, start=1):
             gauge.append(((a, 0), ca.real / 2, ca.imag / 2))
             gauge.append(((0, a), ca.real / 2, -ca.imag / 2))
-        _, _, pdg = build(gauge, 20, 1.0)
+        _, pdg = build(gauge, 20, 1.0)
         shifted = solve_amplitude(pdg, 3)
         for k in range(4):
             worst = max(worst, (base.coeffs[k] - shifted.coeffs[k]).max_abs())
@@ -183,7 +182,7 @@ def test_criterion_4_pluriharmonic_gauge_invariance():
 
 
 def test_criterion_5_stationary_phase_vs_quadrature(gaussian_core):
-    pd = gaussian_core[2]
+    pd = gaussian_core[1]
     pairs = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
              (2, 2), (3, 2), (3, 3), (4, 4)]
 
@@ -199,7 +198,7 @@ def test_criterion_5_stationary_phase_vs_quadrature(gaussian_core):
     term_ok = all(r.ok for r in rows_t) and worst_t < 1e-8
 
     # hmax 4 needs 6 * 4 degrees below the slow degree 24
-    _, _, cpd = build(CUBIC, 26, 1.2)
+    _, cpd = build(CUBIC, 26, 1.2)
     rows_n = sp_quadrature_check(cpd, cases(cpd, False), H_GRID, hmax=4)
     nt_ok = all(r.ok and r.next_term > 0 for r in rows_n)
     worst_n = max(r.error / r.next_term for r in rows_n)
@@ -216,18 +215,15 @@ def test_criterion_6_contour_margins(gaussian_core, lambda1_core,
                ("quadratic-lambda", lambda1_core, 1.2),
                ("perturbed-quartic", perturbed_core, 1.0)]
     parts, ok = [], True
-    for name, (w, pol, pd), trust in weights:
+    for name, (w, pd), trust in weights:
         radius = 0.3 * trust
         try:
             m_amp = verify_contour(pd, build_good_contour(pd), radius,
-                                   n_samples=10_000, seed=0).margin
-            m_inv = verify_contour(None, build_inversion_contour(w, [0.0]),
-                                   radius, n_samples=10_000, seed=0).margin
-            cmin, _ = quadratic_gap_estimate(w, pol, 0.5 * trust,
-                                             n_samples=4096, seed=0)
-            suite = inequality_suite(InequalityProbe(
-                w, pol, np.zeros(1, dtype=complex), 0.5 * cmin, radius,
-                n_samples=10_000, seed=0))
+                                   n_samples=10_000, seed=0)
+            m_inv = inversion_margin(w, [0.0], radius, n_samples=10_000, seed=0)
+            cmin, _ = quadratic_gap_estimate(w, 0.5 * trust, n_samples=4096, seed=0)
+            suite = inequality_suite(w, np.zeros(1, dtype=complex), 0.5 * cmin,
+                                     radius, n_samples=10_000, seed=0)
             ms = (m_amp, m_inv, suite.theta_margin, suite.gz_margin)
             ok = ok and all(m >= 1e-3 for m in ms)
             parts.append(f"{name}: quad-decay={m_amp:.3f} theta={m_inv:.3f} "
@@ -243,9 +239,8 @@ def test_criterion_7_fourier_inversion(gaussian_core):
     parts, ok = [], True
     for k in range(4):
         u = TruncatedSeries.from_triples([((k,), 1.0, 0.0)], 1, 3)
-        res = []
-        for h in H_GRID:
-            res.append(fourier_inversion_check(w, u, [0.0], 1.0, 96, 192, h).residual)
+        res = [chk.residual
+               for chk in fourier_inversion_check(w, u, [0.0], 1.0, 96, 192, H_GRID)]
         if max(res) < 1e-12:
             # already below any fit floor at every h; nothing left to decay
             parts.append(f"y^{k}: at machine floor ({max(res):.1e})")
@@ -259,7 +254,7 @@ def test_criterion_7_fourier_inversion(gaussian_core):
 
 def test_criterion_8_symbol_growth_band():
     # order 8 needs maxdeg 6 * 8 + 2
-    amp = solve_amplitude(build(PERTURBED, 50, 1.0)[2], 8)
+    amp = solve_amplitude(build(PERTURBED, 50, 1.0)[1], 8)
     estimate_growth(amp, 0.35, seed=0)
     prof = np.asarray(amp.growth_profile, dtype=float)
     med = float(np.median(prof))
@@ -277,10 +272,10 @@ def test_criterion_8_symbol_growth_band():
 def test_criterion_9_formal_defining_equation(gaussian_core, gaussian_amp,
                                               lambda1_core, perturbed_core,
                                               perturbed_amps):
-    runs = [("gaussian", gaussian_core[2], gaussian_amp, 6),
-            ("quadratic-lambda", lambda1_core[2],
-             solve_amplitude(lambda1_core[2], 6), 6),
-            ("perturbed-quartic", perturbed_core[2], perturbed_amps[4], 4)]
+    runs = [("gaussian", gaussian_core[1], gaussian_amp, 6),
+            ("quadratic-lambda", lambda1_core[1],
+             solve_amplitude(lambda1_core[1], 6), 6),
+            ("perturbed-quartic", perturbed_core[1], perturbed_amps[4], 4)]
     parts, ok = [], True
     for name, pd, amp, N in runs:
         terms = formal_expansion(pd, amp.coeffs, N)

@@ -5,7 +5,7 @@ from bergman.amplitude import (estimate_growth, formal_expansion, realize,
                                solve_amplitude)
 from bergman.errors import InsufficientDegree
 from bergman.series import TruncatedSeries, max_abs_diff
-from bergman.weight import polarize, validate_weight
+from bergman.weight import validate_weight
 from bergman.phase import build_phase
 
 GAUSS = [((1, 1), 0.5, 0.0)]
@@ -15,7 +15,7 @@ CUBIC = [((1, 1), 0.5, 0.0), ((2, 1), 0.05, 0.0), ((1, 2), 0.05, 0.0)]
 
 def make_phase(triples, n=1, maxdeg=16, trust=1.0):
     s = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
-    return build_phase(polarize(validate_weight(s, [0j] * n, trust)))
+    return build_phase(validate_weight(s, [0j] * n, trust))
 
 
 def test_gaussian_amplitude_is_constant():

@@ -177,6 +177,40 @@ def test_invalid_weight_recorded_per_suite():
     assert rep["stages"]["amplitude"]["error"]["type"] == "Degenerate"
 
 
+def test_main_exits_2_when_a_stage_records_an_error(tmp_path, capsys):
+    # the report is still written; the exit code says that it holds an error
+    with open(os.path.join(ROOT, "configs", "gaussian.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["coefficients"][0]["re"] = -0.5
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["stages"]["validate"]["error"]["type"] == "Degenerate"
+    assert "validate" in err and "Traceback" not in err
+    assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["stages"]["validate"]["error"]["type"] == "Degenerate"
+
+
+_ERR = {"error": {"type": "QuadratureUnderresolved", "message": ""}}
+
+
+@pytest.mark.parametrize("verify,code", [
+    ({"gram": _ERR, "localized": {"margin": 0.2}}, 2),
+    (_ERR, 2),
+    ({"sp_quadrature": {"cases": [dict(_ERR, name="x", h=0.1)], "all_ok": False}}, 0),
+])
+def test_exit_code_counts_stage_and_section_errors_only(monkeypatch, tmp_path,
+                                                         capsys, verify, code):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(BASE))
+    report = {"schema": "bergman-report/1", "config": {}, "stages": {"verify": verify}}
+    monkeypatch.setattr(bergman.cli, "run", lambda cfg: report)
+    assert main(["verify", "--config", str(cfg_path)]) == code
+    assert json.loads(capsys.readouterr().out) == report
+
+
 def test_csv_shape(tmp_path):
     cfg = cfg_with(suites=["kernel"], h_grid=[0.2, 0.15, 0.1],
                    test_functions=[[0]])

@@ -3,14 +3,14 @@ import pytest
 
 from bergman.amplitude import Amplitude, solve_amplitude
 from bergman.errors import BadContour, BergmanError, ConfigInvalid, IllConditioned
-from bergman.oracle import (InequalityProbe, QuadratureCase, compare_kernels,
+from bergman.oracle import (QuadratureCase, compare_kernels,
                             fourier_inversion_check, gram_bergman,
                             inequality_suite, localized_element,
                             near_diagonal_pairs, pointwise_bound_check,
                             sp_quadrature_check)
 from bergman.projector import assemble_kernel, make_domain
 from bergman.series import TruncatedSeries
-from bergman.weight import polarize, validate_weight
+from bergman.weight import validate_weight
 from bergman.phase import build_phase
 
 GAUSS = [((1, 1), 0.5, 0.0)]
@@ -118,9 +118,8 @@ def test_near_diagonal_pairs_layout():
 
 def test_compare_kernels_gaussian():
     w = make_weight(GAUSS)
-    pol = polarize(w)
-    amp = solve_amplitude(build_phase(pol), 6)
-    K = assemble_kernel(pol, amp, 0.1)
+    amp = solve_amplitude(build_phase(w), 6)
+    K = assemble_kernel(w, amp, 0.1)
     gk = gram_bergman(w, make_domain((1.0,)), 0.1, 25)
     # sampling radius 0.1: the disc-truncation deficit e^{-(1-r)^2/h} of the
     # Gram oracle stays below the 1e-3 budget
@@ -131,10 +130,9 @@ def test_compare_kernels_gaussian():
 
 def test_compare_kernels_null_amplitude():
     w = make_weight(GAUSS)
-    pol = polarize(w)
     zero = TruncatedSeries.zero(2, 4)
     null = Amplitude(n=1, order=0, coeffs=[zero], c0=0.0 + 0.0j)
-    K = assemble_kernel(pol, null, 0.1)
+    K = assemble_kernel(w, null, 0.1)
     gk = gram_bergman(w, make_domain((1.0,)), 0.1, 20)
     x, y = near_diagonal_pairs(0.25, 10)
     stats = compare_kernels(K, gk, x, y)
@@ -147,8 +145,7 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
     product = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
                ((2, 0, 2, 0), 0.1, 0.0), ((0, 2, 0, 2), 0.05, 0.0)]
     w = validate_weight(TruncatedSeries.from_triples(product, 4, 8), [0j, 0j], 1.0)
-    pol = polarize(w)
-    K = assemble_kernel(pol, solve_amplitude(build_phase(pol), 1), 0.1)
+    K = assemble_kernel(w, solve_amplitude(build_phase(w), 1), 0.1)
     x, y = near_diagonal_pairs(0.1, 20)
     with pytest.raises(BergmanError):
         K.eval(x, y)
@@ -159,8 +156,8 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
 def test_fourier_gaussian_constant():
     w = make_weight(GAUSS)
     residuals = []
-    for h in (0.2, 0.1, 0.05):
-        chk = fourier_inversion_check(w, monomial(0, 2), w.base, 1.0, 96, 192, h)
+    for chk in fourier_inversion_check(w, monomial(0, 2), w.base, 1.0, 96, 192,
+                                       (0.2, 0.1, 0.05)):
         assert abs(chk.target - 1.0) < 1e-15
         residuals.append(chk.residual)
     assert residuals[0] < 1e-1
@@ -170,15 +167,15 @@ def test_fourier_gaussian_constant():
 
 def test_fourier_odd_monomial_vanishes():
     w = make_weight(GAUSS)
-    chk = fourier_inversion_check(w, monomial(1, 2), w.base, 1.0, 64, 128, 0.1)
+    chk, = fourier_inversion_check(w, monomial(1, 2), w.base, 1.0, 64, 128, [0.1])
     assert abs(chk.value) < 1e-14
     assert chk.residual < 1e-14
 
 
 def test_fourier_orientation_detector():
     w = make_weight(GAUSS)
-    chk = fourier_inversion_check(w, monomial(0, 2), w.base, 1.0, 64, 128, 0.1,
-                                  orientation=-1.0)
+    chk, = fourier_inversion_check(w, monomial(0, 2), w.base, 1.0, 64, 128, [0.1],
+                                   orientation=-1.0)
     assert abs(chk.value + 1.0) < 1e-2
     assert chk.residual > 1.9
 
@@ -187,7 +184,7 @@ def test_fourier_point_must_sit_on_plateau():
     w = make_weight(GAUSS)
     with pytest.raises(ConfigInvalid):
         fourier_inversion_check(w, monomial(0, 2), np.array([0.7 + 0.0j]), 1.0, 64, 128,
-                                0.1)
+                                [0.1])
 
 
 # -- pointwise bound ----------------------------------------------------------
@@ -221,8 +218,7 @@ def test_pointwise_bound_scale_invariant():
 
 def test_inequality_margins_gaussian_exact():
     w = make_weight(GAUSS)
-    probe = InequalityProbe(w, polarize(w), w.base, 0.25, 0.36, 10_000, 0)
-    suite = inequality_suite(probe)
+    suite = inequality_suite(w, w.base, 0.25, 0.36, 10_000, 0)
     assert abs(suite.theta_margin - 0.25) < 1e-9
     assert abs(suite.ratio_min - 0.5) < 1e-9
     assert suite.gz_margin > 0.1
@@ -231,32 +227,28 @@ def test_inequality_margins_gaussian_exact():
 
 def test_inequality_gz_small_delta():
     w = make_weight(GAUSS)
-    probe = InequalityProbe(w, polarize(w), w.base, 0.1, 0.36, 10_000, 0)
-    suite = inequality_suite(probe)
+    suite = inequality_suite(w, w.base, 0.1, 0.36, 10_000, 0)
     assert suite.gz_margin > 0
 
 
 def test_inequality_delta_beyond_gap():
     w = make_weight(GAUSS)
-    probe = InequalityProbe(w, polarize(w), w.base, 0.6, 0.36, 4000, 0)
     with pytest.raises(BadContour):
-        inequality_suite(probe)
+        inequality_suite(w, w.base, 0.6, 0.36, 4000, 0)
 
 
 def test_inequality_guards():
     w = make_weight(GAUSS)
-    pol = polarize(w)
     with pytest.raises(ConfigInvalid):
-        inequality_suite(InequalityProbe(w, pol, w.base, 0.0, 0.3, 100, 0))
+        inequality_suite(w, w.base, 0.0, 0.3, 100, 0)
     with pytest.raises(ConfigInvalid):
-        inequality_suite(InequalityProbe(w, pol, w.base, 0.1, 5.0, 100, 0))
+        inequality_suite(w, w.base, 0.1, 5.0, 100, 0)
 
 
 def test_inequality_deterministic():
     w = make_weight(QUARTIC, trust=1.0)
-    pol = polarize(w)
-    a = inequality_suite(InequalityProbe(w, pol, w.base, 0.2, 0.3, 2000, 9))
-    b = inequality_suite(InequalityProbe(w, pol, w.base, 0.2, 0.3, 2000, 9))
+    a = inequality_suite(w, w.base, 0.2, 0.3, 2000, 9)
+    b = inequality_suite(w, w.base, 0.2, 0.3, 2000, 9)
     assert a == b
 
 
@@ -266,7 +258,7 @@ def test_inequality_deterministic():
 
 def test_sp_gaussian_constant_is_pi():
     w = make_weight(GAUSS)
-    pd = build_phase(polarize(w))
+    pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 14), True)
     r, = sp_quadrature_check(pd, [case], [0.1])
     assert r.ok
@@ -278,7 +270,7 @@ def test_sp_single_pairing_value():
     # integral of x*yt against e^{2 phi / h} on the good contour: engine and
     # quadrature agree on -pi h for the Gaussian
     w = make_weight(GAUSS)
-    pd = build_phase(polarize(w))
+    pd = build_phase(w)
     case = QuadratureCase("xyt", TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 14), True)
     for h in (0.2, 0.1):
         r, = sp_quadrature_check(pd, [case], [h])
@@ -289,7 +281,7 @@ def test_sp_single_pairing_value():
 
 def test_sp_cubic_next_term_bound():
     w = make_weight(CUBIC, maxdeg=26, trust=1.2)
-    pd = build_phase(polarize(w))
+    pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24), False)
     for h in (0.1, 0.05):
         r, = sp_quadrature_check(pd, [case], [h], hmax=4)
@@ -302,7 +294,7 @@ def test_sp_rejects_higher_dimension():
     triples = [((1, 0, 1, 0), 1.0, 0.0), ((0, 1, 0, 1), 1.0, 0.0)]
     s = TruncatedSeries.from_triples(triples, 4, 8)
     w = validate_weight(s, [0j, 0j], 1.0)
-    pd = build_phase(polarize(w))
+    pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 4, 0), True)
     with pytest.raises(ConfigInvalid):
         sp_quadrature_check(pd, [case], [0.1])

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from bergman.errors import BadContour, DegenerateHessian
-from bergman.phase import (ContourSpec, build_good_contour,
-                           build_inversion_contour, build_phase,
-                           eval_b_matrix, phase_on_contour,
+from bergman.phase import (GoodContour, build_good_contour, build_phase,
+                           eval_b, inversion_margin, phase_on_contour,
                            theta_jacobian_pairs, theta_pairs, verify_contour)
 from bergman.series import TruncatedSeries
-from bergman.weight import polarize, validate_weight
+from bergman.weight import validate_weight
 
 GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
@@ -19,7 +18,7 @@ def make_weight(triples, n=1, maxdeg=12, trust=1.0):
 
 
 def make_phase(triples, n=1, maxdeg=12, trust=1.0):
-    return build_phase(polarize(make_weight(triples, n, maxdeg, trust)))
+    return build_phase(make_weight(triples, n, maxdeg, trust))
 
 
 def test_gaussian_quadratic_data():
@@ -46,14 +45,14 @@ def test_quadratic_block_series():
     b = pd.quad_B[0][0]
     assert abs(b.coeff((0, 0)) - 0.5) < 1e-13
     assert abs(b.coeff((1, 1)) - 0.4) < 1e-13
-    got = eval_b_matrix(pd, np.array([0.2, 0.2], dtype=complex))
+    got = eval_b(pd, np.array([0.2, 0.2], dtype=complex))
     assert abs(got[0, 0] - (0.5 + 0.4 * 0.04)) < 1e-12
 
 
 def test_degenerate_hessian_rejected():
     # B(y, xt) = 1/2 + 0.4 y xt vanishes at y = 1.25, xt = -1
     pd = make_phase(QUARTIC, maxdeg=10)
-    assert abs(eval_b_matrix(pd, np.array([1.25, -1.0], dtype=complex))[0, 0]) < 1e-14
+    assert abs(eval_b(pd, np.array([1.25, -1.0], dtype=complex))[0, 0]) < 1e-14
     with pytest.raises(DegenerateHessian):
         build_good_contour(pd, np.array([1.25, -1.0], dtype=complex))
 
@@ -70,10 +69,8 @@ def test_good_contour_margin_gaussian():
     # -Re(phi) on v = -conj(B u) equals |u|^2 lambda^2/(1+lambda^2)... times
     # (1 + lambda^2); the normalized margin is lambda^2/(1+lambda^2) = 0.2
     pd = make_phase(GAUSS, trust=1.2)
-    c = build_good_contour(pd)
-    rep = verify_contour(pd, c, 0.36, n_samples=4000, seed=0)
-    assert abs(rep.margin - 0.2) < 1e-10
-    assert c.margin == rep.margin
+    margin = verify_contour(pd, build_good_contour(pd), 0.36, n_samples=4000, seed=0)
+    assert abs(margin - 0.2) < 1e-10
 
 
 def test_phase_on_contour_values():
@@ -89,9 +86,8 @@ def test_phase_on_contour_values():
 def test_inversion_contour_margin_gaussian():
     # ratio (phi(x) - phi(y) + Im((x-y) theta)) / |x-y|^2 is exactly lambda
     w = make_weight(GAUSS, trust=1.2)
-    c = build_inversion_contour(w, w.base)
-    rep = verify_contour(None, c, 0.36, n_samples=4000, seed=0)
-    assert abs(rep.margin - 0.5) < 1e-9
+    margin = inversion_margin(w, w.base, 0.36, n_samples=4000, seed=0)
+    assert abs(margin - 0.5) < 1e-9
 
 
 def test_theta_gaussian_closed_form():
@@ -122,29 +118,21 @@ def test_theta_broadcasts_one_to_many():
 def test_bad_contour_raises():
     pd = make_phase(GAUSS, trust=1.2)
     good = build_good_contour(pd)
-    bad = ContourSpec(kind="amplitude", n=1, center=good.center,
-                      b_at_center=-good.b_at_center)
+    bad = GoodContour(center=good.center, b=-good.b)
     with pytest.raises(BadContour):
         verify_contour(pd, bad, 0.36, n_samples=2000, seed=0)
-
-
-def test_unknown_contour_kind_rejected():
-    with pytest.raises(BadContour):
-        verify_contour(None, ContourSpec(kind="mystery", n=1), 0.3)
 
 
 def test_margin_shrinks_with_radius_on_concave_perturbation():
     # a negative quartic term erodes the inversion margin as the sampling
     # radius grows; the positive-quartic weight only improves it
     w = make_weight([((1, 1), 0.5, 0.0), ((2, 2), -0.1, 0.0)], trust=1.0)
-    c = build_inversion_contour(w, w.base)
-    margins = [verify_contour(None, c, r, n_samples=4000, seed=0).margin
+    margins = [inversion_margin(w, w.base, r, n_samples=4000, seed=0)
                for r in (0.1, 0.3, 0.6, 0.9)]
     assert all(np.diff(margins) < 0)
     assert margins[-1] > 0
 
     w2 = make_weight(QUARTIC, trust=1.0)
-    c2 = build_inversion_contour(w2, w2.base)
-    m_small = verify_contour(None, c2, 0.1, n_samples=4000, seed=0).margin
-    m_big = verify_contour(None, c2, 0.9, n_samples=4000, seed=0).margin
+    m_small = inversion_margin(w2, w2.base, 0.1, n_samples=4000, seed=0)
+    m_big = inversion_margin(w2, w2.base, 0.9, n_samples=4000, seed=0)
     assert m_big >= m_small > 0

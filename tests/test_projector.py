@@ -9,7 +9,7 @@ from bergman.projector import (apply_projection, assemble_kernel, check_domain,
                                weighted_norm)
 from bergman.quadrature import disc_grid
 from bergman.series import TruncatedSeries
-from bergman.weight import polarize, validate_weight
+from bergman.weight import validate_weight
 from bergman.phase import build_phase
 
 GAUSS = [((1, 1), 0.5, 0.0)]
@@ -23,9 +23,8 @@ PRODUCT = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
 def pipeline(triples, order, maxdeg=16, trust=1.2, n=1):
     s = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
     w = validate_weight(s, [0j] * n, trust)
-    pol = polarize(w)
-    amp = solve_amplitude(build_phase(pol), order)
-    return w, pol, amp
+    amp = solve_amplitude(build_phase(w), order)
+    return w, amp
 
 
 def monomial(k, maxdeg=None):
@@ -33,9 +32,9 @@ def monomial(k, maxdeg=None):
 
 
 def test_gaussian_kernel_closed_form():
-    w, pol, amp = pipeline(GAUSS, 6)
+    w, amp = pipeline(GAUSS, 6)
     for h in (0.2, 0.1, 0.05):
-        K = assemble_kernel(pol, amp, h)
+        K = assemble_kernel(w, amp, h)
         rng = np.random.default_rng(4)
         xs = 0.5 * (rng.standard_normal((30, 1)) + 1j * rng.standard_normal((30, 1)))
         ys = 0.5 * (rng.standard_normal((30, 1)) + 1j * rng.standard_normal((30, 1)))
@@ -45,8 +44,8 @@ def test_gaussian_kernel_closed_form():
 
 
 def test_kernel_diagonal_real_positive():
-    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
-    K = assemble_kernel(pol, amp, 0.1)
+    w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
+    K = assemble_kernel(w, amp, 0.1)
     xs = np.array([[0.0j], [0.2 + 0.1j], [0.3 - 0.25j]])
     vals = K.eval(xs, xs)
     assert np.max(np.abs(vals.imag)) < 1e-12 * np.max(vals.real)
@@ -54,8 +53,8 @@ def test_kernel_diagonal_real_positive():
 
 
 def test_kernel_hermitian():
-    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
-    K = assemble_kernel(pol, amp, 0.1)
+    w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
+    K = assemble_kernel(w, amp, 0.1)
     rng = np.random.default_rng(0)
     xs = 0.3 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1)))
     ys = 0.3 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1)))
@@ -63,8 +62,8 @@ def test_kernel_hermitian():
 
 
 def test_projection_reproduces_holomorphic_inputs():
-    w, pol, amp = pipeline(GAUSS, 6)
-    K = assemble_kernel(pol, amp, 0.1)
+    w, amp = pipeline(GAUSS, 6)
+    K = assemble_kernel(w, amp, 0.1)
     dom = make_domain((1.0,))
     pts = np.array([[0.0j], [0.2 + 0.0j], [0.1 - 0.2j]])
     got1 = apply_projection(K, monomial(0, 4), w, dom, pts)
@@ -76,8 +75,8 @@ def test_projection_reproduces_holomorphic_inputs():
 
 
 def test_projection_is_linear():
-    w, pol, amp = pipeline(GAUSS, 4)
-    K = assemble_kernel(pol, amp, 0.1)
+    w, amp = pipeline(GAUSS, 4)
+    K = assemble_kernel(w, amp, 0.1)
     dom = make_domain((1.0,))
     pts = np.array([[0.15 + 0.1j], [0.0j]])
     u = TruncatedSeries.from_triples([((0,), 1.0, 0.0), ((2,), -0.5, 0.25)], 1, 4)
@@ -97,8 +96,8 @@ def test_projection_is_linear():
 ])
 def test_projection_fast_path_matches_generic(triples, n, order, maxdeg, u, pts):
     # same nodes, same integrand: block-bilinear path must agree with direct sums
-    w, pol, amp = pipeline(triples, order, maxdeg=maxdeg, trust=1.0, n=n)
-    K = assemble_kernel(pol, amp, 0.1)
+    w, amp = pipeline(triples, order, maxdeg=maxdeg, trust=1.0, n=n)
+    K = assemble_kernel(w, amp, 0.1)
     n_radial, n_angular = (24, 48) if n == 1 else (6, 12)
     dom = make_domain((0.7,) * n, n_radial=n_radial, n_angular=n_angular)
     pts = np.array(pts)
@@ -112,9 +111,9 @@ def test_projection_fast_path_matches_generic(triples, n, order, maxdeg, u, pts)
 
 def test_projection_small_h_stays_finite():
     # exp(2 Psi / h) alone overflows at this h; the combined exponent does not
-    w, pol, amp = pipeline(GAUSS, 4, maxdeg=16)
+    w, amp = pipeline(GAUSS, 4, maxdeg=16)
     h = 3e-4
-    K = assemble_kernel(pol, amp, h)
+    K = assemble_kernel(w, amp, h)
     dom = make_domain((1.0,), n_radial=64, n_angular=128)
     pts = np.array([[0.1 + 0.0j], [0.3j], [-0.35 + 0.2j]])
     got = apply_projection(K, monomial(0, 4), w, dom, pts)
@@ -124,8 +123,8 @@ def test_projection_small_h_stays_finite():
 
 
 def test_projection_refinement_guard():
-    w, pol, amp = pipeline(GAUSS, 4)
-    K = assemble_kernel(pol, amp, 0.05)
+    w, amp = pipeline(GAUSS, 4)
+    K = assemble_kernel(w, amp, 0.05)
     pts = np.array([[0.1 + 0.0j]])
     coarse = make_domain((1.0,), n_radial=3, n_angular=8)
     with pytest.raises(QuadratureUnderresolved):
@@ -135,7 +134,7 @@ def test_projection_refinement_guard():
 
 
 def test_domain_guards():
-    w, _, _ = pipeline(GAUSS, 2, trust=1.2)
+    w, _ = pipeline(GAUSS, 2, trust=1.2)
     too_big = make_domain((1.5,))
     with pytest.raises(ConfigInvalid):
         check_domain(too_big, w)
@@ -153,7 +152,7 @@ def test_single_radius_domain_is_the_disc_grid():
 
 def test_weighted_norm_gaussian_closed_form():
     # ||1||^2 = integral over |y|<R of e^{-|y|^2/h} = pi h (1 - e^{-R^2/h})
-    w, _, _ = pipeline(GAUSS, 2)
+    w, _ = pipeline(GAUSS, 2)
     h = 0.1
     dom = make_domain((0.8,))
     ones = np.ones(dom.nodes.shape[0], dtype=complex)
@@ -164,7 +163,7 @@ def test_weighted_norm_gaussian_closed_form():
 
 def test_weighted_norm_survives_huge_values():
     # P u - u reaches ~1e270 at small h; squaring before damping overflows
-    w, _, _ = pipeline(GAUSS, 2)
+    w, _ = pipeline(GAUSS, 2)
     h = 0.1
     dom = make_domain((0.8,))
     huge = 1e200 * np.ones(dom.nodes.shape[0], dtype=complex)
@@ -174,19 +173,19 @@ def test_weighted_norm_survives_huge_values():
 
 
 def test_reproducing_error_decreases_with_h():
-    w, pol, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
+    w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
     inner = make_domain((0.35,), n_radial=16, n_angular=32)
     outer = make_domain((0.7,), n_radial=48, n_angular=96)
     errs = []
     for h in (0.2, 0.1, 0.05):
-        K = assemble_kernel(pol, amp, h)
+        K = assemble_kernel(w, amp, h)
         errs.append(reproducing_error(K, monomial(1, 6), w, inner, outer))
     assert errs[0] > errs[1] > errs[2] > 0
 
 
 def test_reproducing_error_requires_nested_domains():
-    w, pol, amp = pipeline(GAUSS, 2)
-    K = assemble_kernel(pol, amp, 0.1)
+    w, amp = pipeline(GAUSS, 2)
+    K = assemble_kernel(w, amp, 0.1)
     inner = make_domain((1.0,))
     outer = make_domain((0.5,))
     with pytest.raises(ConfigInvalid):
@@ -196,16 +195,16 @@ def test_reproducing_error_requires_nested_domains():
 def test_higher_order_correction_scales_like_h4():
     # |K_4 - K_3| at fixed points is a_4 h^4 e^{2 Re Psi / h} / h: the h^4
     # prefactor should emerge as slope ~4 on a log-log fit in h
-    w, pol, amp4 = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
-    amp3 = solve_amplitude(build_phase(polarize(w)), 3)
+    w, amp4 = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
+    amp3 = solve_amplitude(build_phase(w), 3)
     x = np.array([[0.1 + 0.05j]])
     y = np.array([[0.12 - 0.02j]])
     hs = np.array([0.2, 0.1, 0.05, 0.025])
     diffs = []
     for h in hs:
-        k4 = assemble_kernel(pol, amp4, h).eval(x, y)[0]
-        k3 = assemble_kernel(pol, amp3, h).eval(x, y)[0]
-        base = assemble_kernel(pol, amp3, h).eval(x, x)[0]
+        k4 = assemble_kernel(w, amp4, h).eval(x, y)[0]
+        k3 = assemble_kernel(w, amp3, h).eval(x, y)[0]
+        base = assemble_kernel(w, amp3, h).eval(x, x)[0]
         diffs.append(abs(k4 - k3) / abs(base))
     slope = np.polyfit(np.log(hs), np.log(diffs), 1)[0]
     assert 4.4 > slope > 3.6

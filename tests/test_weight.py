@@ -3,8 +3,7 @@ import pytest
 
 from bergman.errors import ConfigInvalid, Degenerate, NotRealValued
 from bergman.series import TruncatedSeries
-from bergman.weight import (levi_form, polarize, quadratic_gap_estimate,
-                            validate_weight)
+from bergman.weight import levi_form, quadratic_gap_estimate, validate_weight
 
 GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
@@ -21,7 +20,6 @@ def test_gaussian_weight_basics():
     pts = np.array([[0.3 + 0.4j]])
     # phi = |x|^2 / 2
     assert np.allclose(w.phi(pts), 0.125)
-    assert np.allclose(w.holo_gradient(pts), 0.5 * np.conj(pts))
 
 
 def test_phi_is_real_on_samples():
@@ -88,46 +86,28 @@ def test_levi_form_matches_finite_differences():
     assert abs(L[0, 0] - lap / 4.0) < 1e-6
 
 
-def test_holo_gradient_matches_finite_differences():
-    w = make_weight(QUARTIC)
-    z = 0.21 + 0.13j
-    eps = 1e-6
-
-    def phi(zz):
-        return float(w.phi(np.array([[zz]]))[0])
-
-    # 2 d/dx phi = d/dRe - i d/dIm on a real-valued function
-    gre = (phi(z + eps) - phi(z - eps)) / (2 * eps)
-    gim = (phi(z + 1j * eps) - phi(z - 1j * eps)) / (2 * eps)
-    want = 0.5 * (gre - 1j * gim)
-    got = w.holo_gradient(np.array([[z]]))[0, 0]
-    assert abs(got - want) < 1e-8
-
-
 def test_polarization_restricts_to_phi():
     w = make_weight(QUARTIC, trust=1.0)
-    pol = polarize(w)
     rng = np.random.default_rng(1)
     xs = 0.4 * (rng.standard_normal((25, 1)) + 1j * rng.standard_normal((25, 1)))
-    diag = pol.eval(xs, np.conj(xs))
+    diag = w.psi(xs, np.conj(xs))
     assert np.allclose(diag.real, w.phi(xs), atol=1e-12)
     assert np.max(np.abs(diag.imag)) < 1e-12
 
 
 def test_polarization_hermitian_symmetry():
     w = make_weight(QUARTIC + [((2, 1), 0.05, 0.02), ((1, 2), 0.05, -0.02)])
-    pol = polarize(w)
     rng = np.random.default_rng(2)
     xs = 0.3 * (rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1)))
     ys = 0.3 * (rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1)))
-    a = pol.eval(xs, np.conj(ys))
-    b = pol.eval(ys, np.conj(xs))
+    a = w.psi(xs, np.conj(ys))
+    b = w.psi(ys, np.conj(xs))
     assert np.allclose(np.conj(a), b, atol=1e-12)
 
 
 def test_quadratic_gap_gaussian():
     w = make_weight(GAUSS, trust=1.2)
-    cmin, cmax = quadratic_gap_estimate(w, polarize(w), 0.6)
+    cmin, cmax = quadratic_gap_estimate(w, 0.6)
     # phi(x)+phi(y)-2RePsi(x,ybar) = 0.5|x-y|^2 exactly
     assert abs(cmin - 0.5) < 1e-9
     assert abs(cmax - 0.5) < 1e-9
@@ -135,14 +115,14 @@ def test_quadratic_gap_gaussian():
 
 def test_quadratic_gap_scales_with_lambda():
     w = make_weight([((1, 1), 2.0, 0.0)], trust=1.2)
-    cmin, cmax = quadratic_gap_estimate(w, polarize(w), 0.6)
+    cmin, cmax = quadratic_gap_estimate(w, 0.6)
     assert abs(cmin - 2.0) < 1e-9
     assert abs(cmax - 2.0) < 1e-9
 
 
 def test_quadratic_gap_perturbed_regression():
     w = make_weight(QUARTIC, trust=1.0)
-    cmin, cmax = quadratic_gap_estimate(w, polarize(w), 0.5, seed=0)
+    cmin, cmax = quadratic_gap_estimate(w, 0.5, seed=0)
     assert 0 < cmin <= cmax
     # quartic term only helps: the gap stays above the quadratic floor
     assert cmin > 0.49
@@ -151,6 +131,5 @@ def test_quadratic_gap_perturbed_regression():
 
 def test_gap_estimate_deterministic():
     w = make_weight(QUARTIC, trust=1.0)
-    pol = polarize(w)
-    assert quadratic_gap_estimate(w, pol, 0.5, seed=3) == \
-        quadratic_gap_estimate(w, pol, 0.5, seed=3)
+    assert quadratic_gap_estimate(w, 0.5, seed=3) == \
+        quadratic_gap_estimate(w, 0.5, seed=3)
