@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDegree
-from .phase import PhaseData
+from .errors import InsufficientDegree, VariableMismatch
+from .phase import PhaseData, lift
 from .quadrature import sobol_ball
 from .series import TruncatedSeries
 
@@ -116,20 +116,12 @@ class ExpansionTermOps:
         self._rpow: list[TruncatedSeries] = [
             TruncatedSeries.constant(1.0, 4 * n, pd.maxdeg)]
 
-        self._lift_subs = [TruncatedSeries.variable(j, 4 * n, self.slow_deg)
-                           + TruncatedSeries.variable(2 * n + j, 4 * n, self.slow_deg)
-                           for j in range(2 * n)]
-
     # -- helpers -------------------------------------------------------------
 
     def _remainder_power(self, q: int) -> TruncatedSeries:
         while len(self._rpow) <= q:
             self._rpow.append(self._rpow[-1] * self._remainder)
         return self._rpow[q]
-
-    def _lift(self, f: TruncatedSeries) -> TruncatedSeries:
-        """f(x, yt) -> f(y + u, xt + v) in the big ring."""
-        return f.substitute(self._lift_subs)
 
     def _u_deg(self, mi) -> int:
         return sum(mi[2 * self.n:3 * self.n])
@@ -159,10 +151,10 @@ class ExpansionTermOps:
     # -- the operators ---------------------------------------------------------
 
     def apply(self, j: int, f: TruncatedSeries) -> TruncatedSeries:
-        """T_j f, resolved to lift(f).maxdeg - 2 pmax: pmax = 3j, or j without remainder."""
+        """T_j f to degree min(f.maxdeg, slow_deg) - 2 pmax: pmax = 3j, or j without remainder."""
         if j == 0:
             return f.truncate(self.slow_deg)
-        fc = self._lift(f)
+        fc = lift(f.truncate(self.slow_deg), self.n)
         pmax = j if self._remainder.is_zero() else 3 * j
         deg = fc.maxdeg - 2 * pmax
         if deg < 0:
@@ -203,7 +195,7 @@ def formal_expansion(pd: PhaseData, terms: list[TruncatedSeries],
     if not terms:
         raise InsufficientDegree("need at least the h^0 term")
     if any(t.nvars != 2 * pd.n for t in terms):
-        raise InsufficientDegree(
+        raise VariableMismatch(
             f"symbol terms must have {2 * pd.n} variables, as the phase expects")
     ops = ExpansionTermOps(pd)
     out = []

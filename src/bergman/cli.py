@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitude import estimate_growth, solve_amplitude
-from .errors import BergmanError, ConfigInvalid, IoError
+from .errors import BergmanError, ConfigInvalid, DegenerateFit, IoError
 from .oracle import (QuadratureCase, compare_kernels, fourier_inversion_check,
                      gram_bergman, inequality_suite, localized_element,
                      near_diagonal_pairs, pointwise_bound_check,
@@ -253,7 +253,10 @@ def _fit_or_floor(pairs) -> dict:
     errs = [e for _, e in pairs]
     if max(errs) < FIT_FLOOR:
         return {"floor": True, "max_error": max(errs)}
-    fit = decay_fit(pairs)
+    try:
+        fit = decay_fit(pairs)
+    except DegenerateFit as exc:
+        return {"skipped": str(exc)}
     return {"floor": False, "beta": fit.beta, "r2": fit.r2,
             "alpha": fit.alpha, "r2_loglog": fit.r2_loglog}
 

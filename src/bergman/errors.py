@@ -48,10 +48,6 @@ class DegenerateHessian(BergmanError):
     """Mixed second-derivative block of the phase is singular at the base."""
 
 
-class CriticalStructureViolation(BergmanError):
-    """Phase gradient fails to vanish on the diagonal."""
-
-
 class BadContour(BergmanError):
     """Sampled contour margin is not strictly positive."""
 

@@ -4,11 +4,14 @@ From the polarization Psi of a weight the phase
 
     phi(y, xt; x, yt) = Psi(x, yt) - Psi(x, xt) - Psi(y, yt) + Psi(y, xt)
 
-is built in the 4n-variable ring ordered (y-block, xt-block, x-block,
-yt-block), all as displacements from the weight's base.  The diagonal
-{x = y, yt = xt} is a critical manifold with value zero, and the quadratic
-part in the fast displacements (u, v) = (x - y, yt - xt) is exactly
-u^T B(y, xt) v with B the mixed block of Psi.
+is written in the fast displacements (u, v) = (x - y, yt - xt), in the
+4n-variable ring ordered (y-block, xt-block, u-block, v-block), all as
+displacements from the weight's base.  With S = Psi(y + u, xt + v), the last
+three terms are S at v = 0, at u = 0 and at u = v = 0, so phi is exactly the
+part of S whose monomials have u-degree >= 1 and v-degree >= 1: one ``lift``
+of Psi and a filter.  The diagonal {u = v = 0} is therefore a critical
+manifold with value zero, and the quadratic part of phi is u^T B(y, xt) v
+with B the mixed Hessian d_x d_yt Psi.
 
 Good contours for the fast integral follow the family v = -conj(B^T u),
 on which the quadratic part equals -|B^T u|^2.  Inversion contours pair a
@@ -23,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadContour, CriticalStructureViolation, DegenerateHessian
+from .errors import BadContour, DegenerateHessian
 from .quadrature import sobol_ball
 from .series import TruncatedSeries
 from .weight import Weight, _pair_points, polarize
 
-GRAD_TOL = 1e-12
 HESS_FLOOR = 1e-10
 
 
@@ -38,11 +40,10 @@ class PhaseData:
 
     n: int
     maxdeg: int
-    phi4: TruncatedSeries        # variables (y, xt, x, yt)
-    phi_uv: TruncatedSeries      # variables (y, xt, u, v) after x=y+u, yt=xt+v
-    quad_B: list                 # n x n nested list of series in (y, xt)
+    phi_uv: TruncatedSeries      # phi in (y, xt, u, v): every monomial has u- and v-degree >= 1
+    quad_B: list                 # n x n nested list of series in (y, xt): d_x d_yt Psi
     b0: np.ndarray               # B at the base point
-    hess_det: complex            # fast-block Hessian determinant, sign-normalized
+    hess_det: complex            # det(b0)^2 = (-1)^n det of the fast Hessian [[0, B], [B^T, 0]]
     remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
 
 
@@ -57,15 +58,17 @@ class GoodContour:
     def n(self) -> int:
         return self.b.shape[0]
 
-    def fast_map(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u -> (x, yt) displacements through the center."""
+    def fast_uv(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows u (m, n), flat for n = 1, and their contour partners v = -conj(B^T u)."""
         u = np.asarray(u, dtype=complex)
         if u.ndim == 1:
             u = u[:, None]
-        v = -np.conj(u) @ np.conj(self.b)
-        x = self.center[None, :self.n] + u
-        yt = self.center[None, self.n:] + v
-        return x, yt
+        return u, -np.conj(u) @ np.conj(self.b)
+
+    def fast_map(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u -> (x, yt) displacements through the center."""
+        u, v = self.fast_uv(u)
+        return self.center[None, :self.n] + u, self.center[None, self.n:] + v
 
 
 def theta_pairs(w: Weight, x, y) -> np.ndarray:
@@ -115,92 +118,38 @@ def theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (w.phi(x) - w.phi(y) + pairing.imag) / (np.abs(d) ** 2).sum(axis=1)
 
 
-def _embed_psi(psi: TruncatedSeries, n: int, first: int, second: int) -> TruncatedSeries:
-    """Place Psi's two n-blocks at block positions ``first`` and ``second``."""
-    positions = [first * n + j for j in range(n)] + [second * n + j for j in range(n)]
-    return psi.rename(positions, 4 * n)
-
-
-def _diag_restrict(s: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Set x = y and yt = xt: collapse the fast blocks onto the slow ones."""
-    positions = list(range(2 * n)) + list(range(2 * n))
-    return s.rename(positions, 2 * n)
+def lift(f: TruncatedSeries, n: int) -> TruncatedSeries:
+    """f(x, xt) -> f(y + u, xt + v) in the (y, xt, u, v) ring."""
+    subs = [TruncatedSeries.variable(j, 4 * n, f.maxdeg)
+            + TruncatedSeries.variable(2 * n + j, 4 * n, f.maxdeg)
+            for j in range(2 * n)]
+    return f.substitute(subs)
 
 
 def build_phase(w: Weight) -> PhaseData:
-    """Assemble the four-point phase and verify its critical structure."""
+    """Assemble the four-point phase from one lift of Psi."""
     n = w.n
     psi = polarize(w)
-    maxdeg = psi.maxdeg
-    phi4 = (_embed_psi(psi, n, 2, 3) - _embed_psi(psi, n, 2, 1)
-            - _embed_psi(psi, n, 0, 3) + _embed_psi(psi, n, 0, 1))
 
-    scale = max(psi.max_abs(), 1.0)
-    for j in range(4 * n):
-        g = _diag_restrict(phi4.diff(j), n)
-        if g.max_abs() > GRAD_TOL * scale:
-            raise CriticalStructureViolation(
-                f"phase gradient in variable {j} does not vanish on the diagonal "
-                f"(sup {g.max_abs():.3e})")
+    def u_deg(mi):
+        return sum(mi[2 * n:3 * n])
 
-    # Fast displacement form: x = y + u, yt = xt + v in the (y, xt, u, v) ring.
-    subs = []
-    for j in range(n):
-        subs.append(TruncatedSeries.variable(j, 4 * n, maxdeg))
-    for j in range(n):
-        subs.append(TruncatedSeries.variable(n + j, 4 * n, maxdeg))
-    for j in range(n):
-        subs.append(TruncatedSeries.variable(j, 4 * n, maxdeg)
-                    + TruncatedSeries.variable(2 * n + j, 4 * n, maxdeg))
-    for j in range(n):
-        subs.append(TruncatedSeries.variable(n + j, 4 * n, maxdeg)
-                    + TruncatedSeries.variable(3 * n + j, 4 * n, maxdeg))
-    phi_uv = phi4.substitute(subs)
+    def v_deg(mi):
+        return sum(mi[3 * n:])
 
-    def uv_deg(mi):
-        return sum(mi[2 * n:])
-
-    low = phi_uv.filter(lambda mi: uv_deg(mi) <= 2)
-    bad = low.filter(lambda mi: uv_deg(mi) < 2
-                     or sum(mi[2 * n:3 * n]) != 1 or sum(mi[3 * n:]) != 1)
-    if bad.max_abs() > GRAD_TOL * scale:
-        raise CriticalStructureViolation(
-            f"fast quadratic part is not purely mixed (sup {bad.max_abs():.3e})")
-
-    # Mixed block as series over the slow variables (fast exponents stripped).
-    quad_B: list[list[TruncatedSeries]] = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            def pick(mi, j=j, k=k):
-                u_part = mi[2 * n:3 * n]
-                v_part = mi[3 * n:]
-                return (sum(u_part) == 1 and u_part[j] == 1
-                        and sum(v_part) == 1 and v_part[k] == 1)
-            entry = {mi[:2 * n]: c for mi, c in phi_uv.coeffs.items() if pick(mi)}
-            row.append(TruncatedSeries(2 * n, max(maxdeg - 2, 0), entry))
-        quad_B.append(row)
+    phi_uv = lift(psi, n).filter(lambda mi: u_deg(mi) >= 1 and v_deg(mi) >= 1)
+    quad_B = [[psi.diff(j).diff(n + k) for k in range(n)] for j in range(n)]
 
     b0 = np.array([[quad_B[j][k].constant_term for k in range(n)] for j in range(n)])
     if np.linalg.svd(b0, compute_uv=False).min() <= HESS_FLOOR:
         raise DegenerateHessian(f"mixed block singular at the base: {b0}")
-
-    # Full fast Hessian at the base; for the block structure its determinant
-    # equals (-1)^n det(B)^2, so we store the sign-normalized value.
-    fast = list(range(2 * n, 4 * n))
-    H = np.empty((2 * n, 2 * n), dtype=complex)
-    origin = np.zeros((1, 4 * n), dtype=complex)
-    for a, va in enumerate(fast):
-        da = phi4.diff(va)
-        for b, vb in enumerate(fast):
-            H[a, b] = da.diff(vb).eval_grid(origin)[0]
-    hess_det = complex((-1) ** n * np.linalg.det(H))
+    hess_det = complex(np.linalg.det(b0) ** 2)
     if abs(hess_det) <= HESS_FLOOR:
         raise DegenerateHessian(f"fast Hessian determinant {hess_det} too small")
 
-    remainder = phi_uv.filter(lambda mi: uv_deg(mi) >= 3)
+    remainder = phi_uv.filter(lambda mi: u_deg(mi) + v_deg(mi) >= 3)
 
-    return PhaseData(n=n, maxdeg=maxdeg, phi4=phi4, phi_uv=phi_uv, quad_B=quad_B,
+    return PhaseData(n=n, maxdeg=psi.maxdeg, phi_uv=phi_uv, quad_B=quad_B,
                      b0=b0, hess_det=hess_det, remainder=remainder)
 
 
@@ -229,11 +178,9 @@ def build_good_contour(pd: PhaseData, center=None) -> GoodContour:
 
 def phase_on_contour(pd: PhaseData, c: GoodContour, u: np.ndarray) -> np.ndarray:
     """Evaluate phi at contour points parametrized by fast displacements u."""
-    x, yt = c.fast_map(u)
-    m = x.shape[0]
-    slow = np.broadcast_to(c.center, (m, 2 * pd.n))
-    pts = np.concatenate([slow, x, yt], axis=1)
-    return pd.phi4.eval_grid(pts)
+    u, v = c.fast_uv(u)
+    slow = np.broadcast_to(c.center, (u.shape[0], 2 * pd.n))
+    return pd.phi_uv.eval_grid(np.concatenate([slow, u, v], axis=1))
 
 
 def verify_contour(pd: PhaseData, c: GoodContour, radius: float,
@@ -241,8 +188,7 @@ def verify_contour(pd: PhaseData, c: GoodContour, radius: float,
     """Sampled margin of the good contour: min of -Re(phi) / (|u|^2 + |v|^2)
     over fast samples u.  It must be strictly positive.
     """
-    u = sobol_ball(c.n, radius, n_samples, seed=seed)
-    v = -np.conj(u) @ np.conj(c.b)
+    u, v = c.fast_uv(sobol_ball(c.n, radius, n_samples, seed=seed))
     vals = phase_on_contour(pd, c, u)
     denom = (np.abs(u) ** 2).sum(axis=1) + (np.abs(v) ** 2).sum(axis=1)
     keep = denom > (1e-8 * radius) ** 2

@@ -8,8 +8,19 @@ exact for trigonometric polynomials below the node count.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.stats import qmc
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], shared and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def radial_nodes(radius: float, n_nodes: int,
@@ -18,7 +29,7 @@ def radial_nodes(radius: float, n_nodes: int,
     edges = [0.0] + sorted(b for b in breakpoints if 0.0 < b < radius) + [radius]
     panels = len(edges) - 1
     per = max(4, n_nodes // panels)
-    x, w = np.polynomial.legendre.leggauss(per)
+    x, w = _gauss_legendre(per)
     rs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

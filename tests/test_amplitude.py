@@ -3,7 +3,7 @@ import pytest
 
 from bergman.amplitude import (estimate_growth, formal_expansion, realize,
                                solve_amplitude)
-from bergman.errors import InsufficientDegree
+from bergman.errors import InsufficientDegree, VariableMismatch
 from bergman.series import TruncatedSeries, max_abs_diff
 from bergman.weight import validate_weight
 from bergman.phase import build_phase
@@ -96,6 +96,8 @@ def test_budget_errors():
     u = TruncatedSeries.constant(1.0, 2, 4)
     with pytest.raises(InsufficientDegree):
         formal_expansion(pd, [u], 2)  # T_1 alone needs 6 degrees
+    with pytest.raises(VariableMismatch):
+        formal_expansion(pd, [TruncatedSeries.constant(1.0, 4, 18)], 1)  # n = 1 wants 2
 
 
 def test_expansion_balance_prunes_to_diagonal_orders():

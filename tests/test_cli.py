@@ -282,6 +282,20 @@ def test_main_h_grid_override(tmp_path, capsys):
     assert rep["config"]["h_grid"] == [0.3, 0.2]
 
 
+def test_two_point_h_grid_keeps_kernel_rows(tmp_path, capsys):
+    # two h values are too few for a decay fit; the rows stay and the fit is skipped
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(BASE, n_radial=16, n_angular=32,
+                                        test_functions=[[0]])))
+    rc = main(["kernel", "--config", str(cfg_path), "--h-grid", "0.2,0.1"])
+    assert rc == 0
+    kernel = json.loads(capsys.readouterr().out)["stages"]["kernel"]
+    assert [(r["N"], r["h"]) for r in kernel["rows"]] == [
+        (3, 0.2), (3, 0.1), (2, 0.2), (2, 0.1)]
+    assert kernel["fits"] == {str(N): {"skipped": "need at least three (h, error) pairs"}
+                              for N in (3, 2)}
+
+
 def test_kernel_rows_report_cutoff():
     cfg = cfg_with(suites=["kernel"], h_grid=[0.2, 0.15, 0.1], n_radial=16,
                    n_angular=32, test_functions=[[0]])

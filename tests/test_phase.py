@@ -5,7 +5,7 @@ from bergman.errors import BadContour, DegenerateHessian
 from bergman.phase import (GoodContour, build_good_contour, build_phase,
                            eval_b, inversion_margin, phase_on_contour,
                            theta_jacobian_pairs, theta_pairs, verify_contour)
-from bergman.series import TruncatedSeries
+from bergman.series import TruncatedSeries, max_abs_diff
 from bergman.weight import validate_weight
 
 GAUSS = [((1, 1), 0.5, 0.0)]
@@ -39,6 +39,50 @@ def test_four_point_phase_telescopes():
         assert u_deg >= 1 and v_deg >= 1, mi
 
 
+# Re g for the holomorphic cubic g(x) = sum_a c_a x^a, on top of a cubic weight
+HOLO_CUBIC = [((1, 1), 0.5, 0.0), ((2, 1), 0.02, 0.0), ((1, 2), 0.02, 0.0)] + [
+    t for a, c in enumerate([0.3 + 0.1j, -0.2 + 0.05j, 0.1 - 0.07j], start=1)
+    for t in (((a, 0), c.real / 2, c.imag / 2), ((0, a), c.real / 2, -c.imag / 2))]
+PRODUCT = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
+           ((2, 0, 2, 0), 0.1, 0.0), ((0, 2, 0, 2), 0.05, 0.0)]
+
+
+def phase_by_definition(w):
+    """Psi(x, yt) - Psi(x, xt) - Psi(y, yt) + Psi(y, xt) in (y, xt, x, yt),
+    then x = y + u and yt = xt + v, in the (y, xt, u, v) ring."""
+    n, psi = w.n, w.series
+    deg = psi.maxdeg
+
+    def place(first, second):
+        return psi.rename([first * n + j for j in range(n)]
+                          + [second * n + j for j in range(n)], 4 * n)
+
+    phi4 = place(2, 3) - place(2, 1) - place(0, 3) + place(0, 1)
+    var = [TruncatedSeries.variable(i, 4 * n, deg) for i in range(4 * n)]
+    return phi4.substitute(var[:2 * n] + [var[j] + var[2 * n + j] for j in range(2 * n)])
+
+
+@pytest.mark.parametrize("triples,n,maxdeg", [
+    (QUARTIC, 1, 10), (HOLO_CUBIC, 1, 12), (PRODUCT, 2, 8)],
+    ids=["quartic", "holomorphic-cubic", "product-2d"])
+def test_phase_matches_its_definition(triples, n, maxdeg):
+    w = make_weight(triples, n, maxdeg)
+    pd = build_phase(w)
+    want = phase_by_definition(w)
+    assert pd.phi_uv.maxdeg == want.maxdeg
+    assert max_abs_diff(pd.phi_uv, want) < 1e-14
+    # B is the u_j v_k part of the phase, and nothing else
+    for j in range(n):
+        for k in range(n):
+            unit = tuple(int(i == j) for i in range(n)) + tuple(int(i == k) for i in range(n))
+            part = {mi[:2 * n]: c for mi, c in pd.phi_uv.coeffs.items()
+                    if mi[2 * n:] == unit}
+            b = pd.quad_B[j][k]
+            assert set(b.coeffs) == set(part)
+            for mi, c in part.items():
+                assert abs(b.coeff(mi) - c) <= 1e-14 * abs(c)
+
+
 def test_quadratic_block_series():
     # Psi = xy/2 + 0.1 x^2 y^2 gives B(y, xt) = 1/2 + 0.4 y xt
     pd = make_phase(QUARTIC, maxdeg=10)
@@ -55,6 +99,12 @@ def test_degenerate_hessian_rejected():
     assert abs(eval_b(pd, np.array([1.25, -1.0], dtype=complex))[0, 0]) < 1e-14
     with pytest.raises(DegenerateHessian):
         build_good_contour(pd, np.array([1.25, -1.0], dtype=complex))
+
+
+def test_tiny_levi_form_fails_the_determinant_floor():
+    # B = 1e-6 clears the singular-value floor, but det(B)^2 = 1e-12 does not
+    with pytest.raises(DegenerateHessian, match="determinant"):
+        make_phase([((1, 1), 1e-6, 0.0)], maxdeg=8)
 
 
 def test_hess_det_is_square_of_det_b_n2():
