@@ -22,31 +22,29 @@ from .oracle import (CompareStats, FourierCheck, GramKernel,
                      fourier_inversion_check, gram_bergman, inequality_suite,
                      localized_element, near_diagonal_pairs,
                      pointwise_bound_check, sp_quadrature_check)
-from .phase import (GoodContour, PhaseData, build_good_contour, build_phase,
-                    eval_b, inversion_margin, phase_on_contour,
+from .phase import (PhaseData, build_phase, inversion_margin, phase_on_contour,
                     theta_jacobian_pairs, theta_pairs, theta_ratio,
                     verify_contour)
 from .projector import (DecayFit, DomainSpec, KernelEvaluator, apply_projection,
                         assemble_kernel, check_domain, decay_fit, make_domain,
                         reproducing_error, weighted_norm)
 from .series import TruncatedSeries, max_abs_diff
-from .weight import Weight, levi_form, quadratic_gap_estimate, validate_weight
+from .weight import Weight, quadratic_gap_estimate, validate_weight
 
 __all__ = [
     "Amplitude", "BadContour", "BergmanError", "CompareStats",
     "ConfigInvalid", "DecayFit", "DegenerateFit", "DomainSpec",
-    "ExpansionTermOps", "FourierCheck", "GoodContour", "GramKernel",
-    "IllConditioned", "InsufficientDegree", "IoError", "KernelEvaluator",
-    "LocalizedElement", "MarginSuite", "PhaseData", "PointwiseBound",
-    "QuadratureCase", "QuadratureResult", "QuadratureUnderresolved",
-    "RealizedSymbol", "RunConfig", "TruncatedSeries", "VariableMismatch",
-    "Weight", "apply_projection", "assemble_kernel", "build_good_contour",
-    "build_phase", "check_domain", "compare_kernels", "config_from_dict",
-    "decay_fit", "emit", "estimate_growth", "eval_b", "formal_expansion",
-    "fourier_inversion_check", "gram_bergman", "inequality_suite",
-    "inversion_margin", "levi_form", "load_config", "localized_element",
-    "main", "make_domain", "max_abs_diff", "near_diagonal_pairs",
-    "phase_on_contour", "pointwise_bound_check",
+    "ExpansionTermOps", "FourierCheck", "GramKernel", "IllConditioned",
+    "InsufficientDegree", "IoError", "KernelEvaluator", "LocalizedElement",
+    "MarginSuite", "PhaseData", "PointwiseBound", "QuadratureCase",
+    "QuadratureResult", "QuadratureUnderresolved", "RealizedSymbol",
+    "RunConfig", "TruncatedSeries", "VariableMismatch", "Weight",
+    "apply_projection", "assemble_kernel", "build_phase", "check_domain",
+    "compare_kernels", "config_from_dict", "decay_fit", "emit",
+    "estimate_growth", "formal_expansion", "fourier_inversion_check",
+    "gram_bergman", "inequality_suite", "inversion_margin", "load_config",
+    "localized_element", "main", "make_domain", "max_abs_diff",
+    "near_diagonal_pairs", "phase_on_contour", "pointwise_bound_check",
     "quadratic_gap_estimate", "realize", "reproducing_error", "run",
     "solve_amplitude", "sp_quadrature_check", "theta_jacobian_pairs",
     "theta_pairs", "theta_ratio", "validate_weight", "verify_contour",

@@ -86,7 +86,6 @@ class Amplitude:
 class RealizedSymbol:
     series: TruncatedSeries
     cutoff: int
-    h: float
 
 
 class ExpansionTermOps:
@@ -262,4 +261,4 @@ def realize(amp: Amplitude, h: float) -> RealizedSymbol:
         for mi, c in amp.coeffs[k].coeffs.items():
             total[mi] = total.get(mi, 0.0) + c * h ** k
     series = TruncatedSeries(2 * amp.n, amp.coeffs[0].maxdeg, total)
-    return RealizedSymbol(series=series, cutoff=cutoff, h=float(h))
+    return RealizedSymbol(series=series, cutoff=cutoff)

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,11 +26,11 @@ from .oracle import (QuadratureCase, compare_kernels, fourier_inversion_check,
                      gram_bergman, inequality_suite, localized_element,
                      near_diagonal_pairs, pointwise_bound_check,
                      sp_quadrature_check)
-from .phase import build_good_contour, build_phase, inversion_margin, verify_contour
+from .phase import build_phase, inversion_margin, verify_contour
 from .projector import (FIT_FLOOR, assemble_kernel, decay_fit, make_domain,
                         reproducing_error)
 from .series import TruncatedSeries
-from .weight import levi_form, quadratic_gap_estimate, validate_weight
+from .weight import quadratic_gap_estimate, validate_weight
 
 SCHEMA_TAG = "bergman-report/1"
 SUITES = ("validate", "amplitude", "kernel", "verify")
@@ -61,29 +61,11 @@ class RunConfig:
     test_functions: tuple = ((0,), (1,), (2,))
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "dimension": self.dimension,
-            "base": [[z[0], z[1]] for z in self.base],
-            "coefficients": [{"exponents": list(e), "re": re, "im": im}
-                             for e, re, im in self.coefficients],
-            "trust_radius": self.trust_radius,
-            "maxdeg": self.maxdeg,
-            "order": self.order,
-            "hmax": self.hmax,
-            "h_grid": list(self.h_grid),
-            "radius_u": self.radius_u,
-            "radius_v": self.radius_v,
-            "gram_degree": self.gram_degree,
-            "n_radial": self.n_radial,
-            "n_angular": self.n_angular,
-            "err_n_radial": self.err_n_radial,
-            "err_n_angular": self.err_n_angular,
-            "delta": self.delta,
-            "seed": self.seed,
-            "suites": list(self.suites),
-            "test_functions": [list(t) for t in self.test_functions],
-        }
+        """The config echo: every field as is, coefficients as records."""
+        out = asdict(self)
+        out["coefficients"] = [{"exponents": list(e), "re": re, "im": im}
+                               for e, re, im in self.coefficients]
+        return out
 
 
 _REQUIRED = ("name", "dimension", "coefficients", "trust_radius", "maxdeg",
@@ -268,15 +250,13 @@ def _fit_or_floor(pairs) -> dict:
 def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
     _core(cfg, ctx)
     w, pd = ctx["w"], ctx["pd"]
-    levi = levi_form(w, w.base)
-    eigs = [float(v) for v in np.linalg.eigvalsh(levi)]
+    eigs = [float(v) for v in np.linalg.eigvalsh(w.levi)]
     cmin, cmax = _gap(cfg, ctx)
     delta = _delta(cfg, ctx)
     checksum = hashlib.sha256(
         json.dumps(w.series.to_triples(), sort_keys=True).encode()).hexdigest()[:16]
     radius = 0.3 * cfg.trust_radius
-    amp_margin = verify_contour(pd, build_good_contour(pd), radius,
-                                n_samples=10_000, seed=cfg.seed)
+    amp_margin = verify_contour(pd, radius, n_samples=10_000, seed=cfg.seed)
     inv_margin = inversion_margin(w, w.base, radius, n_samples=10_000, seed=cfg.seed)
     return {
         "dimension": w.n,
@@ -342,7 +322,6 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
 
 
 def _sp_cases(cfg: RunConfig, ctx: dict) -> list:
-    terminating = ctx["pd"].remainder.is_zero()
     pairs = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
              (2, 2), (3, 2), (3, 3), (4, 4)]
     cases = []
@@ -350,7 +329,7 @@ def _sp_cases(cfg: RunConfig, ctx: dict) -> list:
         name = f"x^{a}yt^{b}"
         # at the phase's slow degree, the most the expansion can use
         sym = TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, ctx["pd"].maxdeg - 2)
-        cases.append(QuadratureCase(name, sym, terminating))
+        cases.append(QuadratureCase(name, sym))
     return cases
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import BadContour, ConfigInvalid, IllConditioned, QuadratureUnderresolved
-from .phase import (PhaseData, build_good_contour, phase_on_contour,
-                    theta_jacobian_pairs, theta_pairs, theta_ratio)
+from .phase import (PhaseData, fast_uv, phase_on_contour, theta_jacobian_pairs,
+                    theta_pairs, theta_ratio)
 from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sobol_ball
@@ -145,11 +145,8 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
 
 @dataclass(frozen=True)
 class CompareStats:
-    rel_errors: np.ndarray
     max_rel: float
     median_rel: float
-    asym: np.ndarray
-    exact: np.ndarray
 
 
 def near_diagonal_pairs(radius: float, count: int = 20,
@@ -168,8 +165,7 @@ def compare_kernels(K_asym: KernelEvaluator, K_exact: GramKernel,
     a = K_asym.eval(x, y)
     g = K_exact.eval(x, y)
     rel = np.abs(a - g) / np.abs(g)
-    return CompareStats(rel_errors=rel, max_rel=float(rel.max()),
-                        median_rel=float(np.median(rel)), asym=a, exact=g)
+    return CompareStats(max_rel=float(rel.max()), median_rel=float(np.median(rel)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +310,6 @@ def inequality_suite(w: Weight, z, delta: float, radius: float,
 class QuadratureCase:
     name: str
     symbol: TruncatedSeries      # 2n variables, outgoing (x, yt) displacements
-    terminating: bool
 
 
 @dataclass(frozen=True)
@@ -330,7 +325,7 @@ class QuadratureResult:
     ok: bool
 
 
-def _contour_radius(pd: PhaseData, contour, h: float) -> tuple[float, float]:
+def _contour_radius(pd: PhaseData, h: float) -> tuple[float, float]:
     """Smallest radius whose boundary decay suffices, else the best available.
 
     Returns (radius, g) with g = min of -Re(phi) on the bounding circle; the
@@ -340,7 +335,7 @@ def _contour_radius(pd: PhaseData, contour, h: float) -> tuple[float, float]:
     target = 19.0 * h
     best = (0.0, -np.inf)
     for rho in np.linspace(0.15, SP_MAX_RADIUS, SP_PROBE_RADII):
-        vals = phase_on_contour(pd, contour, (rho * angles)[:, None])
+        vals = phase_on_contour(pd, (rho * angles)[:, None])
         g = float(-vals.real.max())
         if g <= 0.0:
             break
@@ -357,14 +352,15 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
                         hmax: int = 6) -> list[QuadratureResult]:
     """Direct quadrature of the fast contour integral against the expansion.
 
-    The integral h^{-n} conj(b) int e^{(2/h) phi} f L(du) over the good
+    The integral h^{-n} conj(b0) int e^{(2/h) phi} f L(du) over the good
     contour through the base is compared with the formal series: exact
-    agreement for terminating symbols, next-term bound otherwise.
+    agreement when the phase has no remainder of (u, v)-degree >= 3 (the
+    expansion terminates), next-term bound otherwise.
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
-    contour = build_good_contour(pd)
-    b = complex(contour.b[0, 0])
+    b = complex(pd.b0[0, 0])
+    terminating = pd.remainder.is_zero()
 
     results = []
     for case in cases:
@@ -375,17 +371,16 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
         vals = np.array([t.constant_term for t in terms])
 
         for h in h_values:
-            rho, g = _contour_radius(pd, contour, h)
+            rho, g = _contour_radius(pd, h)
             nodes, wts = disc_grid(rho, SP_N_RADIAL, SP_N_ANGULAR)
-            u = nodes[:, None]
-            phi_vals = phase_on_contour(pd, contour, u)
-            xfast, ytfast = contour.fast_map(u)
-            fv = f.eval_grid(np.concatenate([xfast, ytfast], axis=1))
+            u, v = fast_uv(pd, nodes)
+            phi_vals = phase_on_contour(pd, u)
+            fv = f.eval_grid(np.concatenate([u, v], axis=1))
             quad = complex(np.conj(b) / h * (wts * np.exp(2.0 * phi_vals / h)
                                              * fv).sum())
             tail = math.exp(-2.0 * g / h) * max(abs(quad), 1.0)
 
-            if case.terminating or not (np.abs(vals) > 0).any():
+            if terminating or not (np.abs(vals) > 0).any():
                 # exact sum, or a series vanishing identically at the center
                 partial = complex(np.polyval(vals[::-1], h))
                 order_used, next_term = hmax, 0.0
@@ -410,7 +405,7 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
                         f"the next-term bound {next_term:.3e} at h = {h}")
                 ok = err <= SP_BOUND_FACTOR * next_term
             results.append(QuadratureResult(
-                name=case.name, terminating=case.terminating, h=float(h),
+                name=case.name, terminating=terminating, h=float(h),
                 quad=quad, partial=partial, order_used=order_used,
                 next_term=next_term, error=float(err), ok=bool(ok)))
     return results

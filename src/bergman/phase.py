@@ -13,11 +13,13 @@ of Psi and a filter.  The diagonal {u = v = 0} is therefore a critical
 manifold with value zero, and the quadratic part of phi is u^T B(y, xt) v
 with B the mixed Hessian d_x d_yt Psi.
 
-Good contours for the fast integral follow the family v = -conj(B^T u),
-on which the quadratic part equals -|B^T u|^2.  Inversion contours pair a
-point x with theta(x, y) built from the weight's holomorphic gradient and
-Hessian; ``theta_ratio`` is the one formula for the defining inequality,
-and the quality of either contour is the sampled margin of its inequality.
+The good contour for the fast integral runs through the base with
+v = -conj(B0^T u), where B0 = B(0, 0) is the weight's Levi matrix
+``Weight.levi``; on it the quadratic part equals -|B0^T u|^2.  Inversion
+contours pair a point x with theta(x, y) built from the weight's
+holomorphic gradient and Hessian; ``theta_ratio`` is the one formula for
+the defining inequality, and the quality of either contour is the sampled
+margin of its inequality.
 """
 
 from __future__ import annotations
@@ -42,33 +44,9 @@ class PhaseData:
     maxdeg: int
     phi_uv: TruncatedSeries      # phi in (y, xt, u, v): every monomial has u- and v-degree >= 1
     quad_B: list                 # n x n nested list of series in (y, xt): d_x d_yt Psi
-    b0: np.ndarray               # B at the base point
+    b0: np.ndarray               # B at the base point: the weight's Levi matrix
     hess_det: complex            # det(b0)^2 = (-1)^n det of the fast Hessian [[0, B], [B^T, 0]]
     remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
-
-
-@dataclass(frozen=True)
-class GoodContour:
-    """Amplitude contour through (y0, xt0) with v = -conj(B^T u), B frozen there."""
-
-    center: np.ndarray           # (2n,) displacement of (y0, xt0)
-    b: np.ndarray                # B(y0, xt0), shape (n, n)
-
-    @property
-    def n(self) -> int:
-        return self.b.shape[0]
-
-    def fast_uv(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows u (m, n), flat for n = 1, and their contour partners v = -conj(B^T u)."""
-        u = np.asarray(u, dtype=complex)
-        if u.ndim == 1:
-            u = u[:, None]
-        return u, -np.conj(u) @ np.conj(self.b)
-
-    def fast_map(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u -> (x, yt) displacements through the center."""
-        u, v = self.fast_uv(u)
-        return self.center[None, :self.n] + u, self.center[None, self.n:] + v
 
 
 def theta_pairs(w: Weight, x, y) -> np.ndarray:
@@ -140,7 +118,7 @@ def build_phase(w: Weight) -> PhaseData:
     phi_uv = lift(psi, n).filter(lambda mi: u_deg(mi) >= 1 and v_deg(mi) >= 1)
     quad_B = [[psi.diff(j).diff(n + k) for k in range(n)] for j in range(n)]
 
-    b0 = np.array([[quad_B[j][k].constant_term for k in range(n)] for j in range(n)])
+    b0 = w.levi
     if np.linalg.svd(b0, compute_uv=False).min() <= HESS_FLOOR:
         raise DegenerateHessian(f"mixed block singular at the base: {b0}")
     hess_det = complex(np.linalg.det(b0) ** 2)
@@ -153,43 +131,29 @@ def build_phase(w: Weight) -> PhaseData:
                      b0=b0, hess_det=hess_det, remainder=remainder)
 
 
-def eval_b(pd: PhaseData, center: np.ndarray) -> np.ndarray:
-    """Numeric B(y0, xt0) at a slow displacement point."""
-    pt = np.asarray(center, dtype=complex).reshape(1, 2 * pd.n)
-    n = pd.n
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = pd.quad_B[j][k].eval_grid(pt)[0]
-    return out
+def fast_uv(pd: PhaseData, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows u (m, n), flat for n = 1, and their good-contour partners
+    v = -conj(B0^T u)."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim == 1:
+        u = u[:, None]
+    return u, -np.conj(u) @ np.conj(pd.b0)
 
 
-def build_good_contour(pd: PhaseData, center=None) -> GoodContour:
-    """Contour through (y0, xt0) with v = -conj(B^T u); B frozen at the center."""
-    n = pd.n
-    if center is None:
-        center = np.zeros(2 * n, dtype=complex)
-    center = np.asarray(center, dtype=complex).reshape(2 * n)
-    b = eval_b(pd, center)
-    if np.linalg.svd(b, compute_uv=False).min() <= HESS_FLOOR:
-        raise DegenerateHessian(f"mixed block singular at contour center: {b}")
-    return GoodContour(center=center, b=b)
-
-
-def phase_on_contour(pd: PhaseData, c: GoodContour, u: np.ndarray) -> np.ndarray:
-    """Evaluate phi at contour points parametrized by fast displacements u."""
-    u, v = c.fast_uv(u)
-    slow = np.broadcast_to(c.center, (u.shape[0], 2 * pd.n))
+def phase_on_contour(pd: PhaseData, u: np.ndarray) -> np.ndarray:
+    """Evaluate phi on the good contour at fast displacements u."""
+    u, v = fast_uv(pd, u)
+    slow = np.zeros((u.shape[0], 2 * pd.n), dtype=complex)
     return pd.phi_uv.eval_grid(np.concatenate([slow, u, v], axis=1))
 
 
-def verify_contour(pd: PhaseData, c: GoodContour, radius: float,
-                   n_samples: int = 10_000, seed: int = 0) -> float:
+def verify_contour(pd: PhaseData, radius: float, n_samples: int = 10_000,
+                   seed: int = 0) -> float:
     """Sampled margin of the good contour: min of -Re(phi) / (|u|^2 + |v|^2)
     over fast samples u.  It must be strictly positive.
     """
-    u, v = c.fast_uv(sobol_ball(c.n, radius, n_samples, seed=seed))
-    vals = phase_on_contour(pd, c, u)
+    u, v = fast_uv(pd, sobol_ball(pd.n, radius, n_samples, seed=seed))
+    vals = phase_on_contour(pd, u)
     denom = (np.abs(u) ** 2).sum(axis=1) + (np.abs(v) ** 2).sum(axis=1)
     keep = denom > (1e-8 * radius) ** 2
     margin = float((-vals[keep].real / denom[keep]).min())

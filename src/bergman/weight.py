@@ -62,6 +62,17 @@ class Weight:
     def maxdeg(self) -> int:
         return self.series.maxdeg
 
+    @property
+    def levi(self) -> np.ndarray:
+        """Levi matrix d2(phi)/dx_j dconj(x)_k at the base: the Taylor
+        coefficient at exponent e_j + e_(n+k), exactly Hermitian once
+        ``validate_weight`` has symmetrized the table.  It is also Psi's
+        mixed Hessian B0 at the base, which fixes the phase's good contour."""
+        n = self.n
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        return np.array([[self.series.coeff(unit[j] + unit[k]) for k in range(n)]
+                         for j in range(n)], dtype=complex)
+
     def displacements(self, x) -> np.ndarray:
         """Map ambient points to the 2n series coordinates (dx, conj(dx))."""
         pts = _as_points(x, self.n)
@@ -106,26 +117,10 @@ def validate_weight(series: TruncatedSeries, base, trust_radius: float) -> Weigh
     symmetric = TruncatedSeries(series.nvars, series.maxdeg, sym)
 
     w = Weight(n=n, base=base, series=symmetric, trust_radius=float(trust_radius))
-    levi = levi_form(w, base)
-    eigs = np.linalg.eigvalsh(levi)
+    eigs = np.linalg.eigvalsh(w.levi)
     if eigs.min() <= LEVI_EIG_FLOOR:
         raise Degenerate(f"Levi form not strictly positive at the base: eigenvalues {eigs}")
     return w
-
-
-def levi_form(w: Weight, x) -> np.ndarray:
-    """Mixed second-derivative matrix d2(phi)/dx_j dconj(x)_k at a point."""
-    pts = w.displacements(x)
-    if pts.shape[0] != 1:
-        raise VariableMismatch("levi_form evaluates one point at a time")
-    n = w.n
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        dj = w.series.diff(j)
-        for k in range(n):
-            out[j, k] = dj.diff(n + k).eval_grid(pts)[0]
-    # Clean roundoff: the matrix is Hermitian for a real weight.
-    return 0.5 * (out + out.conj().T)
 
 
 # Kept only because the benchmark tracer (perfbench/tracer.py) resolves it.

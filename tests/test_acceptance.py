@@ -15,8 +15,7 @@ from bergman.oracle import (QuadratureCase, compare_kernels,
                             fourier_inversion_check, gram_bergman,
                             inequality_suite, near_diagonal_pairs,
                             sp_quadrature_check)
-from bergman.phase import (build_good_contour, build_phase, inversion_margin,
-                           verify_contour)
+from bergman.phase import build_phase, inversion_margin, verify_contour
 from bergman.projector import assemble_kernel, decay_fit, make_domain
 from bergman.series import TruncatedSeries
 from bergman.weight import quadratic_gap_estimate, validate_weight
@@ -186,20 +185,20 @@ def test_criterion_5_stationary_phase_vs_quadrature(gaussian_core):
     pairs = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
              (2, 2), (3, 2), (3, 3), (4, 4)]
 
-    def cases(pd, terminating):
+    def cases(pd):
         # symbols at the phase's slow degree, the most the expansion can use
         return [QuadratureCase(
             f"x^{a}yt^{b}",
-            TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, pd.maxdeg - 2),
-            terminating) for a, b in pairs]
+            TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, pd.maxdeg - 2))
+            for a, b in pairs]
 
-    rows_t = sp_quadrature_check(pd, cases(pd, True), H_GRID)
+    rows_t = sp_quadrature_check(pd, cases(pd), H_GRID)
     worst_t = max(r.error / max(1.0, abs(r.partial)) for r in rows_t)
     term_ok = all(r.ok for r in rows_t) and worst_t < 1e-8
 
     # hmax 4 needs 6 * 4 degrees below the slow degree 24
     _, cpd = build(CUBIC, 26, 1.2)
-    rows_n = sp_quadrature_check(cpd, cases(cpd, False), H_GRID, hmax=4)
+    rows_n = sp_quadrature_check(cpd, cases(cpd), H_GRID, hmax=4)
     nt_ok = all(r.ok and r.next_term > 0 for r in rows_n)
     worst_n = max(r.error / r.next_term for r in rows_n)
     ok = term_ok and nt_ok
@@ -218,8 +217,7 @@ def test_criterion_6_contour_margins(gaussian_core, lambda1_core,
     for name, (w, pd), trust in weights:
         radius = 0.3 * trust
         try:
-            m_amp = verify_contour(pd, build_good_contour(pd), radius,
-                                   n_samples=10_000, seed=0)
+            m_amp = verify_contour(pd, radius, n_samples=10_000, seed=0)
             m_inv = inversion_margin(w, [0.0], radius, n_samples=10_000, seed=0)
             cmin, _ = quadratic_gap_estimate(w, 0.5 * trust, n_samples=4096, seed=0)
             suite = inequality_suite(w, np.zeros(1, dtype=complex), 0.5 * cmin,

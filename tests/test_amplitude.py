@@ -120,13 +120,10 @@ def test_growth_estimate_and_realization():
     assert amp.growth_C == C
     r = realize(amp, h=0.1)
     assert r.cutoff <= 4
-    assert r.h == 0.1
     # realized symbol at the origin is the partial sum of the h-series
     vals = [amp.coeffs[k].constant_term for k in range(r.cutoff + 1)]
     want = sum(v * 0.1 ** k for k, v in enumerate(vals))
-    got = r.series.constant_term if hasattr(r, "series") else None
-    if got is not None:
-        assert abs(got - want) < 1e-13
+    assert abs(r.series.constant_term - want) < 1e-13
 
 
 def test_growth_cutoff_shrinks_with_h():

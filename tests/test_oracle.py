@@ -259,7 +259,7 @@ def test_inequality_deterministic():
 def test_sp_gaussian_constant_is_pi():
     w = make_weight(GAUSS)
     pd = build_phase(w)
-    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 14), True)
+    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 14))
     r, = sp_quadrature_check(pd, [case], [0.1])
     assert r.ok
     assert abs(r.quad - np.pi) < 1e-10
@@ -271,7 +271,7 @@ def test_sp_single_pairing_value():
     # quadrature agree on -pi h for the Gaussian
     w = make_weight(GAUSS)
     pd = build_phase(w)
-    case = QuadratureCase("xyt", TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 14), True)
+    case = QuadratureCase("xyt", TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 14))
     for h in (0.2, 0.1):
         r, = sp_quadrature_check(pd, [case], [h])
         assert r.ok
@@ -282,7 +282,7 @@ def test_sp_single_pairing_value():
 def test_sp_cubic_next_term_bound():
     w = make_weight(CUBIC, maxdeg=26, trust=1.2)
     pd = build_phase(w)
-    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24), False)
+    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24))
     for h in (0.1, 0.05):
         r, = sp_quadrature_check(pd, [case], [h], hmax=4)
         assert r.ok
@@ -295,7 +295,7 @@ def test_sp_rejects_higher_dimension():
     s = TruncatedSeries.from_triples(triples, 4, 8)
     w = validate_weight(s, [0j, 0j], 1.0)
     pd = build_phase(w)
-    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 4, 0), True)
+    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 4, 0))
     with pytest.raises(ConfigInvalid):
         sp_quadrature_check(pd, [case], [0.1])
 

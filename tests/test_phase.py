@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bergman.errors import BadContour, DegenerateHessian
-from bergman.phase import (GoodContour, build_good_contour, build_phase,
-                           eval_b, inversion_margin, phase_on_contour,
+from bergman.phase import (build_phase, inversion_margin, phase_on_contour,
                            theta_jacobian_pairs, theta_pairs, verify_contour)
 from bergman.series import TruncatedSeries, max_abs_diff
-from bergman.weight import validate_weight
+from bergman.weight import Weight, validate_weight
 
 GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
@@ -89,16 +90,18 @@ def test_quadratic_block_series():
     b = pd.quad_B[0][0]
     assert abs(b.coeff((0, 0)) - 0.5) < 1e-13
     assert abs(b.coeff((1, 1)) - 0.4) < 1e-13
-    got = eval_b(pd, np.array([0.2, 0.2], dtype=complex))
-    assert abs(got[0, 0] - (0.5 + 0.4 * 0.04)) < 1e-12
+    got = b.eval_grid(np.array([[0.2, 0.2]], dtype=complex))[0]
+    assert abs(got - (0.5 + 0.4 * 0.04)) < 1e-12
 
 
 def test_degenerate_hessian_rejected():
-    # B(y, xt) = 1/2 + 0.4 y xt vanishes at y = 1.25, xt = -1
-    pd = make_phase(QUARTIC, maxdeg=10)
-    assert abs(eval_b(pd, np.array([1.25, -1.0], dtype=complex))[0, 0]) < 1e-14
-    with pytest.raises(DegenerateHessian):
-        build_good_contour(pd, np.array([1.25, -1.0], dtype=complex))
+    # mixed block diag(1, 0) at the base: singular, whatever its determinant
+    s = TruncatedSeries.from_triples(
+        [((1, 0, 1, 0), 1.0, 0.0), ((0, 2, 0, 2), 0.1, 0.0)], 4, 8)
+    w = Weight(n=2, base=np.zeros(2, dtype=complex), series=s, trust_radius=1.0)
+    assert np.array_equal(w.levi, [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(DegenerateHessian, match="singular"):
+        build_phase(w)
 
 
 def test_tiny_levi_form_fails_the_determinant_floor():
@@ -119,16 +122,15 @@ def test_good_contour_margin_gaussian():
     # -Re(phi) on v = -conj(B u) equals |u|^2 lambda^2/(1+lambda^2)... times
     # (1 + lambda^2); the normalized margin is lambda^2/(1+lambda^2) = 0.2
     pd = make_phase(GAUSS, trust=1.2)
-    margin = verify_contour(pd, build_good_contour(pd), 0.36, n_samples=4000, seed=0)
+    margin = verify_contour(pd, 0.36, n_samples=4000, seed=0)
     assert abs(margin - 0.2) < 1e-10
 
 
 def test_phase_on_contour_values():
     # Gaussian: phi restricted to the good contour is -0.25 |u|^2 exactly
     pd = make_phase(GAUSS)
-    c = build_good_contour(pd)
     u = np.array([[0.3 + 0.1j], [0.2j]])
-    vals = phase_on_contour(pd, c, u)
+    vals = phase_on_contour(pd, u)
     want = -0.25 * (np.abs(u[:, 0]) ** 2)
     assert np.allclose(vals, want, atol=1e-13)
 
@@ -167,10 +169,9 @@ def test_theta_broadcasts_one_to_many():
 
 def test_bad_contour_raises():
     pd = make_phase(GAUSS, trust=1.2)
-    good = build_good_contour(pd)
-    bad = GoodContour(center=good.center, b=-good.b)
+    bad = dataclasses.replace(pd, b0=-pd.b0)
     with pytest.raises(BadContour):
-        verify_contour(pd, bad, 0.36, n_samples=2000, seed=0)
+        verify_contour(bad, 0.36, n_samples=2000, seed=0)
 
 
 def test_margin_shrinks_with_radius_on_concave_perturbation():

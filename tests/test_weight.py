@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bergman.errors import ConfigInvalid, Degenerate, NotRealValued
+from bergman.phase import build_phase
 from bergman.series import TruncatedSeries
-from bergman.weight import levi_form, quadratic_gap_estimate, validate_weight
+from bergman.weight import quadratic_gap_estimate, validate_weight
 
 GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
@@ -65,15 +66,22 @@ def test_levi_form_two_dim_cross_terms():
     triples = [((1, 0, 1, 0), 1.0, 0.0), ((0, 1, 0, 1), 1.0, 0.0),
                ((1, 0, 0, 1), 0.5, 0.0), ((0, 1, 1, 0), 0.5, 0.0)]
     w = make_weight(triples, n=2, maxdeg=8)
-    L = levi_form(w, w.base)
+    L = w.levi
     assert np.allclose(L, [[1.0, 0.5], [0.5, 1.0]])
     assert np.all(np.linalg.eigvalsh(L) > 0)
+    # phi = |x1|^2 + |x2|^2 + 2 Re(c x1 conj(x2)): Levi = [[1, c], [conj c, 1]],
+    # so a transposed read of the table gives conj(c) in the corner
+    c = 0.3 + 0.4j
+    triples = [((1, 0, 1, 0), 1.0, 0.0), ((0, 1, 0, 1), 1.0, 0.0),
+               ((1, 0, 0, 1), c.real, c.imag), ((0, 1, 1, 0), c.real, -c.imag)]
+    w = make_weight(triples, n=2, maxdeg=8)
+    assert np.allclose(w.levi, [[1.0, c], [np.conj(c), 1.0]])
 
 
 def test_levi_form_matches_finite_differences():
     w = make_weight(QUARTIC + [((2, 1), 0.05, 0.02), ((1, 2), 0.05, -0.02)])
     x0 = np.array([0.17 - 0.23j])
-    L = levi_form(w, x0)
+    levi_x0 = build_phase(w).quad_B[0][0].eval_grid(w.displacements(x0))[0]
     eps = 1e-5
 
     def phi(z):
@@ -83,7 +91,7 @@ def test_levi_form_matches_finite_differences():
     # d^2 phi / dx dxbar via the 4-point Laplacian stencil / 4
     lap = (phi(z + eps) + phi(z - eps) + phi(z + 1j * eps) + phi(z - 1j * eps)
            - 4 * phi(z)) / (eps ** 2)
-    assert abs(L[0, 0] - lap / 4.0) < 1e-6
+    assert abs(levi_x0 - lap / 4.0) < 1e-6
 
 
 def test_polarization_restricts_to_phi():
