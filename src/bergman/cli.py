@@ -47,7 +47,6 @@ class RunConfig:
     order: int
     radius_u: float
     radius_v: float
-    base: tuple = ()
     hmax: int = 4
     h_grid: tuple = DEFAULT_H_GRID
     gram_degree: int = 25
@@ -55,7 +54,6 @@ class RunConfig:
     n_angular: int = 128
     err_n_radial: int = 24
     err_n_angular: int = 48
-    delta: float | None = None
     seed: int = 0
     suites: tuple = SUITES
     test_functions: tuple = ((0,), (1,), (2,))
@@ -106,12 +104,6 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
             raise ValueError("not a finite number")
         return x
 
-    def base_pairs(base):
-        base = base or [[0.0, 0.0]] * n
-        if len(base) != n or any(len(z) != 2 for z in base):
-            raise ConfigInvalid("base must list [re, im] pairs, one per dimension")
-        return tuple((finite(z[0]), finite(z[1])) for z in base)
-
     def coefficient(entry):
         e = entry["exponents"]
         if len(e) != 2 * n or any(not isinstance(k, int) or k < 0 for k in e):
@@ -124,7 +116,6 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigInvalid(f"test function exponents {t!r} must be {n} nonnegative ints")
         return tuple(t)
 
-    base = read("base", base_pairs)
     coeffs = read("coefficients", lambda cs: tuple(coefficient(c) for c in cs))
 
     maxdeg, order = read("maxdeg", int), read("order", int)
@@ -161,19 +152,17 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     if small:
         raise ConfigInvalid(f"quadrature node counts must be at least 1, got {small}")
     hmax, seed = read("hmax", int, 4), read("seed", int, 0)
-    if hmax < 0 or seed < 0:
-        raise ConfigInvalid(f"hmax ({hmax}) and seed ({seed}) must be nonnegative")
-    delta = read("delta", lambda d: None if d is None else finite(d))
-    if delta is not None and delta <= 0.0:
-        raise ConfigInvalid(f"delta must be positive, got {delta}")
+    if hmax < 1:
+        raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be nonnegative, got {seed}")
 
     return RunConfig(
         name=str(data["name"]), dimension=n,
         coefficients=coeffs, trust_radius=trust, maxdeg=maxdeg,
-        order=order, radius_u=ru, radius_v=rv, base=base,
+        order=order, radius_u=ru, radius_v=rv,
         hmax=hmax, h_grid=h_grid,
         gram_degree=read("gram_degree", int, 25),
-        delta=delta,
         seed=seed, suites=suites, test_functions=tfs, **nodes)
 
 
@@ -201,8 +190,7 @@ def _core(cfg: RunConfig, ctx: dict) -> dict:
     if "w" not in ctx:
         series = TruncatedSeries.from_triples(
             list(cfg.coefficients), 2 * cfg.dimension, cfg.maxdeg)
-        base = [complex(re_, im_) for re_, im_ in cfg.base]
-        ctx["w"] = validate_weight(series, base, cfg.trust_radius)
+        ctx["w"] = validate_weight(series, cfg.trust_radius)
         ctx["pd"] = build_phase(ctx["w"])
     return ctx
 
@@ -226,8 +214,7 @@ def _gap(cfg: RunConfig, ctx: dict) -> tuple[float, float]:
 
 
 def _delta(cfg: RunConfig, ctx: dict) -> float:
-    if cfg.delta is not None:
-        return cfg.delta
+    """delta = cmin / 2 of the sampled gap: the one rule every stage uses."""
     return 0.5 * _gap(cfg, ctx)[0]
 
 
@@ -257,7 +244,7 @@ def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
         json.dumps(w.series.to_triples(), sort_keys=True).encode()).hexdigest()[:16]
     radius = 0.3 * cfg.trust_radius
     amp_margin = verify_contour(pd, radius, n_samples=10_000, seed=cfg.seed)
-    inv_margin = inversion_margin(w, w.base, radius, n_samples=10_000, seed=cfg.seed)
+    inv_margin = inversion_margin(w, radius, n_samples=10_000, seed=cfg.seed)
     return {
         "dimension": w.n,
         "levi_eigenvalues": eigs,
@@ -369,7 +356,7 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     def fourier_section():
         res = {}
         for t in cfg.test_functions:
-            checks = fourier_inversion_check(w, _monomial(t, n), w.base,
+            checks = fourier_inversion_check(w, _monomial(t, n), np.zeros(n),
                                              cfg.radius_v, 96, 192, cfg.h_grid)
             pairs = [(chk.h, chk.residual) for chk in checks]
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
@@ -385,7 +372,7 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
         return res
 
     def inequality_section():
-        suite = inequality_suite(w, w.base, _delta(cfg, ctx), 0.3 * cfg.trust_radius,
+        suite = inequality_suite(w, _delta(cfg, ctx), 0.3 * cfg.trust_radius,
                                  n_samples=10_000, seed=cfg.seed)
         return {"theta_margin": suite.theta_margin, "gz_margin": suite.gz_margin,
                 "ratio_min": suite.ratio_min, "delta": suite.delta,
@@ -394,7 +381,7 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     def localized_section():
         h = cfg.h_grid[len(cfg.h_grid) // 2]
         one = TruncatedSeries.constant(1.0, n, 0)
-        elem = localized_element(one, w.base, w, h, delta=_delta(cfg, ctx),
+        elem = localized_element(one, np.zeros(n), w, h, delta=_delta(cfg, ctx),
                                  seed=cfg.seed)
         return {"h": h, "margin": elem.margin, "delta": elem.delta,
                 "domination_C": elem.domination_C}

@@ -45,7 +45,7 @@ class GapViolation(BergmanError):
 # -- phase and contours ------------------------------------------------------
 
 class DegenerateHessian(BergmanError):
-    """Mixed second-derivative block of the phase is singular at the base."""
+    """Mixed second-derivative block of the phase is singular at the origin."""
 
 
 class BadContour(BergmanError):

@@ -26,7 +26,7 @@ from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sobol_ball
 from .series import TruncatedSeries
-from .weight import Weight, _as_points, _pair_points, quadratic_gap_estimate
+from .weight import Weight, _as_points, _pair_points
 
 # Sign of the theta-contour orientation, fixed once by requiring the
 # Gaussian u = 1 inversion to return +1.  Guarded by a regression test.
@@ -68,16 +68,15 @@ class GramKernel:
     def eval(self, x, y) -> np.ndarray:
         """K_exact(x_i, conj(y_i)) for paired points (either may broadcast)."""
         xs, ys = _pair_points(x, y, self.w.n)
-        base = self.w.base[None, :]
-        a = _monomial_table(xs - base, self.basis) * self.scale[None, :]
-        b = _monomial_table(ys - base, self.basis).conj() * self.scale[None, :]
+        a = _monomial_table(xs, self.basis) * self.scale[None, :]
+        b = _monomial_table(ys, self.basis).conj() * self.scale[None, :]
         solved = cho_solve(self.chol, b.T)
         return np.einsum("pk,kp->p", a, solved)
 
     def project(self, u: TruncatedSeries, x) -> np.ndarray:
         """Quadrature projection of u through this kernel, at the points x."""
         nodes = self.dom.nodes
-        uy = u.eval_grid(nodes - self.w.base[None, :])
+        uy = u.eval_grid(nodes)
         damp = self.dom.weights * np.exp(-2.0 * self.w.phi(nodes) / self.h)
         xs = _as_points(x, self.w.n)
         out = np.empty(xs.shape[0], dtype=complex)
@@ -118,7 +117,7 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
             f"need at least {4 * degree}")
     basis = _degree_basis(w.n, degree)
     # G = V^H diag(weights e^{-2 phi/h}) V over the quadrature nodes.
-    V = _monomial_table(dom.nodes - w.base[None, :], basis)
+    V = _monomial_table(dom.nodes, basis)
     wts = dom.weights * np.exp(-2.0 * w.phi(dom.nodes) / h)
     G = V.conj().T @ (wts[:, None] * V)
     herm = np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300)
@@ -198,17 +197,17 @@ def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
     xs = _as_points(x, w.n)
     plateau = FOURIER_PLATEAU_FRAC * radius
     support = FOURIER_SUPPORT_FRAC * radius
-    if float(np.abs(xs - w.base[None, :]).max()) >= plateau:
+    if float(np.abs(xs).max()) >= plateau:
         raise ConfigInvalid("evaluation point lies outside the cutoff plateau")
 
     nodes, wts = disc_grid(support, n_radial, n_angular, (plateau,))
-    y = nodes[:, None] + w.base[None, :]
+    y = nodes[:, None]
     chi = radial_bump(np.abs(nodes), plateau, support)
     th = theta_pairs(w, xs, y)
     jac = theta_jacobian_pairs(w, xs, y)
     pairing = ((xs - y) * th).sum(axis=1)
-    uy = u.eval_grid(y - w.base[None, :])
-    target = complex(u.eval_grid(xs - w.base[None, :])[0])
+    uy = u.eval_grid(y)
+    target = complex(u.eval_grid(xs)[0])
     phi_x = float(w.phi(xs)[0])
     checks = []
     for h in h_values:
@@ -237,8 +236,8 @@ def pointwise_bound_check(w: Weight, u: TruncatedSeries, inner: DomainSpec,
     if max(inner.radii) >= max(outer.radii):
         raise ConfigInvalid("inner region must be strictly inside the outer one")
     check_domain(outer, w)
-    ui = u.eval_grid(inner.nodes - w.base[None, :])
-    uo = u.eval_grid(outer.nodes - w.base[None, :])
+    ui = u.eval_grid(inner.nodes)
+    uo = u.eval_grid(outer.nodes)
     phi_i = w.phi(inner.nodes)
     ratios = []
     for h in h_values:
@@ -263,28 +262,29 @@ class MarginSuite:
     n_samples: int
 
 
-def inequality_suite(w: Weight, z, delta: float, radius: float,
+def inequality_suite(w: Weight, delta: float, radius: float,
                      n_samples: int = 10_000, seed: int = 0) -> MarginSuite:
     """Sampled minima of the two contour inequalities; both must be positive.
 
     (a) phi(x) - phi(y) + Im((x - y).theta(x, y)) >= (delta + margin)|x - y|^2
-    (b) phi(x) + phi(y) - 2 Re Psi(x, conj y) + delta|x - z|^2
-          >= margin (|x - z|^2 + |y - z|^2)
+    (b) phi(x) + phi(y) - 2 Re Psi(x, conj y) + delta|x|^2
+          >= margin (|x|^2 + |y|^2)
+
+    Samples x, y lie in the ball of ``radius`` around the origin.
     """
     if delta <= 0.0:
         raise ConfigInvalid("delta must be positive")
     if radius > w.trust_radius:
         raise ConfigInvalid("sampling radius exceeds the trust radius")
-    z = np.asarray(z, dtype=complex).reshape(w.n)
-    x = sobol_ball(w.n, radius, n_samples, seed=seed) + w.base[None, :]
-    y = sobol_ball(w.n, radius, n_samples, seed=seed + 1) + w.base[None, :]
+    x = sobol_ball(w.n, radius, n_samples, seed=seed)
+    y = sobol_ball(w.n, radius, n_samples, seed=seed + 1)
 
     keep = (np.abs(x - y) ** 2).sum(axis=1) > (1e-8 * radius) ** 2
     ratio_min = float(theta_ratio(w, x[keep], y[keep]).min())
     theta_margin = ratio_min - delta
 
-    dz_x = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
-    dz_y = (np.abs(y - z[None, :]) ** 2).sum(axis=1)
+    dz_x = (np.abs(x) ** 2).sum(axis=1)
+    dz_y = (np.abs(y) ** 2).sum(axis=1)
     denom = dz_x + dz_y
     keep2 = denom > (1e-8 * radius) ** 2
     gap = w.phi(x) + w.phi(y) - 2.0 * w.psi(x, np.conj(y)).real
@@ -353,12 +353,14 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
     """Direct quadrature of the fast contour integral against the expansion.
 
     The integral h^{-n} conj(b0) int e^{(2/h) phi} f L(du) over the good
-    contour through the base is compared with the formal series: exact
+    contour through the origin is compared with the formal series: exact
     agreement when the phase has no remainder of (u, v)-degree >= 3 (the
     expansion terminates), next-term bound otherwise.
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
+    if hmax < 1:
+        raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
     b = complex(pd.b0[0, 0])
     terminating = pd.remainder.is_zero()
 
@@ -437,10 +439,9 @@ class LocalizedElement:
         return pref * np.exp(1j * pairing / self.h) * jac
 
 
-def localized_element(v: TruncatedSeries, z, w: Weight, h: float,
-                      delta: float | None = None, plateau: float | None = None,
-                      support: float | None = None, n_samples: int = 4096,
-                      seed: int = 0) -> LocalizedElement:
+def localized_element(v: TruncatedSeries, z, w: Weight, h: float, delta: float,
+                      plateau: float | None = None, support: float | None = None,
+                      n_samples: int = 4096, seed: int = 0) -> LocalizedElement:
     """Construct the localized element at z and assert its domination bound.
 
     The sampled bound is phi(x) - phi(z) + Im((x-z) theta(x,z)) >= delta
@@ -451,16 +452,13 @@ def localized_element(v: TruncatedSeries, z, w: Weight, h: float,
         raise ConfigInvalid(f"v has {v.nvars} variables, expected {w.n}")
     plateau = 0.6 * w.trust_radius if plateau is None else plateau
     support = 0.9 * w.trust_radius if support is None else support
-    zdist = float(np.abs(z - w.base).max())
+    zdist = float(np.abs(z).max())
     if zdist >= w.trust_radius:
         raise ConfigInvalid("z lies outside the trust region")
     if zdist > plateau:
         raise ConfigInvalid("cutoff plateau does not cover z")
-    if delta is None:
-        cmin, _ = quadratic_gap_estimate(w, support, n_samples=2048, seed=seed)
-        delta = 0.5 * cmin
 
-    x = sobol_ball(w.n, support, n_samples, seed=seed) + w.base[None, :]
+    x = sobol_ball(w.n, support, n_samples, seed=seed)
     sep2 = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
     keep = sep2 > (1e-8 * support) ** 2
     margin = float(theta_ratio(w, x[keep], z[None, :]).min()) - delta
@@ -469,7 +467,7 @@ def localized_element(v: TruncatedSeries, z, w: Weight, h: float,
             f"localized element at {z} violates domination: margin {margin:.3e}")
 
     chi_value = float(radial_bump(np.array([zdist]), plateau, support)[0])
-    v_value = complex(v.eval_grid((z - w.base)[None, :])[0])
+    v_value = complex(v.eval_grid(z[None, :])[0])
     elem = LocalizedElement(w=w, z=z, h=float(h), delta=float(delta),
                             v_value=v_value, chi_value=chi_value, margin=margin,
                             domination_C=0.0)

@@ -5,15 +5,15 @@ From the polarization Psi of a weight the phase
     phi(y, xt; x, yt) = Psi(x, yt) - Psi(x, xt) - Psi(y, yt) + Psi(y, xt)
 
 is written in the fast displacements (u, v) = (x - y, yt - xt), in the
-4n-variable ring ordered (y-block, xt-block, u-block, v-block), all as
-displacements from the weight's base.  With S = Psi(y + u, xt + v), the last
-three terms are S at v = 0, at u = 0 and at u = v = 0, so phi is exactly the
-part of S whose monomials have u-degree >= 1 and v-degree >= 1: one ``lift``
-of Psi and a filter.  The diagonal {u = v = 0} is therefore a critical
+4n-variable ring ordered (y-block, xt-block, u-block, v-block), the slow
+blocks in the weight's table coordinates.  With S = Psi(y + u, xt + v), the
+last three terms are S at v = 0, at u = 0 and at u = v = 0, so phi is
+exactly the part of S whose monomials have u-degree >= 1 and v-degree >= 1:
+one ``lift`` of Psi and a filter.  The diagonal {u = v = 0} is therefore a critical
 manifold with value zero, and the quadratic part of phi is u^T B(y, xt) v
 with B the mixed Hessian d_x d_yt Psi.
 
-The good contour for the fast integral runs through the base with
+The good contour for the fast integral runs through the origin with
 v = -conj(B0^T u), where B0 = B(0, 0) is the weight's Levi matrix
 ``Weight.levi``; on it the quadratic part equals -|B0^T u|^2.  Inversion
 contours pair a point x with theta(x, y) built from the weight's
@@ -44,7 +44,7 @@ class PhaseData:
     maxdeg: int
     phi_uv: TruncatedSeries      # phi in (y, xt, u, v): every monomial has u- and v-degree >= 1
     quad_B: list                 # n x n nested list of series in (y, xt): d_x d_yt Psi
-    b0: np.ndarray               # B at the base point: the weight's Levi matrix
+    b0: np.ndarray               # B at the origin: the weight's Levi matrix
     hess_det: complex            # det(b0)^2 = (-1)^n det of the fast Hessian [[0, B], [B^T, 0]]
     remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
 
@@ -120,7 +120,7 @@ def build_phase(w: Weight) -> PhaseData:
 
     b0 = w.levi
     if np.linalg.svd(b0, compute_uv=False).min() <= HESS_FLOOR:
-        raise DegenerateHessian(f"mixed block singular at the base: {b0}")
+        raise DegenerateHessian(f"mixed block singular at the origin: {b0}")
     hess_det = complex(np.linalg.det(b0) ** 2)
     if abs(hess_det) <= HESS_FLOOR:
         raise DegenerateHessian(f"fast Hessian determinant {hess_det} too small")
@@ -163,16 +163,16 @@ def verify_contour(pd: PhaseData, radius: float, n_samples: int = 10_000,
     return margin
 
 
-def inversion_margin(w: Weight, x, radius: float, n_samples: int = 10_000,
+def inversion_margin(w: Weight, radius: float, n_samples: int = 10_000,
                      seed: int = 0) -> float:
-    """Sampled min of theta_ratio(x, y) over ambient samples y around the base.
+    """Sampled min of theta_ratio(0, y) over samples y around the origin.
 
-    This is the margin of the inversion contour y -> (y, theta(x, y)); it
+    This is the margin of the inversion contour y -> (y, theta(0, y)); it
     must be strictly positive.
     """
-    xv = np.asarray(x, dtype=complex).reshape(1, w.n)
-    y = sobol_ball(w.n, radius, n_samples, seed=seed) + w.base[None, :]
-    keep = (np.abs(xv - y) ** 2).sum(axis=1) > (1e-8 * max(radius, 1.0)) ** 2
+    xv = np.zeros((1, w.n), dtype=complex)
+    y = sobol_ball(w.n, radius, n_samples, seed=seed)
+    keep = (np.abs(y) ** 2).sum(axis=1) > (1e-8 * max(radius, 1.0)) ** 2
     margin = float(theta_ratio(w, xv, y[keep]).min())
     if margin <= 0.0:
         raise BadContour(

@@ -82,8 +82,7 @@ class KernelEvaluator:
 
     def eval(self, x, y) -> np.ndarray:
         xs, ys = _pair_points(x, y, self.n)
-        base = self.w.base[None, :]
-        pts = np.concatenate([xs - base, np.conj(ys - base)], axis=1)
+        pts = np.concatenate([xs, np.conj(ys)], axis=1)
         psi = self.w.series.eval_grid(pts)
         amp = self.symbol.series.eval_grid(pts)
         return self.h ** (-self.n) * np.exp(2.0 * psi / self.h) * amp
@@ -99,7 +98,7 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
                      dom: DomainSpec, eval_pts, tol: float | None = None) -> np.ndarray:
     """Quadrature for h^{-n} int e^{(2/h)(Psi(x, conj y) - phi(y))} a u(y) L(dy).
 
-    ``u`` is a holomorphic polynomial in the n displacement coordinates.
+    ``u`` is a holomorphic polynomial in the n table coordinates.
     With ``tol`` set, the quadrature is repeated on a doubled grid and
     QuadratureUnderresolved is raised if the results differ by more than
     10 * tol.
@@ -108,10 +107,10 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
         raise ConfigInvalid(f"test function has {u.nvars} variables, expected {K.n}")
     check_domain(dom, w)
 
-    xd = _as_points(eval_pts, K.n) - K.w.base[None, :]
+    xd = _as_points(eval_pts, K.n)
 
     def run(d: DomainSpec) -> np.ndarray:
-        yd = np.conj(d.nodes - K.w.base[None, :])
+        yd = np.conj(d.nodes)
         # Node-side factors, once per grid: Psi = X @ P and a = Xa @ Pa.  Row 0
         # of P multiplies the constant monomial, so subtracting phi(y) there
         # makes the GEMM return Psi - phi(y), which stays bounded where the
@@ -119,7 +118,7 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
         X, P = K.w.series.bilinear_factors(xd, yd)
         P[0] -= w.phi(d.nodes)
         Xa, Pa = K.symbol.series.bilinear_factors(xd, yd)
-        load = d.weights * u.eval_grid(d.nodes - w.base[None, :])
+        load = d.weights * u.eval_grid(d.nodes)
         out = np.empty(xd.shape[0], dtype=complex)
         chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
         for lo in range(0, xd.shape[0], chunk):
@@ -165,9 +164,9 @@ def reproducing_error(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
     if max(inner.radii) >= max(outer.radii):
         raise ConfigInvalid("inner domain must be strictly inside the outer one")
     proj = apply_projection(K, u, w, outer, inner.nodes)
-    exact = u.eval_grid(inner.nodes - w.base[None, :])
+    exact = u.eval_grid(inner.nodes)
     num = weighted_norm(w, proj - exact, inner, K.h)
-    den = weighted_norm(w, u.eval_grid(outer.nodes - w.base[None, :]), outer, K.h)
+    den = weighted_norm(w, u.eval_grid(outer.nodes), outer, K.h)
     return num / den
 
 

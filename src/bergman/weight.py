@@ -1,8 +1,10 @@
 """Strictly plurisubharmonic weights and their polarizations.
 
 A weight is a real-analytic real-valued function of x in C^n, handled here as
-a truncated Taylor series in the 2n displacement variables (x - x0, conj(x) -
-conj(x0)).  Realness is the Hermitian symmetry c[beta,alpha] =
+a truncated Taylor series in the 2n variables (x, conj(x)).  The table's
+origin is the expansion point: every point, grid and sample in the package is
+a displacement from it, so every domain is centred where the table is valid.
+Realness is the Hermitian symmetry c[beta,alpha] =
 conj(c[alpha,beta]) of the coefficient array; strict plurisubharmonicity is
 positive definiteness of the mixed-derivative (Levi) matrix.
 
@@ -51,10 +53,9 @@ def _pair_points(x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Weight:
-    """A validated weight: Taylor series around ``base`` plus a trust radius."""
+    """A validated weight: Taylor series around the origin plus a trust radius."""
 
     n: int
-    base: np.ndarray            # shape (n,), complex
     series: TruncatedSeries     # 2n variables: x-block then conj-block
     trust_radius: float
 
@@ -64,20 +65,19 @@ class Weight:
 
     @property
     def levi(self) -> np.ndarray:
-        """Levi matrix d2(phi)/dx_j dconj(x)_k at the base: the Taylor
+        """Levi matrix d2(phi)/dx_j dconj(x)_k at the origin: the Taylor
         coefficient at exponent e_j + e_(n+k), exactly Hermitian once
         ``validate_weight`` has symmetrized the table.  It is also Psi's
-        mixed Hessian B0 at the base, which fixes the phase's good contour."""
+        mixed Hessian B0 at the origin, which fixes the phase's good contour."""
         n = self.n
         unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         return np.array([[self.series.coeff(unit[j] + unit[k]) for k in range(n)]
                          for j in range(n)], dtype=complex)
 
     def displacements(self, x) -> np.ndarray:
-        """Map ambient points to the 2n series coordinates (dx, conj(dx))."""
+        """Map points to the 2n series coordinates (x, conj(x))."""
         pts = _as_points(x, self.n)
-        dx = pts - self.base[None, :]
-        return np.concatenate([dx, np.conj(dx)], axis=1)
+        return np.concatenate([pts, np.conj(pts)], axis=1)
 
     def phi(self, x) -> np.ndarray:
         """Evaluate the weight; the imaginary part is discarded (it is zero)."""
@@ -85,13 +85,12 @@ class Weight:
         return vals.real
 
     def psi(self, x, ytilde) -> np.ndarray:
-        """Polarization Psi(x, ytilde) at ambient points; Psi(x, conj x) = phi(x)."""
-        xp = _as_points(x, self.n) - self.base[None, :]
-        yp = _as_points(ytilde, self.n) - np.conj(self.base)[None, :]
-        return self.series.eval_grid(np.concatenate([xp, yp], axis=1))
+        """Polarization Psi(x, ytilde); Psi(x, conj x) = phi(x)."""
+        pts = [_as_points(x, self.n), _as_points(ytilde, self.n)]
+        return self.series.eval_grid(np.concatenate(pts, axis=1))
 
 
-def validate_weight(series: TruncatedSeries, base, trust_radius: float) -> Weight:
+def validate_weight(series: TruncatedSeries, trust_radius: float) -> Weight:
     """Check realness and strict plurisubharmonicity; returns the Weight.
 
     The coefficient array is symmetrized after the Hermitian check so that
@@ -100,7 +99,6 @@ def validate_weight(series: TruncatedSeries, base, trust_radius: float) -> Weigh
     if series.nvars % 2 != 0:
         raise NotRealValued("weight series needs an even variable count (x and conj blocks)")
     n = series.nvars // 2
-    base = np.asarray(base, dtype=complex).reshape(n)
     if trust_radius <= 0.0:
         raise ConfigInvalid("trust radius must be positive")
 
@@ -116,10 +114,10 @@ def validate_weight(series: TruncatedSeries, base, trust_radius: float) -> Weigh
         sym[mi] = 0.5 * (c + np.conj(cp))
     symmetric = TruncatedSeries(series.nvars, series.maxdeg, sym)
 
-    w = Weight(n=n, base=base, series=symmetric, trust_radius=float(trust_radius))
+    w = Weight(n=n, series=symmetric, trust_radius=float(trust_radius))
     eigs = np.linalg.eigvalsh(w.levi)
     if eigs.min() <= LEVI_EIG_FLOOR:
-        raise Degenerate(f"Levi form not strictly positive at the base: eigenvalues {eigs}")
+        raise Degenerate(f"Levi form not strictly positive at the origin: eigenvalues {eigs}")
     return w
 
 
@@ -139,8 +137,7 @@ def quadratic_gap_estimate(w: Weight, radius: float, n_samples: int = 4096,
     if radius <= 0.0 or radius > w.trust_radius:
         raise ConfigInvalid("sampling radius must lie in (0, trust_radius]")
     pts = sobol_ball(2 * w.n, radius, n_samples, seed=seed)
-    x = pts[:, :w.n] + w.base[None, :]
-    y = pts[:, w.n:] + w.base[None, :]
+    x, y = pts[:, :w.n], pts[:, w.n:]
     sep2 = (np.abs(x - y) ** 2).sum(axis=1)
     keep = sep2 > (1e-6 * radius) ** 2
     x, y, sep2 = x[keep], y[keep], sep2[keep]

@@ -53,7 +53,7 @@ def check(num, label, ok, detail):
 
 def build(triples, maxdeg, trust):
     series = TruncatedSeries.from_triples(list(triples), 2, maxdeg)
-    w = validate_weight(series, [0.0], trust)
+    w = validate_weight(series, trust)
     return w, build_phase(w)
 
 
@@ -218,10 +218,9 @@ def test_criterion_6_contour_margins(gaussian_core, lambda1_core,
         radius = 0.3 * trust
         try:
             m_amp = verify_contour(pd, radius, n_samples=10_000, seed=0)
-            m_inv = inversion_margin(w, [0.0], radius, n_samples=10_000, seed=0)
+            m_inv = inversion_margin(w, radius, n_samples=10_000, seed=0)
             cmin, _ = quadratic_gap_estimate(w, 0.5 * trust, n_samples=4096, seed=0)
-            suite = inequality_suite(w, np.zeros(1, dtype=complex), 0.5 * cmin,
-                                     radius, n_samples=10_000, seed=0)
+            suite = inequality_suite(w, 0.5 * cmin, radius, n_samples=10_000, seed=0)
             ms = (m_amp, m_inv, suite.theta_margin, suite.gz_margin)
             ok = ok and all(m >= 1e-3 for m in ms)
             parts.append(f"{name}: quad-decay={m_amp:.3f} theta={m_inv:.3f} "

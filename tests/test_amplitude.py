@@ -15,7 +15,7 @@ CUBIC = [((1, 1), 0.5, 0.0), ((2, 1), 0.05, 0.0), ((1, 2), 0.05, 0.0)]
 
 def make_phase(triples, n=1, maxdeg=16, trust=1.0):
     s = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
-    return build_phase(validate_weight(s, [0j] * n, trust))
+    return build_phase(validate_weight(s, trust))
 
 
 def test_gaussian_amplitude_is_constant():

@@ -39,7 +39,6 @@ def test_defaults_filled():
     assert cfg.hmax == 4
     assert cfg.gram_degree == 25
     assert cfg.suites == ("validate", "amplitude", "kernel", "verify")
-    assert cfg.base == ((0.0, 0.0),)
 
 
 def test_budget_rule_named():
@@ -85,15 +84,14 @@ def test_exponent_arity_checked():
 @pytest.mark.parametrize("field,value", [
     ("n_radial", 0), ("n_angular", 0), ("err_n_radial", 0), ("err_n_angular", 0),
     ("test_functions", []), ("hmax", -1), ("seed", -1),
-    ("trust_radius", "abc"), ("base", [["a", 0]]), ("h_grid", ["x"]),
+    ("trust_radius", "abc"), ("coefficients", [{"exponents": [1, 1]}]), ("h_grid", ["x"]),
     ("gram_degree", "big"), ("coefficients", [{"exponents": [1, 1], "re": "x"}]),
     # json parses NaN and Infinity; no stage can run on them
     ("coefficients", [{"exponents": [1, 1], "re": float("nan")}]),
     ("coefficients", [{"exponents": [1, 1], "re": 0.5, "im": float("inf")}]),
-    ("base", [[float("nan"), 0.0]]), ("trust_radius", float("inf")),
+    ("hmax", 0), ("trust_radius", float("inf")),
     ("radius_u", float("nan")), ("radius_v", float("nan")),
     ("h_grid", [0.2, float("nan")]), ("h_grid", [float("inf")]),
-    ("delta", float("nan")), ("delta", float("-inf")), ("delta", 0.0), ("delta", -0.1),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
@@ -107,6 +105,22 @@ def test_main_rejects_zero_angular_nodes(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    # the table's origin is the expansion point and delta is cmin / 2 of the
+    # sampled gap; neither can be set
+    ("base", [[0.3, 0.1]], "unknown config fields: ['base']"),
+    ("delta", 0.2, "unknown config fields: ['delta']"),
+    ("hmax", 0, "hmax must be at least 1"),
+])
+def test_main_rejects_fields_that_cannot_run(tmp_path, capsys, field, value, message):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(BASE, **{field: value})))
+    rc = main(["verify", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_each_stage_builds_its_grids_once(monkeypatch):

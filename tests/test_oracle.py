@@ -20,7 +20,7 @@ CUBIC = [((1, 1), 0.5, 0.0), ((2, 1), 0.02, 0.0), ((1, 2), 0.02, 0.0)]
 
 def make_weight(triples, maxdeg=16, trust=1.2):
     s = TruncatedSeries.from_triples(triples, 2, maxdeg)
-    return validate_weight(s, [0j], trust)
+    return validate_weight(s, trust)
 
 
 def monomial(k, maxdeg=None):
@@ -144,7 +144,7 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
     # gives (m, 1) points, which an n = 2 kernel must refuse by a BergmanError
     product = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
                ((2, 0, 2, 0), 0.1, 0.0), ((0, 2, 0, 2), 0.05, 0.0)]
-    w = validate_weight(TruncatedSeries.from_triples(product, 4, 8), [0j, 0j], 1.0)
+    w = validate_weight(TruncatedSeries.from_triples(product, 4, 8), 1.0)
     K = assemble_kernel(w, solve_amplitude(build_phase(w), 1), 0.1)
     x, y = near_diagonal_pairs(0.1, 20)
     with pytest.raises(BergmanError):
@@ -156,7 +156,7 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
 def test_fourier_gaussian_constant():
     w = make_weight(GAUSS)
     residuals = []
-    for chk in fourier_inversion_check(w, monomial(0, 2), w.base, 1.0, 96, 192,
+    for chk in fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0, 96, 192,
                                        (0.2, 0.1, 0.05)):
         assert abs(chk.target - 1.0) < 1e-15
         residuals.append(chk.residual)
@@ -167,14 +167,14 @@ def test_fourier_gaussian_constant():
 
 def test_fourier_odd_monomial_vanishes():
     w = make_weight(GAUSS)
-    chk, = fourier_inversion_check(w, monomial(1, 2), w.base, 1.0, 64, 128, [0.1])
+    chk, = fourier_inversion_check(w, monomial(1, 2), np.zeros(1), 1.0, 64, 128, [0.1])
     assert abs(chk.value) < 1e-14
     assert chk.residual < 1e-14
 
 
 def test_fourier_orientation_detector():
     w = make_weight(GAUSS)
-    chk, = fourier_inversion_check(w, monomial(0, 2), w.base, 1.0, 64, 128, [0.1],
+    chk, = fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0, 64, 128, [0.1],
                                    orientation=-1.0)
     assert abs(chk.value + 1.0) < 1e-2
     assert chk.residual > 1.9
@@ -218,7 +218,7 @@ def test_pointwise_bound_scale_invariant():
 
 def test_inequality_margins_gaussian_exact():
     w = make_weight(GAUSS)
-    suite = inequality_suite(w, w.base, 0.25, 0.36, 10_000, 0)
+    suite = inequality_suite(w, 0.25, 0.36, 10_000, 0)
     assert abs(suite.theta_margin - 0.25) < 1e-9
     assert abs(suite.ratio_min - 0.5) < 1e-9
     assert suite.gz_margin > 0.1
@@ -227,28 +227,28 @@ def test_inequality_margins_gaussian_exact():
 
 def test_inequality_gz_small_delta():
     w = make_weight(GAUSS)
-    suite = inequality_suite(w, w.base, 0.1, 0.36, 10_000, 0)
+    suite = inequality_suite(w, 0.1, 0.36, 10_000, 0)
     assert suite.gz_margin > 0
 
 
 def test_inequality_delta_beyond_gap():
     w = make_weight(GAUSS)
     with pytest.raises(BadContour):
-        inequality_suite(w, w.base, 0.6, 0.36, 4000, 0)
+        inequality_suite(w, 0.6, 0.36, 4000, 0)
 
 
 def test_inequality_guards():
     w = make_weight(GAUSS)
     with pytest.raises(ConfigInvalid):
-        inequality_suite(w, w.base, 0.0, 0.3, 100, 0)
+        inequality_suite(w, 0.0, 0.3, 100, 0)
     with pytest.raises(ConfigInvalid):
-        inequality_suite(w, w.base, 0.1, 5.0, 100, 0)
+        inequality_suite(w, 0.1, 5.0, 100, 0)
 
 
 def test_inequality_deterministic():
     w = make_weight(QUARTIC, trust=1.0)
-    a = inequality_suite(w, w.base, 0.2, 0.3, 2000, 9)
-    b = inequality_suite(w, w.base, 0.2, 0.3, 2000, 9)
+    a = inequality_suite(w, 0.2, 0.3, 2000, 9)
+    b = inequality_suite(w, 0.2, 0.3, 2000, 9)
     assert a == b
 
 
@@ -290,10 +290,17 @@ def test_sp_cubic_next_term_bound():
         assert r.error <= 10.0 * r.next_term
 
 
+def test_sp_rejects_hmax_below_one():
+    pd = build_phase(make_weight(QUARTIC, maxdeg=26, trust=1.0))
+    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24))
+    with pytest.raises(ConfigInvalid, match="hmax"):
+        sp_quadrature_check(pd, [case], [0.1], hmax=0)
+
+
 def test_sp_rejects_higher_dimension():
     triples = [((1, 0, 1, 0), 1.0, 0.0), ((0, 1, 0, 1), 1.0, 0.0)]
     s = TruncatedSeries.from_triples(triples, 4, 8)
-    w = validate_weight(s, [0j, 0j], 1.0)
+    w = validate_weight(s, 1.0)
     pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 4, 0))
     with pytest.raises(ConfigInvalid):
@@ -304,18 +311,19 @@ def test_sp_rejects_higher_dimension():
 
 def test_localized_gaussian_frozen_values():
     w = make_weight(GAUSS)
-    elem = localized_element(TruncatedSeries.constant(1.0, 1, 0), w.base, w, 0.1)
+    # delta = cmin / 2 = 0.25 is the gap rule's value for the Gaussian
+    elem = localized_element(TruncatedSeries.constant(1.0, 1, 0), 0.0, w, 0.1,
+                             delta=0.25)
     # theta(x, 0) = -i zbar = 0, jacobian -i, so v_0(0) = -i/(2 pi h)
     v0 = elem.eval(np.array([[0j]]))[0]
     assert abs(v0 - (-1j / (2 * np.pi * 0.1))) < 1e-12
-    assert abs(elem.delta - 0.25) < 1e-9
     assert abs(elem.margin - 0.25) < 1e-9
     assert 0 < elem.domination_C < 1.0
 
 
 def test_localized_zero_prefactor():
     w = make_weight(GAUSS)
-    elem = localized_element(monomial(1, 2), w.base, w, 0.1)
+    elem = localized_element(monomial(1, 2), 0.0, w, 0.1, delta=0.25)
     assert elem.v_value == 0
     xs = np.array([[0.1 + 0.1j], [0.2j]])
     assert np.max(np.abs(elem.eval(xs))) == 0.0
@@ -325,19 +333,19 @@ def test_localized_center_outside_trust():
     w = make_weight(GAUSS, trust=1.0)
     with pytest.raises(ConfigInvalid):
         localized_element(TruncatedSeries.constant(1.0, 1, 0),
-                          np.array([1.1 + 0.0j]), w, 0.1)
+                          np.array([1.1 + 0.0j]), w, 0.1, delta=0.25)
 
 
 def test_localized_plateau_must_cover_center():
     w = make_weight(GAUSS, trust=1.0)
     with pytest.raises(ConfigInvalid):
         localized_element(TruncatedSeries.constant(1.0, 1, 0),
-                          np.array([0.7 + 0.0j]), w, 0.1,
+                          np.array([0.7 + 0.0j]), w, 0.1, delta=0.25,
                           plateau=0.5, support=0.9)
 
 
 def test_localized_domination_fails_with_huge_delta():
     w = make_weight(GAUSS, trust=1.0)
     with pytest.raises(BadContour):
-        localized_element(TruncatedSeries.constant(1.0, 1, 0), w.base, w, 0.1,
+        localized_element(TruncatedSeries.constant(1.0, 1, 0), 0.0, w, 0.1,
                           delta=0.7)

@@ -15,7 +15,7 @@ QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
 
 def make_weight(triples, n=1, maxdeg=12, trust=1.0):
     s = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
-    return validate_weight(s, [0j] * n, trust)
+    return validate_weight(s, trust)
 
 
 def make_phase(triples, n=1, maxdeg=12, trust=1.0):
@@ -95,10 +95,10 @@ def test_quadratic_block_series():
 
 
 def test_degenerate_hessian_rejected():
-    # mixed block diag(1, 0) at the base: singular, whatever its determinant
+    # mixed block diag(1, 0) at the origin: singular, whatever its determinant
     s = TruncatedSeries.from_triples(
         [((1, 0, 1, 0), 1.0, 0.0), ((0, 2, 0, 2), 0.1, 0.0)], 4, 8)
-    w = Weight(n=2, base=np.zeros(2, dtype=complex), series=s, trust_radius=1.0)
+    w = Weight(n=2, series=s, trust_radius=1.0)
     assert np.array_equal(w.levi, [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DegenerateHessian, match="singular"):
         build_phase(w)
@@ -138,7 +138,7 @@ def test_phase_on_contour_values():
 def test_inversion_contour_margin_gaussian():
     # ratio (phi(x) - phi(y) + Im((x-y) theta)) / |x-y|^2 is exactly lambda
     w = make_weight(GAUSS, trust=1.2)
-    margin = inversion_margin(w, w.base, 0.36, n_samples=4000, seed=0)
+    margin = inversion_margin(w, 0.36, n_samples=4000, seed=0)
     assert abs(margin - 0.5) < 1e-9
 
 
@@ -178,12 +178,12 @@ def test_margin_shrinks_with_radius_on_concave_perturbation():
     # a negative quartic term erodes the inversion margin as the sampling
     # radius grows; the positive-quartic weight only improves it
     w = make_weight([((1, 1), 0.5, 0.0), ((2, 2), -0.1, 0.0)], trust=1.0)
-    margins = [inversion_margin(w, w.base, r, n_samples=4000, seed=0)
+    margins = [inversion_margin(w, r, n_samples=4000, seed=0)
                for r in (0.1, 0.3, 0.6, 0.9)]
     assert all(np.diff(margins) < 0)
     assert margins[-1] > 0
 
     w2 = make_weight(QUARTIC, trust=1.0)
-    m_small = inversion_margin(w2, w2.base, 0.1, n_samples=4000, seed=0)
-    m_big = inversion_margin(w2, w2.base, 0.9, n_samples=4000, seed=0)
+    m_small = inversion_margin(w2, 0.1, n_samples=4000, seed=0)
+    m_big = inversion_margin(w2, 0.9, n_samples=4000, seed=0)
     assert m_big >= m_small > 0

@@ -22,7 +22,7 @@ PRODUCT = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
 
 def pipeline(triples, order, maxdeg=16, trust=1.2, n=1):
     s = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
-    w = validate_weight(s, [0j] * n, trust)
+    w = validate_weight(s, trust)
     amp = solve_amplitude(build_phase(w), order)
     return w, amp
 

@@ -10,9 +10,9 @@ GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
 
 
-def make_weight(triples, n=1, maxdeg=12, base=None, trust=1.0):
+def make_weight(triples, n=1, maxdeg=12, trust=1.0):
     s = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
-    return validate_weight(s, base if base is not None else [0j] * n, trust)
+    return validate_weight(s, trust)
 
 
 def test_gaussian_weight_basics():
@@ -58,7 +58,7 @@ def test_levi_positivity_required():
 def test_trust_radius_positive():
     s = TruncatedSeries.from_triples(GAUSS, 2, 8)
     with pytest.raises(ConfigInvalid):
-        validate_weight(s, [0j], 0.0)
+        validate_weight(s, 0.0)
 
 
 def test_levi_form_two_dim_cross_terms():
