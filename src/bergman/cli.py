@@ -286,14 +286,15 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
         amps[N] = solve_amplitude(pd, N)
     outer = make_domain((cfg.radius_v,) * w.n, cfg.n_radial, cfg.n_angular)
     inner = make_domain((cfg.radius_u,) * w.n, cfg.err_n_radial, cfg.err_n_angular)
+    # Highest degree first, so each kernel builds its projection table once.
+    by_degree = [u for _, u in sorted(dictionary, key=lambda tu: -sum(tu[0]))]
     rows = []
     fits = {}
     for N in orders:
         errs = []
         for h in cfg.h_grid:
             K = assemble_kernel(w, amps[N], h)
-            err = max(reproducing_error(K, u, w, inner, outer)
-                      for _, u in dictionary)
+            err = max(reproducing_error(K, u, w, inner, outer) for u in by_degree)
             errs.append((h, err))
             beta_running = None
             if len(errs) >= 3:

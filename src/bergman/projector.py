@@ -3,26 +3,31 @@
 The asymptotic projection kernel is K(x, conj y) = h^{-n} exp((2/h) Psi(x,
 conj y)) a(x, conj y; h) with a the realized amplitude.  Projections are
 computed by weighted quadrature over a disc (or polydisc) against
-exp(-2 phi / h).  Psi and a are evaluated in factored form X @ B, with the
-node-side factors B built once per quadrature grid and shared by every
-block of evaluation rows; phi(y) is folded into the constant row of Psi's
-node factor, so the combined exponent Psi - phi is formed inside the matrix
-product and the integrand never overflows inside the trust region.
+exp(-2 phi / h).  A kernel integrates once per quadrature grid and set of
+evaluation points: its monomial table holds, for every holomorphic monomial
+y^t up to a degree, the quadrature of the kernel against w_j y_j^t.  Each
+test function u is then a contraction of that table with u's coefficients,
+so projecting several test functions costs one pass of complex exp, not one
+per function.  The table is built from Psi and a in factored form X @ B,
+with the node-side factors B shared by every block of evaluation rows;
+phi(y) is folded into the constant row of Psi's node factor, so the
+combined exponent Psi - phi is formed inside the matrix product and the
+integrand never overflows inside the trust region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .amplitude import Amplitude, RealizedSymbol, realize
 from .errors import ConfigInvalid, DegenerateFit, QuadratureUnderresolved
 from .quadrature import polydisc_grid
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _block_monomials, _monomial_table
 from .weight import Weight, _as_points, _pair_points
 
-# Elements of one (evaluation rows x quadrature nodes) block in apply_projection.
+# Elements of one (evaluation rows x quadrature nodes) block in projection_table.
 BLOCK_ELEMENTS = 2 ** 18
 
 
@@ -70,11 +75,17 @@ def check_domain(dom: DomainSpec, w: Weight) -> None:
 
 @dataclass(frozen=True)
 class KernelEvaluator:
-    """Evaluates h^{-n} exp((2/h) Psi(x, conj y)) a(x, conj y) at point pairs."""
+    """Evaluates h^{-n} exp((2/h) Psi(x, conj y)) a(x, conj y) at point pairs.
+
+    ``tables`` holds apply_projection's monomial tables, keyed by the weight
+    and by the bytes of the grid's nodes and weights and of the evaluation
+    points, so a table lives exactly as long as its kernel.
+    """
 
     w: Weight
     symbol: RealizedSymbol
     h: float
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -94,46 +105,69 @@ def assemble_kernel(w: Weight, amp: Amplitude, h: float) -> KernelEvaluator:
     return KernelEvaluator(w=w, symbol=realize(amp, h), h=float(h))
 
 
+def projection_table(K: KernelEvaluator, w: Weight, d: DomainSpec, xd: np.ndarray,
+                     degree: int) -> tuple[dict, np.ndarray]:
+    """The kernel's monomial table on grid ``d`` at evaluation rows ``xd``.
+
+    T[i, t] = sum_j e^{(2/h)(Psi(x_i, conj y_j) - phi(y_j))} a(x_i, conj y_j)
+    w_j y_j^t for every monomial y^t of total degree <= ``degree``; returns
+    ({t: column of T}, T).
+    """
+    monomials = _block_monomials(K.n, degree)
+    yd = np.conj(d.nodes)
+    # Node-side factors, once per grid: Psi = X @ P and a = Xa @ Pa.  Row 0
+    # of P multiplies the constant monomial, so subtracting phi(y) there
+    # makes the GEMM return Psi - phi(y), which stays bounded where the
+    # two terms alone overflow and underflow at small h.
+    X, P = K.w.series.bilinear_factors(xd, yd)
+    P[0] -= w.phi(d.nodes)
+    Xa, Pa = K.symbol.series.bilinear_factors(xd, yd)
+    load = d.weights[:, None] * _monomial_table(d.nodes, monomials)
+    T = np.empty((xd.shape[0], len(monomials)), dtype=complex)
+    chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
+    for lo in range(0, xd.shape[0], chunk):
+        blk = slice(lo, lo + chunk)
+        E = X[blk] @ P
+        # Keep this separate pass between the GEMM and exp; do not fold
+        # 2/h into P.  exp called straight on an OpenBLAS complex GEMM
+        # result measured 10-16x slower: upper AVX-512 register state
+        # left by the GEMM kernel slows the complex exp until another
+        # ufunc runs.
+        E *= 2.0 / K.h
+        np.exp(E, out=E)
+        E *= Xa[blk] @ Pa
+        T[blk] = E @ load
+    return {t: col for col, t in enumerate(monomials)}, T
+
+
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
                      dom: DomainSpec, eval_pts, tol: float | None = None) -> np.ndarray:
     """Quadrature for h^{-n} int e^{(2/h)(Psi(x, conj y) - phi(y))} a u(y) L(dy).
 
-    ``u`` is a holomorphic polynomial in the n table coordinates.
-    With ``tol`` set, the quadrature is repeated on a doubled grid and
-    QuadratureUnderresolved is raised if the results differ by more than
-    10 * tol.
+    ``u`` is a holomorphic polynomial in the n table coordinates.  The
+    result is h^{-n} T @ c, with c the coefficients of u and T the kernel's
+    monomial table (projection_table) on this grid at these points; a call
+    whose u has a monomial the stored table lacks rebuilds it at u's degree.
+    With ``tol`` set, the quadrature is repeated on a doubled grid, which
+    has its own table, and QuadratureUnderresolved is raised if the results
+    differ by more than 10 * tol.
     """
     if u.nvars != K.n:
         raise ConfigInvalid(f"test function has {u.nvars} variables, expected {K.n}")
     check_domain(dom, w)
 
     xd = _as_points(eval_pts, K.n)
+    degree = max((sum(t) for t in u.coeffs), default=0)
 
     def run(d: DomainSpec) -> np.ndarray:
-        yd = np.conj(d.nodes)
-        # Node-side factors, once per grid: Psi = X @ P and a = Xa @ Pa.  Row 0
-        # of P multiplies the constant monomial, so subtracting phi(y) there
-        # makes the GEMM return Psi - phi(y), which stays bounded where the
-        # two terms alone overflow and underflow at small h.
-        X, P = K.w.series.bilinear_factors(xd, yd)
-        P[0] -= w.phi(d.nodes)
-        Xa, Pa = K.symbol.series.bilinear_factors(xd, yd)
-        load = d.weights * u.eval_grid(d.nodes)
-        out = np.empty(xd.shape[0], dtype=complex)
-        chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
-        for lo in range(0, xd.shape[0], chunk):
-            blk = slice(lo, lo + chunk)
-            E = X[blk] @ P
-            # Keep this separate pass between the GEMM and exp; do not fold
-            # 2/h into P.  exp called straight on an OpenBLAS complex GEMM
-            # result measured 10-16x slower: upper AVX-512 register state
-            # left by the GEMM kernel slows the complex exp until another
-            # ufunc runs.
-            E *= 2.0 / K.h
-            np.exp(E, out=E)
-            E *= Xa[blk] @ Pa
-            out[blk] = E @ load
-        return out * K.h ** (-K.n)
+        key = (w, d.nodes.tobytes(), d.weights.tobytes(), xd.tobytes())
+        cols, T = K.tables.get(key, ({}, None))
+        if not cols.keys() >= u.coeffs.keys():
+            cols, T = K.tables[key] = projection_table(K, w, d, xd, degree)
+        c = np.zeros(len(cols), dtype=complex)
+        for t, coef in u.coeffs.items():
+            c[cols[t]] = coef
+        return (T @ c) * K.h ** (-K.n)
 
     vals = run(dom)
     if tol is not None:

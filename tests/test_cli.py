@@ -162,6 +162,36 @@ def test_amplitude_stage_runs_the_engine_once(monkeypatch):
     assert "feedback_residuals" not in amp
 
 
+def test_kernel_stage_builds_one_projection_table_per_kernel(monkeypatch):
+    # 2 orders x 3 h = 6 kernels, each projecting 4 test functions
+    from bergman import projector
+    builds, calls = [], []
+    build, apply = projector.projection_table, projector.apply_projection
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[-1])
+        return build(*args, **kwargs)
+
+    def counted_apply(*args, **kwargs):
+        calls.append(args[1])
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(projector, "projection_table", counted_build)
+    monkeypatch.setattr(projector, "apply_projection", counted_apply)
+    path = os.path.join(ROOT, "configs", "perturbed-quartic.json")
+    cfg = load_config(path, {"suites": ["kernel"], "h_grid": [0.2, 0.1, 0.05]})
+    rows = run(cfg)["stages"]["kernel"]["rows"]
+    assert len(calls) == 24
+    assert builds == [3] * 6
+    # err_U before the tables, when every call integrated u on its own
+    before = {4: [0.10465226490132143, 0.041848476856779324, 0.002219606863823438],
+              3: [0.10387251113859242, 0.04181777949885854, 0.00221419136726629]}
+    for row, (N, h) in zip(rows, [(N, h) for N in (4, 3) for h in (0.2, 0.1, 0.05)]):
+        assert (row["N"], row["h"]) == (N, h)
+        want = before[N][[0.2, 0.1, 0.05].index(h)]
+        assert abs(row["err_U"] - want) <= 1e-12 * want, (N, h)
+
+
 def test_suite_selection_shapes_report():
     cfg = cfg_with(suites=["amplitude"])
     rep = run(cfg)

@@ -86,27 +86,67 @@ def test_projection_is_linear():
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+N1_PTS = [[0.1 + 0.05j], [0.0j], [0.25j]]
+N2_PTS = [[0.1 + 0.05j, -0.1j], [0.0j, 0.0j], [0.25j, 0.15 + 0.0j]]
+
+
+def projection_setup(triples, n, order, maxdeg):
+    w, amp = pipeline(triples, order, maxdeg=maxdeg, trust=1.0, n=n)
+    n_radial, n_angular = (24, 48) if n == 1 else (6, 12)
+    dom = make_domain((0.7,) * n, n_radial=n_radial, n_angular=n_angular)
+    return w, amp, dom
+
+
+def direct_projection(K, u, w, dom, pts):
+    # the integrand summed node by node from K.eval, phi and u
+    phiy = w.phi(dom.nodes)
+    uy = u.eval_grid(dom.nodes)
+    return np.array([(dom.weights * K.eval(np.broadcast_to(x[None, :], dom.nodes.shape), dom.nodes)
+                      * np.exp(-2.0 * phiy / K.h) * uy).sum() for x in pts])
+
+
 @pytest.mark.parametrize("triples, n, order, maxdeg, u, pts", [
-    pytest.param(QUARTIC, 1, 4, 26, monomial(2, 6),
-                 [[0.1 + 0.05j], [0.0j], [0.25j]], id="n1-quartic"),
+    pytest.param(QUARTIC, 1, 4, 26, monomial(2, 6), N1_PTS, id="n1-quartic"),
     pytest.param(PRODUCT, 2, 1, 8,
                  TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 4),
-                 [[0.1 + 0.05j, -0.1j], [0.0j, 0.0j], [0.25j, 0.15 + 0.0j]],
-                 id="n2-product"),
+                 N2_PTS, id="n2-product"),
 ])
 def test_projection_fast_path_matches_generic(triples, n, order, maxdeg, u, pts):
     # same nodes, same integrand: block-bilinear path must agree with direct sums
-    w, amp = pipeline(triples, order, maxdeg=maxdeg, trust=1.0, n=n)
+    w, amp, dom = projection_setup(triples, n, order, maxdeg)
     K = assemble_kernel(w, amp, 0.1)
-    n_radial, n_angular = (24, 48) if n == 1 else (6, 12)
-    dom = make_domain((0.7,) * n, n_radial=n_radial, n_angular=n_angular)
     pts = np.array(pts)
     fast = apply_projection(K, u, w, dom, pts)
-    phiy = w.phi(dom.nodes)
-    uy = u.eval_grid(dom.nodes)
-    slow = np.array([(dom.weights * K.eval(np.broadcast_to(x[None, :], dom.nodes.shape), dom.nodes)
-                      * np.exp(-2.0 * phiy / 0.1) * uy).sum() for x in pts])
-    assert np.allclose(fast, slow, rtol=1e-12)
+    assert np.allclose(fast, direct_projection(K, u, w, dom, pts), rtol=1e-12)
+
+
+def polynomials(nvars, *terms):
+    return [TruncatedSeries.from_triples(t, nvars, 6) for t in terms]
+
+
+@pytest.mark.parametrize("triples, n, order, maxdeg, us, pts", [
+    pytest.param(QUARTIC, 1, 4, 26, polynomials(
+        1, [((3,), 1.0, 0.0), ((1,), 0.0, 0.5)], [((2,), 1.0, 0.0)],
+        [((0,), 1.0, 0.0), ((2,), -0.5, 0.25)], [((4,), 1.0, 0.0)]),
+        N1_PTS, id="n1-quartic"),
+    pytest.param(PRODUCT, 2, 1, 8, polynomials(
+        2, [((1, 1), 1.0, 0.0)], [((1, 0), 1.0, 0.0)],
+        [((0, 0), 1.0, 0.0), ((0, 1), 0.0, -2.0)], [((2, 1), 1.0, 0.0)]),
+        N2_PTS, id="n2-product"),
+])
+def test_projection_warm_table_matches_fresh_kernels(triples, n, order, maxdeg, us, pts):
+    # One kernel projects every u: the highest degree first, then lower ones
+    # from its table, then one above it, which rebuilds the table.  A fresh
+    # kernel per u integrates that u alone.
+    w, amp, dom = projection_setup(triples, n, order, maxdeg)
+    K = assemble_kernel(w, amp, 0.1)
+    pts = np.array(pts)
+    for u in us:
+        warm = apply_projection(K, u, w, dom, pts)
+        fresh = apply_projection(assemble_kernel(w, amp, 0.1), u, w, dom, pts)
+        assert np.max(np.abs(warm - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+        assert np.allclose(warm, direct_projection(K, u, w, dom, pts), rtol=1e-12)
+        assert len(K.tables) == 1
 
 
 def test_projection_small_h_stays_finite():
@@ -131,6 +171,19 @@ def test_projection_refinement_guard():
         apply_projection(K, monomial(3, 6), w, coarse, pts, tol=1e-10)
     fine = make_domain((1.0,), n_radial=64, n_angular=128)
     apply_projection(K, monomial(3, 6), w, fine, pts, tol=1e-8)
+
+
+def test_projection_refinement_guard_with_warm_table():
+    # a cached coarse-grid table must not stand in for the doubled grid
+    w, amp = pipeline(GAUSS, 4)
+    K = assemble_kernel(w, amp, 0.05)
+    pts = np.array([[0.1 + 0.0j]])
+    coarse = make_domain((1.0,), n_radial=3, n_angular=8)
+    apply_projection(K, monomial(3, 6), w, coarse, pts)
+    assert len(K.tables) == 1
+    with pytest.raises(QuadratureUnderresolved):
+        apply_projection(K, monomial(3, 6), w, coarse, pts, tol=1e-10)
+    assert len(K.tables) == 2
 
 
 def test_domain_guards():
