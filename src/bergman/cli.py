@@ -28,7 +28,7 @@ from .oracle import (QuadratureCase, compare_kernels, fourier_inversion_check,
                      sp_quadrature_check)
 from .phase import build_phase, inversion_margin, verify_contour
 from .projector import (FIT_FLOOR, assemble_kernel, decay_fit, make_domain,
-                        reproducing_error)
+                        projection_table, reproducing_error)
 from .series import TruncatedSeries
 from .weight import quadratic_gap_estimate, validate_weight
 
@@ -286,15 +286,22 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
         amps[N] = solve_amplitude(pd, N)
     outer = make_domain((cfg.radius_v,) * w.n, cfg.n_radial, cfg.n_angular)
     inner = make_domain((cfg.radius_u,) * w.n, cfg.err_n_radial, cfg.err_n_angular)
-    # Highest degree first, so each kernel builds its projection table once.
-    by_degree = [u for _, u in sorted(dictionary, key=lambda tu: -sum(tu[0]))]
+    degree = max(sum(t) for t in cfg.test_functions)
+    measured = {N: [] for N in orders}
+    for h in cfg.h_grid:
+        # The orders' kernels at one h differ only in the amplitude, so one
+        # table build serves all of them and the projections below only
+        # read their tables.
+        kernels = [assemble_kernel(w, amps[N], h) for N in orders]
+        projection_table(kernels, w, outer, inner.nodes, degree)
+        for N, K in zip(orders, kernels):
+            err = max(reproducing_error(K, u, w, inner, outer) for _, u in dictionary)
+            measured[N].append((K.symbol.cutoff, err))
     rows = []
     fits = {}
     for N in orders:
         errs = []
-        for h in cfg.h_grid:
-            K = assemble_kernel(w, amps[N], h)
-            err = max(reproducing_error(K, u, w, inner, outer) for u in by_degree)
+        for h, (cutoff, err) in zip(cfg.h_grid, measured[N]):
             errs.append((h, err))
             beta_running = None
             if len(errs) >= 3:
@@ -302,7 +309,7 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
                     beta_running = decay_fit(errs).beta
                 except BergmanError:
                     beta_running = None
-            rows.append({"h": h, "N": N, "cutoff": K.symbol.cutoff, "err_U": err,
+            rows.append({"h": h, "N": N, "cutoff": cutoff, "err_U": err,
                          "beta_running": beta_running})
         fits[str(N)] = _fit_or_floor(errs)
     return {"rows": rows, "fits": fits,

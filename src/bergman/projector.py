@@ -8,11 +8,14 @@ evaluation points: its monomial table holds, for every holomorphic monomial
 y^t up to a degree, the quadrature of the kernel against w_j y_j^t.  Each
 test function u is then a contraction of that table with u's coefficients,
 so projecting several test functions costs one pass of complex exp, not one
-per function.  The table is built from Psi and a in factored form X @ B,
-with the node-side factors B shared by every block of evaluation rows;
-phi(y) is folded into the constant row of Psi's node factor, so the
-combined exponent Psi - phi is formed inside the matrix product and the
-integrand never overflows inside the trust region.
+per function.  Kernels that share the weight and h (the truncation orders
+at one h) differ only in a, so projection_table builds their tables in one
+pass: the factor e^{(2/h)(Psi - phi)} is computed once per block of rows and
+multiplied by each kernel's amplitude.  The table is built from Psi and a
+in factored form X @ B, with the node-side factors B shared by every block
+of evaluation rows; phi(y) is folded into the constant row of Psi's node
+factor, so the combined exponent Psi - phi is formed inside the matrix
+product and the integrand never overflows inside the trust region.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ def check_domain(dom: DomainSpec, w: Weight) -> None:
 class KernelEvaluator:
     """Evaluates h^{-n} exp((2/h) Psi(x, conj y)) a(x, conj y) at point pairs.
 
-    ``tables`` holds apply_projection's monomial tables, keyed by the weight
-    and by the bytes of the grid's nodes and weights and of the evaluation
-    points, so a table lives exactly as long as its kernel.
+    ``tables`` holds the monomial tables apply_projection reads, keyed by
+    ``table_key`` (the weight and the bytes of the grid's nodes and weights
+    and of the evaluation points), so a table lives exactly as long as its
+    kernel.  projection_table fills it, for one kernel on a miss in
+    apply_projection or for several kernels that share the weight and h.
     """
 
     w: Weight
@@ -105,39 +110,60 @@ def assemble_kernel(w: Weight, amp: Amplitude, h: float) -> KernelEvaluator:
     return KernelEvaluator(w=w, symbol=realize(amp, h), h=float(h))
 
 
-def projection_table(K: KernelEvaluator, w: Weight, d: DomainSpec, xd: np.ndarray,
-                     degree: int) -> tuple[dict, np.ndarray]:
-    """The kernel's monomial table on grid ``d`` at evaluation rows ``xd``.
+def table_key(w: Weight, d: DomainSpec, xd: np.ndarray) -> tuple:
+    """Where a kernel keeps its monomial table on grid ``d`` at rows ``xd``."""
+    return (w, d.nodes.tobytes(), d.weights.tobytes(), xd.tobytes())
+
+
+def projection_table(kernels: list[KernelEvaluator], w: Weight, d: DomainSpec,
+                     xd: np.ndarray, degree: int) -> None:
+    """Each kernel's monomial table on grid ``d`` at evaluation rows ``xd``.
 
     T[i, t] = sum_j e^{(2/h)(Psi(x_i, conj y_j) - phi(y_j))} a(x_i, conj y_j)
-    w_j y_j^t for every monomial y^t of total degree <= ``degree``; returns
-    ({t: column of T}, T).
+    w_j y_j^t for every monomial y^t of total degree <= ``degree``.  The
+    kernels must share the weight and h, so they differ only in a: the
+    exponential factor is computed once per block of rows and multiplied by
+    each kernel's amplitude.  Each kernel stores ({t: column of T}, T) in
+    its ``tables`` under ``table_key``.
     """
-    monomials = _block_monomials(K.n, degree)
+    K0 = kernels[0]
+    if any(K.w != K0.w or K.h != K0.h for K in kernels):
+        raise ConfigInvalid("kernels sharing a projection table build need one weight and one h")
+    monomials = _block_monomials(K0.n, degree)
     yd = np.conj(d.nodes)
     # Node-side factors, once per grid: Psi = X @ P and a = Xa @ Pa.  Row 0
     # of P multiplies the constant monomial, so subtracting phi(y) there
     # makes the GEMM return Psi - phi(y), which stays bounded where the
     # two terms alone overflow and underflow at small h.
-    X, P = K.w.series.bilinear_factors(xd, yd)
+    X, P = K0.w.series.bilinear_factors(xd, yd)
     P[0] -= w.phi(d.nodes)
-    Xa, Pa = K.symbol.series.bilinear_factors(xd, yd)
+    amps = [K.symbol.series.bilinear_factors(xd, yd) for K in kernels]
     load = d.weights[:, None] * _monomial_table(d.nodes, monomials)
-    T = np.empty((xd.shape[0], len(monomials)), dtype=complex)
+    Ts = [np.empty((xd.shape[0], len(monomials)), dtype=complex) for _ in kernels]
     chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
+    # One exponent and one product buffer serve every block and kernel.
+    shape = (min(chunk, xd.shape[0]), d.nodes.shape[0])
+    E_buf, M_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for lo in range(0, xd.shape[0], chunk):
         blk = slice(lo, lo + chunk)
-        E = X[blk] @ P
+        rows = min(chunk, xd.shape[0] - lo)
+        E, M = E_buf[:rows], M_buf[:rows]
+        np.matmul(X[blk], P, out=E)
         # Keep this separate pass between the GEMM and exp; do not fold
         # 2/h into P.  exp called straight on an OpenBLAS complex GEMM
         # result measured 10-16x slower: upper AVX-512 register state
         # left by the GEMM kernel slows the complex exp until another
         # ufunc runs.
-        E *= 2.0 / K.h
+        E *= 2.0 / K0.h
         np.exp(E, out=E)
-        E *= Xa[blk] @ Pa
-        T[blk] = E @ load
-    return {t: col for col, t in enumerate(monomials)}, T
+        for (Xa, Pa), T in zip(amps, Ts):
+            np.matmul(Xa[blk], Pa, out=M)
+            # E first: the operand order fixes the rounding of the product.
+            np.multiply(E, M, out=M)
+            T[blk] = M @ load
+    cols = {t: col for col, t in enumerate(monomials)}
+    for K, T in zip(kernels, Ts):
+        K.tables[table_key(w, d, xd)] = cols, T
 
 
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
@@ -160,10 +186,10 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
     degree = max((sum(t) for t in u.coeffs), default=0)
 
     def run(d: DomainSpec) -> np.ndarray:
-        key = (w, d.nodes.tobytes(), d.weights.tobytes(), xd.tobytes())
-        cols, T = K.tables.get(key, ({}, None))
-        if not cols.keys() >= u.coeffs.keys():
-            cols, T = K.tables[key] = projection_table(K, w, d, xd, degree)
+        key = table_key(w, d, xd)
+        if not K.tables.get(key, ({}, None))[0].keys() >= u.coeffs.keys():
+            projection_table([K], w, d, xd, degree)
+        cols, T = K.tables[key]
         c = np.zeros(len(cols), dtype=complex)
         for t, coef in u.coeffs.items():
             c[cols[t]] = coef

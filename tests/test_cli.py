@@ -163,26 +163,28 @@ def test_amplitude_stage_runs_the_engine_once(monkeypatch):
 
 
 def test_kernel_stage_builds_one_projection_table_per_kernel(monkeypatch):
-    # 2 orders x 3 h = 6 kernels, each projecting 4 test functions
-    from bergman import projector
+    # 2 orders x 3 h = 6 kernels, each projecting 4 test functions; the two
+    # kernels at one h share one table build
+    from bergman import cli, projector
     builds, calls = [], []
     build, apply = projector.projection_table, projector.apply_projection
 
-    def counted_build(*args, **kwargs):
-        builds.append(args[-1])
-        return build(*args, **kwargs)
+    def counted_build(kernels, *args, **kwargs):
+        builds.append((len(kernels), args[-1]))
+        return build(kernels, *args, **kwargs)
 
     def counted_apply(*args, **kwargs):
         calls.append(args[1])
         return apply(*args, **kwargs)
 
     monkeypatch.setattr(projector, "projection_table", counted_build)
+    monkeypatch.setattr(cli, "projection_table", counted_build)
     monkeypatch.setattr(projector, "apply_projection", counted_apply)
     path = os.path.join(ROOT, "configs", "perturbed-quartic.json")
     cfg = load_config(path, {"suites": ["kernel"], "h_grid": [0.2, 0.1, 0.05]})
     rows = run(cfg)["stages"]["kernel"]["rows"]
     assert len(calls) == 24
-    assert builds == [3] * 6
+    assert builds == [(2, 3)] * 3
     # err_U before the tables, when every call integrated u on its own
     before = {4: [0.10465226490132143, 0.041848476856779324, 0.002219606863823438],
               3: [0.10387251113859242, 0.04181777949885854, 0.00221419136726629]}

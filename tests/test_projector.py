@@ -5,8 +5,8 @@ from bergman.amplitude import solve_amplitude
 from bergman.errors import (ConfigInvalid, DegenerateFit,
                             QuadratureUnderresolved)
 from bergman.projector import (apply_projection, assemble_kernel, check_domain,
-                               decay_fit, make_domain, reproducing_error,
-                               weighted_norm)
+                               decay_fit, make_domain, projection_table,
+                               reproducing_error, table_key, weighted_norm)
 from bergman.quadrature import disc_grid
 from bergman.series import TruncatedSeries
 from bergman.weight import validate_weight
@@ -147,6 +147,42 @@ def test_projection_warm_table_matches_fresh_kernels(triples, n, order, maxdeg, 
         assert np.max(np.abs(warm - fresh)) <= 1e-13 * np.max(np.abs(fresh))
         assert np.allclose(warm, direct_projection(K, u, w, dom, pts), rtol=1e-12)
         assert len(K.tables) == 1
+
+
+@pytest.mark.parametrize("triples, n, order, maxdeg, pts", [
+    pytest.param(QUARTIC, 1, 4, 26, N1_PTS, id="n1-quartic"),
+    pytest.param(PRODUCT, 2, 1, 8, N2_PTS, id="n2-product"),
+])
+def test_shared_table_build_matches_single_builds(triples, n, order, maxdeg, pts):
+    # orders N and N - 1 at one h share the exponential factor of their tables
+    w, amp, dom = projection_setup(triples, n, order, maxdeg)
+    amps = (amp, solve_amplitude(build_phase(w), order - 1))
+    pts = np.array(pts)
+    shared = [assemble_kernel(w, a, 0.1) for a in amps]
+    projection_table(shared, w, dom, pts, 3)
+    for a, K in zip(amps, shared):
+        alone = assemble_kernel(w, a, 0.1)
+        projection_table([alone], w, dom, pts, 3)
+        cols, T = K.tables[table_key(w, dom, pts)]
+        cols_alone, T_alone = alone.tables[table_key(w, dom, pts)]
+        assert cols == cols_alone
+        assert np.array_equal(T, T_alone)
+        # apply_projection reads the primed table instead of building its own
+        u = TruncatedSeries.from_triples([((0,) * (n - 1) + (3,), 1.0, 0.0)], n, 3)
+        apply_projection(K, u, w, dom, pts)
+        assert len(K.tables) == 1
+
+
+def test_shared_table_build_needs_one_weight_and_one_h():
+    w, amp = pipeline(QUARTIC, 2, maxdeg=16, trust=1.0)
+    other, other_amp = pipeline(GAUSS, 2, maxdeg=16, trust=1.0)
+    dom = make_domain((0.7,), n_radial=8, n_angular=16)
+    pts = np.array(N1_PTS)
+    for kernels in ([assemble_kernel(w, amp, 0.1), assemble_kernel(w, amp, 0.2)],
+                    [assemble_kernel(w, amp, 0.1), assemble_kernel(other, other_amp, 0.1)]):
+        with pytest.raises(ConfigInvalid):
+            projection_table(kernels, w, dom, pts, 1)
+        assert all(not K.tables for K in kernels)
 
 
 def test_projection_small_h_stays_finite():
