@@ -68,7 +68,7 @@ class RunConfig:
 
 _REQUIRED = ("name", "dimension", "coefficients", "trust_radius", "maxdeg",
              "order", "radius_u", "radius_v")
-_KNOWN = set(RunConfig.__dataclass_fields__)
+_DEFAULTS = {k: f.default for k, f in RunConfig.__dataclass_fields__.items()}
 
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
@@ -78,7 +78,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     data = dict(raw)
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(data) - _KNOWN
+    unknown = set(data) - _DEFAULTS.keys()
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
     missing = [k for k in _REQUIRED if k not in data]
@@ -90,8 +90,9 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid("dimension must be a positive integer")
 
     def read(key: str, convert, default=None):
-        """convert(value of key); a value of the wrong type names its field."""
-        value = data.get(key, default)
+        """convert(value of key, else of ``default``, else of RunConfig's
+        default); a value of the wrong type names its field."""
+        value = data.get(key, _DEFAULTS[key] if default is None else default)
         try:
             return convert(value)
         except (KeyError, TypeError, ValueError) as exc:
@@ -132,11 +133,11 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid(
             f"need 0 < radius_u ({ru}) < radius_v ({rv}) < trust_radius ({trust})")
 
-    h_grid = read("h_grid", lambda g: tuple(finite(h) for h in g), DEFAULT_H_GRID)
+    h_grid = read("h_grid", lambda g: tuple(finite(h) for h in g))
     if not h_grid or any(h <= 0 for h in h_grid):
         raise ConfigInvalid("h_grid must be a nonempty list of positive values")
 
-    suites = read("suites", tuple, SUITES)
+    suites = read("suites", tuple)
     bad = [s for s in suites if s not in SUITES]
     if bad or not suites:
         raise ConfigInvalid(f"suites must be a nonempty subset of {SUITES}, got {bad}")
@@ -146,12 +147,12 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     if not tfs:
         raise ConfigInvalid("test_functions must be a nonempty list")
 
-    nodes = {k: read(k, int, RunConfig.__dataclass_fields__[k].default)
+    nodes = {k: read(k, int)
              for k in ("n_radial", "n_angular", "err_n_radial", "err_n_angular")}
     small = {k: v for k, v in nodes.items() if v < 1}
     if small:
         raise ConfigInvalid(f"quadrature node counts must be at least 1, got {small}")
-    hmax, seed = read("hmax", int, 4), read("seed", int, 0)
+    hmax, seed = read("hmax", int), read("seed", int)
     if hmax < 1:
         raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
     if seed < 0:
@@ -162,7 +163,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         coefficients=coeffs, trust_radius=trust, maxdeg=maxdeg,
         order=order, radius_u=ru, radius_v=rv,
         hmax=hmax, h_grid=h_grid,
-        gram_degree=read("gram_degree", int, 25),
+        gram_degree=read("gram_degree", int),
         seed=seed, suites=suites, test_functions=tfs, **nodes)
 
 
@@ -293,9 +294,9 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
         # table build serves all of them and the projections below only
         # read their tables.
         kernels = [assemble_kernel(w, amps[N], h) for N in orders]
-        projection_table(kernels, w, outer, inner.nodes, degree)
+        projection_table(kernels, outer, inner.nodes, degree)
         for N, K in zip(orders, kernels):
-            err = max(reproducing_error(K, u, w, inner, outer) for _, u in dictionary)
+            err = max(reproducing_error(K, u, inner, outer) for _, u in dictionary)
             measured[N].append((K.symbol.cutoff, err))
     rows = []
     fits = {}

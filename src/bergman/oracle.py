@@ -6,13 +6,14 @@ contour, localized elements, the pointwise-evaluation bound, and sampled
 contour inequalities.  Everything here is built from plain quadrature and
 linear algebra.  What is shared with the pipeline is named: theta_pairs,
 its Jacobian and theta_ratio from phase, formal_expansion (which
-sp_quadrature_check exists to check), and weighted_norm / check_domain from
-projector.
+sp_quadrature_check exists to check), weighted_norm / check_domain from
+projector, and the monomial enumerator _block_monomials from series, which
+lists the Gram basis.  The Gram power table, _monomial_table here, is the
+oracle's own.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .phase import (PhaseData, fast_uv, phase_on_contour, theta_jacobian_pairs,
 from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sobol_ball
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _block_monomials
 from .weight import Weight, _as_points, _pair_points
 
 # Sign of the theta-contour orientation, fixed once by requiring the
@@ -85,13 +86,6 @@ class GramKernel:
         return out
 
 
-def _degree_basis(n: int, degree: int) -> tuple:
-    idx = [alpha for alpha in itertools.product(range(degree + 1), repeat=n)
-           if sum(alpha) <= degree]
-    idx.sort(key=lambda a: (sum(a), a))
-    return tuple(idx)
-
-
 def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
     """Columns disp^alpha for alpha in the basis, rows of disp (m, n)."""
     out = np.empty((disp.shape[0], len(basis)), dtype=complex)
@@ -115,7 +109,7 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
         raise ConfigInvalid(
             f"{dom.n_angular} angular nodes cannot resolve frequency {degree}; "
             f"need at least {4 * degree}")
-    basis = _degree_basis(w.n, degree)
+    basis = tuple(sorted(_block_monomials(w.n, degree), key=lambda a: (sum(a), a)))
     # G = V^H diag(weights e^{-2 phi/h}) V over the quadrature nodes.
     V = _monomial_table(dom.nodes, basis)
     wts = dom.weights * np.exp(-2.0 * w.phi(dom.nodes) / h)

@@ -49,39 +49,35 @@ class PhaseData:
     remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
 
 
-def theta_pairs(w: Weight, x, y) -> np.ndarray:
-    """theta(x_i, y_i) = (2/i)(grad phi(y) + (1/2) hess phi(y) (x - y))."""
-    xs, ys = _pair_points(x, y, w.n)
+def _theta(w: Weight, f: TruncatedSeries, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(2/i)(grad f(y) + (1/2) hess f(y) (x - y)) at paired rows, f in the
+    weight's 2n table variables; f = Phi gives theta."""
     pts = w.displacements(ys)
     dxy = xs - ys
-    m = ys.shape[0]
-    th = np.empty((m, w.n), dtype=complex)
+    th = np.empty(ys.shape, dtype=complex)
     for j in range(w.n):
-        dj = w.series.diff(j)
+        dj = f.diff(j)
         g = dj.eval_grid(pts)
-        corr = np.zeros(m, dtype=complex)
+        corr = np.zeros(ys.shape[0], dtype=complex)
         for k in range(w.n):
             corr += 0.5 * dj.diff(k).eval_grid(pts) * dxy[:, k]
         th[:, j] = (2.0 / 1j) * (g + corr)
     return th
 
 
-def theta_jacobian_pairs(w: Weight, x, y) -> np.ndarray:
-    """det of d(theta)/d(conj y) at paired points, shape (m,)."""
-    n = w.n
+def theta_pairs(w: Weight, x, y) -> np.ndarray:
+    """theta(x_i, y_i) = (2/i)(grad phi(y) + (1/2) hess phi(y) (x - y))."""
     xs, ys = _pair_points(x, y, w.n)
-    pts = w.displacements(ys)
-    dxy = xs - ys
-    m = ys.shape[0]
-    jac = np.empty((m, n, n), dtype=complex)
-    for j in range(n):
-        dj = w.series.diff(j)
-        for k in range(n):
-            entry = dj.diff(n + k).eval_grid(pts)
-            for l in range(n):
-                entry += 0.5 * dj.diff(l).diff(n + k).eval_grid(pts) * dxy[:, l]
-            jac[:, j, k] = (2.0 / 1j) * entry
-    if n == 1:
+    return _theta(w, w.series, xs, ys)
+
+
+def theta_jacobian_pairs(w: Weight, x, y) -> np.ndarray:
+    """det of d(theta)/d(conj y) at paired points, shape (m,).  x - y is
+    holomorphic in y, so column k is the theta formula applied to dphi/dconj(y_k)."""
+    xs, ys = _pair_points(x, y, w.n)
+    jac = np.stack([_theta(w, w.series.diff(w.n + k), xs, ys) for k in range(w.n)],
+                   axis=2)
+    if w.n == 1:
         return jac[:, 0, 0]
     return np.linalg.det(jac)
 

@@ -3,12 +3,13 @@
 The asymptotic projection kernel is K(x, conj y) = h^{-n} exp((2/h) Psi(x,
 conj y)) a(x, conj y; h) with a the realized amplitude.  Projections are
 computed by weighted quadrature over a disc (or polydisc) against
-exp(-2 phi / h).  A kernel integrates once per quadrature grid and set of
-evaluation points: its monomial table holds, for every holomorphic monomial
-y^t up to a degree, the quadrature of the kernel against w_j y_j^t.  Each
-test function u is then a contraction of that table with u's coefficients,
-so projecting several test functions costs one pass of complex exp, not one
-per function.  Kernels that share the weight and h (the truncation orders
+exp(-2 phi / h), with Psi and phi both read from the kernel's one weight.
+A kernel integrates once per quadrature grid and set of evaluation rows and
+keeps the result keyed by the two: its monomial table holds, for every
+holomorphic monomial y^t up to a degree, the quadrature of the kernel
+against w_j y_j^t.  Each test function u is then a contraction of that
+table with u's coefficients, so projecting several test functions costs one
+pass of complex exp, not one per function.  Kernels that share the weight and h (the truncation orders
 at one h) differ only in a, so projection_table builds their tables in one
 pass: the factor e^{(2/h)(Psi - phi)} is computed once per block of rows and
 multiplied by each kernel's amplitude.  The table is built from Psi and a
@@ -81,10 +82,11 @@ class KernelEvaluator:
     """Evaluates h^{-n} exp((2/h) Psi(x, conj y)) a(x, conj y) at point pairs.
 
     ``tables`` holds the monomial tables apply_projection reads, keyed by
-    ``table_key`` (the weight and the bytes of the grid's nodes and weights
-    and of the evaluation points), so a table lives exactly as long as its
-    kernel.  projection_table fills it, for one kernel on a miss in
-    apply_projection or for several kernels that share the weight and h.
+    ``table_key`` (the bytes of the grid's nodes and weights and of the
+    evaluation rows), so a table lives exactly as long as its kernel and is
+    built against its one weight ``w``.  projection_table fills it, for one
+    kernel on a miss in apply_projection or for several kernels that share
+    the weight and h.
     """
 
     w: Weight
@@ -110,12 +112,12 @@ def assemble_kernel(w: Weight, amp: Amplitude, h: float) -> KernelEvaluator:
     return KernelEvaluator(w=w, symbol=realize(amp, h), h=float(h))
 
 
-def table_key(w: Weight, d: DomainSpec, xd: np.ndarray) -> tuple:
+def table_key(d: DomainSpec, xd: np.ndarray) -> tuple:
     """Where a kernel keeps its monomial table on grid ``d`` at rows ``xd``."""
-    return (w, d.nodes.tobytes(), d.weights.tobytes(), xd.tobytes())
+    return (d.nodes.tobytes(), d.weights.tobytes(), xd.tobytes())
 
 
-def projection_table(kernels: list[KernelEvaluator], w: Weight, d: DomainSpec,
+def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
                      xd: np.ndarray, degree: int) -> None:
     """Each kernel's monomial table on grid ``d`` at evaluation rows ``xd``.
 
@@ -136,7 +138,7 @@ def projection_table(kernels: list[KernelEvaluator], w: Weight, d: DomainSpec,
     # makes the GEMM return Psi - phi(y), which stays bounded where the
     # two terms alone overflow and underflow at small h.
     X, P = K0.w.series.bilinear_factors(xd, yd)
-    P[0] -= w.phi(d.nodes)
+    P[0] -= K0.w.phi(d.nodes)
     amps = [K.symbol.series.bilinear_factors(xd, yd) for K in kernels]
     load = d.weights[:, None] * _monomial_table(d.nodes, monomials)
     Ts = [np.empty((xd.shape[0], len(monomials)), dtype=complex) for _ in kernels]
@@ -163,7 +165,7 @@ def projection_table(kernels: list[KernelEvaluator], w: Weight, d: DomainSpec,
             T[blk] = M @ load
     cols = {t: col for col, t in enumerate(monomials)}
     for K, T in zip(kernels, Ts):
-        K.tables[table_key(w, d, xd)] = cols, T
+        K.tables[table_key(d, xd)] = cols, T
 
 
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
@@ -176,8 +178,10 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
     whose u has a monomial the stored table lacks rebuilds it at u's degree.
     With ``tol`` set, the quadrature is repeated on a doubled grid, which
     has its own table, and QuadratureUnderresolved is raised if the results
-    differ by more than 10 * tol.
+    differ by more than 10 * tol.  ``w`` must be the kernel's own weight.
     """
+    if w != K.w:
+        raise ConfigInvalid("the projection weight differs from the kernel's weight")
     if u.nvars != K.n:
         raise ConfigInvalid(f"test function has {u.nvars} variables, expected {K.n}")
     check_domain(dom, w)
@@ -186,9 +190,9 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
     degree = max((sum(t) for t in u.coeffs), default=0)
 
     def run(d: DomainSpec) -> np.ndarray:
-        key = table_key(w, d, xd)
+        key = table_key(d, xd)
         if not K.tables.get(key, ({}, None))[0].keys() >= u.coeffs.keys():
-            projection_table([K], w, d, xd, degree)
+            projection_table([K], d, xd, degree)
         cols, T = K.tables[key]
         c = np.zeros(len(cols), dtype=complex)
         for t, coef in u.coeffs.items():
@@ -218,15 +222,15 @@ def weighted_norm(w: Weight, values: np.ndarray, dom: DomainSpec, h: float) -> f
     return float(peak * np.sqrt((dom.weights * (mag / peak) ** 2).sum()))
 
 
-def reproducing_error(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
+def reproducing_error(K: KernelEvaluator, u: TruncatedSeries,
                       inner: DomainSpec, outer: DomainSpec) -> float:
-    """Relative weighted defect: ||proj u - u|| over inner / ||u|| over outer."""
+    """Relative defect ||proj u - u|| over inner / ||u|| over outer, weighted by K.w."""
     if max(inner.radii) >= max(outer.radii):
         raise ConfigInvalid("inner domain must be strictly inside the outer one")
-    proj = apply_projection(K, u, w, outer, inner.nodes)
+    proj = apply_projection(K, u, K.w, outer, inner.nodes)
     exact = u.eval_grid(inner.nodes)
-    num = weighted_norm(w, proj - exact, inner, K.h)
-    den = weighted_norm(w, u.eval_grid(outer.nodes), outer, K.h)
+    num = weighted_norm(K.w, proj - exact, inner, K.h)
+    den = weighted_norm(K.w, u.eval_grid(outer.nodes), outer, K.h)
     return num / den
 
 

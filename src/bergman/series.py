@@ -325,12 +325,7 @@ class TruncatedSeries:
             for i, k in enumerate(mi):
                 if k > kmax[i]:
                     kmax[i] = k
-        pw = []
-        for i in range(self.nvars):
-            tab = np.ones((kmax[i] + 1, m), dtype=complex)
-            for k in range(1, kmax[i] + 1):
-                tab[k] = tab[k - 1] * pts[:, i]
-            pw.append(tab)
+        pw = [_powers(pts[:, i], kmax[i]) for i in range(self.nvars)]
         acc = np.zeros(m, dtype=complex)
         for mi, c in self.coeffs.items():
             v = None
@@ -379,15 +374,18 @@ def _block_monomials(k: int, degree: int) -> list[MultiIndex]:
             if sum(mi) <= degree]
 
 
+def _powers(z: np.ndarray, kmax: int) -> np.ndarray:
+    """Rows z^0 .. z^kmax of the values z (m,), by repeated products."""
+    tab = np.ones((kmax + 1, z.shape[0]), dtype=complex)
+    for k in range(1, kmax + 1):
+        tab[k] = tab[k - 1] * z
+    return tab
+
+
 def _monomial_table(pts: np.ndarray, monomials: list[MultiIndex]) -> np.ndarray:
-    """Columns z^alpha over rows of ``pts`` (m, k); powers by repeated products."""
+    """Columns z^alpha over rows of ``pts`` (m, k); powers from _powers."""
     m, k = pts.shape
-    pw = []
-    for j in range(k):
-        tab = np.ones((max(mi[j] for mi in monomials) + 1, m), dtype=complex)
-        for d in range(1, tab.shape[0]):
-            tab[d] = tab[d - 1] * pts[:, j]
-        pw.append(tab)
+    pw = [_powers(pts[:, j], max(mi[j] for mi in monomials)) for j in range(k)]
     out = np.empty((m, len(monomials)), dtype=complex)
     for col, mi in enumerate(monomials):
         v = pw[0][mi[0]]

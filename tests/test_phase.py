@@ -151,6 +151,44 @@ def test_theta_gaussian_closed_form():
     assert abs(jac[0] - (-1j)) < 1e-13
 
 
+# A non-separable n = 2 weight: the Levi form couples x1 and x2, and a
+# complex degree-4 term mixes the blocks.
+COUPLED = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
+           ((1, 0, 0, 1), 0.1, 0.0), ((0, 1, 1, 0), 0.1, 0.0),
+           ((1, 1, 1, 1), 0.05, 0.0),
+           ((2, 0, 1, 1), 0.02, 0.01), ((1, 1, 2, 0), 0.02, -0.01)]
+
+
+def dtheta_dconj_y(w, x, y, eps=1e-5):
+    """Central differences d(theta_j)/d(conj y_k) = (1/2)(d_a + i d_b) theta_j
+    for y_k = a + ib, shape (m, n, n)."""
+    cols = []
+    for k in range(w.n):
+        step = np.zeros(w.n, dtype=complex)
+        step[k] = eps
+        d_a = theta_pairs(w, x, y + step) - theta_pairs(w, x, y - step)
+        d_b = theta_pairs(w, x, y + 1j * step) - theta_pairs(w, x, y - 1j * step)
+        cols.append(0.5 * (d_a + 1j * d_b) / (2.0 * eps))
+    return np.stack(cols, axis=2)
+
+
+@pytest.mark.parametrize("triples, n", [
+    pytest.param(QUARTIC, 1, id="n1-quartic"),
+    pytest.param(COUPLED, 2, id="n2-coupled"),
+])
+def test_theta_jacobian_matches_central_differences(triples, n):
+    # the quartic's third derivatives make the (1/2) hess term of theta
+    # depend on conj y, which the Gaussian cannot show
+    w = make_weight(triples, n=n)
+    rng = np.random.default_rng(3)
+    x = 0.3 * (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)))
+    y = 0.3 * (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)))
+    want = np.linalg.det(dtheta_dconj_y(w, x, y))
+    got = theta_jacobian_pairs(w, x, y)
+    assert got.shape == (12,)
+    assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+
 def test_theta_quartic_frozen():
     # d(phi)/dy at y=0.2: 0.1 + 0.2*0.2*0.04 = 0.1016, theta = -2i * that
     w = make_weight(QUARTIC)

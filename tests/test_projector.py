@@ -159,12 +159,12 @@ def test_shared_table_build_matches_single_builds(triples, n, order, maxdeg, pts
     amps = (amp, solve_amplitude(build_phase(w), order - 1))
     pts = np.array(pts)
     shared = [assemble_kernel(w, a, 0.1) for a in amps]
-    projection_table(shared, w, dom, pts, 3)
+    projection_table(shared, dom, pts, 3)
     for a, K in zip(amps, shared):
         alone = assemble_kernel(w, a, 0.1)
-        projection_table([alone], w, dom, pts, 3)
-        cols, T = K.tables[table_key(w, dom, pts)]
-        cols_alone, T_alone = alone.tables[table_key(w, dom, pts)]
+        projection_table([alone], dom, pts, 3)
+        cols, T = K.tables[table_key(dom, pts)]
+        cols_alone, T_alone = alone.tables[table_key(dom, pts)]
         assert cols == cols_alone
         assert np.array_equal(T, T_alone)
         # apply_projection reads the primed table instead of building its own
@@ -181,7 +181,7 @@ def test_shared_table_build_needs_one_weight_and_one_h():
     for kernels in ([assemble_kernel(w, amp, 0.1), assemble_kernel(w, amp, 0.2)],
                     [assemble_kernel(w, amp, 0.1), assemble_kernel(other, other_amp, 0.1)]):
         with pytest.raises(ConfigInvalid):
-            projection_table(kernels, w, dom, pts, 1)
+            projection_table(kernels, dom, pts, 1)
         assert all(not K.tables for K in kernels)
 
 
@@ -261,6 +261,37 @@ def test_weighted_norm_survives_huge_values():
     assert abs(got - want) < 1e-12 * want
 
 
+def test_projection_rejects_a_foreign_weight():
+    # the Gaussian weight beside the quartic kernel used to weight the
+    # projection silently: u = x at 0.1 and 0.2i gave 0.1063 and 0.2126i
+    w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
+    other, _ = pipeline(GAUSS, 1)
+    K = assemble_kernel(w, amp, 0.1)
+    dom = make_domain((0.7,))
+    pts = np.array([[0.1 + 0.0j], [0.2j]])
+    with pytest.raises(ConfigInvalid):
+        apply_projection(K, monomial(1), other, dom, pts)
+    assert not K.tables
+    got = apply_projection(K, monomial(1), w, dom, pts)
+    assert np.allclose(got, [0.0976, 0.1952j], atol=1e-4)
+
+
+def test_reproducing_error_weights_by_the_kernel_weight():
+    w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
+    other, _ = pipeline(GAUSS, 1)
+    K = assemble_kernel(w, amp, 0.1)
+    inner = make_domain((0.35,), n_radial=16, n_angular=32)
+    outer = make_domain((0.7,), n_radial=48, n_angular=96)
+    u = monomial(1)
+    proj = apply_projection(K, u, w, outer, inner.nodes)
+    want = (weighted_norm(w, proj - u.eval_grid(inner.nodes), inner, 0.1)
+            / weighted_norm(w, u.eval_grid(outer.nodes), outer, 0.1))
+    assert reproducing_error(K, u, inner, outer) == want
+    # no weight can be passed beside the kernel
+    with pytest.raises(TypeError):
+        reproducing_error(K, u, other, inner, outer)
+
+
 def test_reproducing_error_decreases_with_h():
     w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
     inner = make_domain((0.35,), n_radial=16, n_angular=32)
@@ -268,7 +299,7 @@ def test_reproducing_error_decreases_with_h():
     errs = []
     for h in (0.2, 0.1, 0.05):
         K = assemble_kernel(w, amp, h)
-        errs.append(reproducing_error(K, monomial(1, 6), w, inner, outer))
+        errs.append(reproducing_error(K, monomial(1, 6), inner, outer))
     assert errs[0] > errs[1] > errs[2] > 0
 
 
@@ -278,7 +309,7 @@ def test_reproducing_error_requires_nested_domains():
     inner = make_domain((1.0,))
     outer = make_domain((0.5,))
     with pytest.raises(ConfigInvalid):
-        reproducing_error(K, monomial(0, 2), w, inner, outer)
+        reproducing_error(K, monomial(0, 2), inner, outer)
 
 
 def test_higher_order_correction_scales_like_h4():
