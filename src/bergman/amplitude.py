@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDegree, VariableMismatch
-from .phase import PhaseData, lift
+from .phase import PhaseData, lift, to_ring, to_slow
 from .quadrature import sobol_ball
 from .series import TruncatedSeries
 
@@ -52,10 +52,10 @@ def _series_det(mat: list[list[TruncatedSeries]]) -> TruncatedSeries:
     return acc
 
 
-def _series_matrix_inverse(mat: list[list[TruncatedSeries]]) -> list[list[TruncatedSeries]]:
-    """Adjugate over determinant; fine for the small n used here."""
+def _series_matrix_inverse(mat: list[list[TruncatedSeries]],
+                           det_inv: TruncatedSeries) -> list[list[TruncatedSeries]]:
+    """Adjugate times det_inv, the inverse of det mat; fine for the small n used here."""
     n = len(mat)
-    det_inv = _series_det(mat).invert()
     if n == 1:
         return [[det_inv]]
     out = [[None] * n for _ in range(n)]
@@ -98,18 +98,14 @@ class ExpansionTermOps:
     """
 
     def __init__(self, pd: PhaseData):
-        self.n = pd.n
-        n = pd.n
-        self.slow_deg = max(pd.maxdeg - 2, 0)
+        self.n = n = pd.n
+        self.slow_deg = pd.slow_deg
 
-        binv = _series_matrix_inverse(pd.quad_B)
-        det_b = _series_det(pd.quad_B)
-        self.c0 = (LEADING_NUM ** n) * det_b.invert()
-
-        # Lift B^{-1} entries into the (y, xt, u, v) ring for the pairings.
-        slow_pos = list(range(2 * n))
-        self.binv_big = [[binv[j][k].rename(slow_pos, 4 * n)
-                          for k in range(n)] for j in range(n)]
+        det_inv = _series_det(pd.quad_B).invert()
+        self.c0 = (LEADING_NUM ** n) * det_inv
+        # B^{-1} entries in the (y, xt, u, v) ring, for the pairings.
+        self.binv_big = [[to_ring(e, n) for e in row]
+                         for row in _series_matrix_inverse(pd.quad_B, det_inv)]
 
         self._remainder = pd.remainder
         self._rpow: list[TruncatedSeries] = [
@@ -141,11 +137,6 @@ class ExpansionTermOps:
         if acc is None:
             return TruncatedSeries.zero(4 * n, max(s.maxdeg - 2, 0))
         return acc
-
-    def _project_slow(self, s: TruncatedSeries) -> TruncatedSeries:
-        # Called after full contraction, so every term has u- and v-degree 0.
-        n = self.n
-        return s.rename(list(range(2 * n)) + [0] * (2 * n), 2 * n)
 
     # -- the operators ---------------------------------------------------------
 
@@ -179,7 +170,8 @@ class ExpansionTermOps:
                 g = self._pair_once(g)
             coef = (2.0 ** q) * (PAIRING_H ** p) / (
                 math.factorial(q) * math.factorial(p))
-            total = total + self._project_slow(g) * coef
+            # Fully contracted: every term of g has u- and v-degree 0.
+            total = total + to_slow(g, self.n) * coef
         return total
 
 

@@ -318,15 +318,12 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
 
 
 def _sp_cases(cfg: RunConfig, ctx: dict) -> list:
-    pairs = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
-             (2, 2), (3, 2), (3, 3), (4, 4)]
-    cases = []
-    for a, b in pairs:
-        name = f"x^{a}yt^{b}"
-        # at the phase's slow degree, the most the expansion can use
-        sym = TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, ctx["pd"].maxdeg - 2)
-        cases.append(QuadratureCase(name, sym))
-    return cases
+    # each symbol at the phase's slow degree, the most the expansion can use
+    deg = ctx["pd"].slow_deg
+    return [QuadratureCase(f"x^{a}yt^{b}",
+                           TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, deg))
+            for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
+                         (2, 2), (3, 2), (3, 3), (4, 4))]
 
 
 # Verify sections whose oracles exist for n = 1 only.
@@ -337,18 +334,17 @@ _N1_ONLY = {
 }
 
 
+def _error_record(exc: BergmanError) -> dict:
+    """How a report records a failure: a stage, a verify section or an sp row."""
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     _amplitude(cfg, ctx)
     w, pd, amp = ctx["w"], ctx["pd"], ctx["amp"]
     out: dict = {}
     n = cfg.dimension
     outer = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
-
-    def attempt(key, fn):
-        try:
-            out[key] = fn()
-        except BergmanError as exc:
-            out[key] = {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
     def gram_section():
         x, y = near_diagonal_pairs(0.3 * cfg.radius_u, 20)
@@ -403,9 +399,7 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
                 try:
                     r, = sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
                 except BergmanError as exc:
-                    rows.append({"name": case.name, "h": h,
-                                 "error": {"type": type(exc).__name__,
-                                           "message": str(exc)}})
+                    rows.append({"name": case.name, "h": h, **_error_record(exc)})
                     ok_flags.append(False)
                     continue
                 rows.append({"name": r.name, "h": r.h, "error": r.error,
@@ -421,8 +415,11 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     for key, fn in sections:
         if n > 1 and key in _N1_ONLY:
             out[key] = {"skipped": _N1_ONLY[key]}
-        else:
-            attempt(key, fn)
+            continue
+        try:
+            out[key] = fn()
+        except BergmanError as exc:
+            out[key] = _error_record(exc)
     return out
 
 
@@ -444,8 +441,7 @@ def run(cfg: RunConfig) -> dict:
         try:
             report["stages"][suite] = _STAGES[suite](cfg, ctx)
         except BergmanError as exc:
-            report["stages"][suite] = {
-                "error": {"type": type(exc).__name__, "message": str(exc)}}
+            report["stages"][suite] = _error_record(exc)
     return report
 
 
@@ -495,27 +491,27 @@ def report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def render(report: dict, fmt: str = "json") -> tuple[str, str]:
+    """(file name, text) of the report: the JSON report, or the CSV error table."""
+    if fmt == "json":
+        return "report.json", report_json(report)
+    if fmt == "csv":
+        return "errors.csv", report_csv(report)
+    raise ConfigInvalid(f"unknown format {fmt!r}; use json or csv")
+
+
 def emit(report: dict, out_dir: str, fmt: str = "json") -> list:
     """Write the report under out_dir; returns the paths written."""
     import os
-    if fmt not in ("json", "csv"):
-        raise ConfigInvalid(f"unknown format {fmt!r}; use json or csv")
+    name, text = render(report, fmt)
+    path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        paths = []
-        if fmt == "json":
-            p = os.path.join(out_dir, "report.json")
-            with open(p, "w", encoding="utf-8") as fh:
-                fh.write(report_json(report))
-            paths.append(p)
-        else:
-            p = os.path.join(out_dir, "errors.csv")
-            with open(p, "w", encoding="utf-8") as fh:
-                fh.write(report_csv(report))
-            paths.append(p)
-        return paths
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write report under {out_dir}: {exc}") from exc
+    return [path]
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +536,7 @@ def _parse_args(argv):
         prog="bergman",
         description="Asymptotic Bergman kernels in weighted spaces: "
                     "pipeline runner and oracle suites.")
-    ap.add_argument("command", choices=["validate", "amplitude", "kernel",
-                                        "verify", "report"])
+    ap.add_argument("command", choices=[*SUITES, "report"])
     ap.add_argument("--config", required=True, help="path to a JSON run config")
     ap.add_argument("--h-grid", help="comma-separated override, e.g. 0.2,0.1,0.05")
     ap.add_argument("--order", type=int, help="amplitude truncation order override")
@@ -550,24 +545,13 @@ def _parse_args(argv):
     return ap.parse_args(argv)
 
 
-_COMMAND_SUITES = {
-    "validate": ("validate",),
-    "amplitude": ("amplitude",),
-    "kernel": ("kernel",),
-    "verify": ("verify",),
-    "report": SUITES,
-}
-
-
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    overrides: dict = {"suites": list(_COMMAND_SUITES[args.command])}
+    suites = SUITES if args.command == "report" else (args.command,)
+    overrides: dict = {"suites": list(suites)}
     if args.h_grid:
-        try:
-            overrides["h_grid"] = [float(tok) for tok in args.h_grid.split(",") if tok]
-        except ValueError:
-            print("error: --h-grid must be comma-separated numbers", file=sys.stderr)
-            return 2
+        # config_from_dict reads and checks each token like any h_grid entry
+        overrides["h_grid"] = [tok for tok in args.h_grid.split(",") if tok]
     if args.order is not None:
         overrides["order"] = args.order
     try:
@@ -577,8 +561,7 @@ def main(argv=None) -> int:
             for p in emit(report, args.out, args.format):
                 print(p)
         else:
-            text = report_json(report) if args.format == "json" else report_csv(report)
-            sys.stdout.write(text)
+            sys.stdout.write(render(report, args.format)[1])
     except BergmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

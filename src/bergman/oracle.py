@@ -323,14 +323,16 @@ def _contour_radius(pd: PhaseData, h: float) -> tuple[float, float]:
     """Smallest radius whose boundary decay suffices, else the best available.
 
     Returns (radius, g) with g = min of -Re(phi) on the bounding circle; the
-    quadrature truncation error is of order e^{-2g/h}.
+    quadrature truncation error is of order e^{-2g/h}.  All probe circles
+    are evaluated at once; the scan stops at the first circle without decay.
     """
     angles = np.exp(2j * np.pi * np.arange(SP_PROBE_ANGLES) / SP_PROBE_ANGLES)
+    rhos = np.linspace(0.15, SP_MAX_RADIUS, SP_PROBE_RADII)
+    vals = phase_on_contour(pd, (rhos[:, None] * angles).reshape(-1, 1))
+    decay = -vals.real.reshape(SP_PROBE_RADII, SP_PROBE_ANGLES).max(axis=1)
     target = 19.0 * h
     best = (0.0, -np.inf)
-    for rho in np.linspace(0.15, SP_MAX_RADIUS, SP_PROBE_RADII):
-        vals = phase_on_contour(pd, (rho * angles)[:, None])
-        g = float(-vals.real.max())
+    for rho, g in zip(rhos, decay.tolist()):
         if g <= 0.0:
             break
         if g > best[1]:

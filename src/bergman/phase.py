@@ -11,7 +11,9 @@ last three terms are S at v = 0, at u = 0 and at u = v = 0, so phi is
 exactly the part of S whose monomials have u-degree >= 1 and v-degree >= 1:
 one ``lift`` of Psi and a filter.  The diagonal {u = v = 0} is therefore a critical
 manifold with value zero, and the quadratic part of phi is u^T B(y, xt) v
-with B the mixed Hessian d_x d_yt Psi.
+with B the mixed Hessian d_x d_yt Psi.  This module owns the ring layout:
+beside ``lift``, ``to_ring`` embeds a slow series in (y, xt) as a constant
+in (u, v), and ``to_slow`` drops the (u, v) block again.
 
 The good contour for the fast integral runs through the origin with
 v = -conj(B0^T u), where B0 = B(0, 0) is the weight's Levi matrix
@@ -47,6 +49,11 @@ class PhaseData:
     b0: np.ndarray               # B at the origin: the weight's Levi matrix
     hess_det: complex            # det(b0)^2 = (-1)^n det of the fast Hessian [[0, B], [B^T, 0]]
     remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
+
+    @property
+    def slow_deg(self) -> int:
+        """Degree of series in (y, xt): one pairing below the phase's."""
+        return max(self.maxdeg - 2, 0)
 
 
 def _theta(w: Weight, f: TruncatedSeries, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -100,18 +107,22 @@ def lift(f: TruncatedSeries, n: int) -> TruncatedSeries:
     return f.substitute(subs)
 
 
+def to_ring(s: TruncatedSeries, n: int) -> TruncatedSeries:
+    """s(y, xt) as a series in the (y, xt, u, v) ring, constant in (u, v)."""
+    fast = (0,) * (2 * n)
+    return TruncatedSeries(4 * n, s.maxdeg, {mi + fast: c for mi, c in s.coeffs.items()})
+
+
+def to_slow(s: TruncatedSeries, n: int) -> TruncatedSeries:
+    """s in (y, xt) with its (u, v) block dropped; every term must have u- and v-degree 0."""
+    return TruncatedSeries(2 * n, s.maxdeg, {mi[:2 * n]: c for mi, c in s.coeffs.items()})
+
+
 def build_phase(w: Weight) -> PhaseData:
     """Assemble the four-point phase from one lift of Psi."""
     n = w.n
     psi = polarize(w)
-
-    def u_deg(mi):
-        return sum(mi[2 * n:3 * n])
-
-    def v_deg(mi):
-        return sum(mi[3 * n:])
-
-    phi_uv = lift(psi, n).filter(lambda mi: u_deg(mi) >= 1 and v_deg(mi) >= 1)
+    phi_uv = lift(psi, n).filter(lambda mi: any(mi[2 * n:3 * n]) and any(mi[3 * n:]))
     quad_B = [[psi.diff(j).diff(n + k) for k in range(n)] for j in range(n)]
 
     b0 = w.levi
@@ -121,7 +132,7 @@ def build_phase(w: Weight) -> PhaseData:
     if abs(hess_det) <= HESS_FLOOR:
         raise DegenerateHessian(f"fast Hessian determinant {hess_det} too small")
 
-    remainder = phi_uv.filter(lambda mi: u_deg(mi) + v_deg(mi) >= 3)
+    remainder = phi_uv.filter(lambda mi: sum(mi[2 * n:]) >= 3)
 
     return PhaseData(n=n, maxdeg=psi.maxdeg, phi_uv=phi_uv, quad_B=quad_B,
                      b0=b0, hess_det=hess_det, remainder=remainder)

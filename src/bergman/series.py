@@ -29,10 +29,6 @@ from .errors import (
 MultiIndex = tuple[int, ...]
 
 
-def total_degree(mi: MultiIndex) -> int:
-    return sum(mi)
-
-
 class TruncatedSeries:
     __slots__ = ("nvars", "maxdeg", "coeffs")
 
@@ -122,6 +118,13 @@ class TruncatedSeries:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TruncatedSeries) and (
+            (self.nvars, self.maxdeg, self.coeffs) == (other.nvars, other.maxdeg, other.coeffs))
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.maxdeg, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
         head = ", ".join(f"{mi}:{c:.3g}" for mi, c in sorted(self.coeffs.items())[:4])
@@ -249,7 +252,7 @@ class TruncatedSeries:
         pows: list[list[TruncatedSeries]] = [[one] for _ in range(self.nvars)]
         # One dict for the sum: adding series would copy it once per term.
         out: dict[MultiIndex, complex] = {}
-        for mi in sorted(self.coeffs, key=total_degree):
+        for mi in sorted(self.coeffs, key=sum):
             c = self.coeffs[mi]
             term = None
             for i, k in enumerate(mi):
@@ -268,30 +271,6 @@ class TruncatedSeries:
                 else:
                     out[key] = acc
         return TruncatedSeries(nv, deg, out, _checked=True)
-
-    def rename(self, new_positions: Sequence[int], nvars_new: int) -> "TruncatedSeries":
-        """Exponent remap: old variable i becomes variable new_positions[i].
-
-        Faster than substitute for pure relabelings/embeddings.  Distinct old
-        variables may map to the same new one (exponents add).
-        """
-        if len(new_positions) != self.nvars:
-            raise VariableMismatch("need one target position per variable")
-        for p in new_positions:
-            if not 0 <= p < nvars_new:
-                raise BadVariable(f"target position {p} outside ring of {nvars_new} variables")
-        out: dict[MultiIndex, complex] = {}
-        for mi, c in self.coeffs.items():
-            new = [0] * nvars_new
-            for i, k in enumerate(mi):
-                new[new_positions[i]] += k
-            key = tuple(new)
-            s = out.get(key, 0.0) + c
-            if s == 0.0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TruncatedSeries(nvars_new, self.maxdeg, out, _checked=True)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse by Newton iteration; needs a nonzero constant term."""

@@ -317,6 +317,8 @@ def test_main_overrides_revalidate(tmp_path, capsys):
     assert "6N+2" in capsys.readouterr().err
     rc = main(["kernel", "--config", str(cfg_path), "--h-grid", "0.2,zebra"])
     assert rc == 2
+    # the token is read like any h_grid entry, and the error names the field
+    assert "h_grid: cannot read" in capsys.readouterr().err
 
 
 def test_main_h_grid_override(tmp_path, capsys):

@@ -1,17 +1,23 @@
+import os
+
 import numpy as np
 import pytest
 
 from bergman.amplitude import Amplitude, solve_amplitude
 from bergman.errors import BadContour, BergmanError, ConfigInvalid, IllConditioned
-from bergman.oracle import (QuadratureCase, compare_kernels,
+from bergman.cli import load_config
+from bergman.oracle import (SP_MAX_RADIUS, SP_PROBE_ANGLES, SP_PROBE_RADII,
+                            QuadratureCase, _contour_radius, compare_kernels,
                             fourier_inversion_check, gram_bergman,
                             inequality_suite, localized_element,
                             near_diagonal_pairs, pointwise_bound_check,
                             sp_quadrature_check)
 from bergman.projector import assemble_kernel, make_domain
 from bergman.series import TruncatedSeries
-from bergman.weight import validate_weight
-from bergman.phase import build_phase
+from bergman.weight import Weight, validate_weight
+from bergman.phase import build_phase, phase_on_contour
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
@@ -255,6 +261,55 @@ def test_inequality_deterministic():
 # -- stationary-phase quadrature ---------------------------------------------
 # Symbols are built at the phase's slow degree maxdeg - 2, the most the
 # expansion can use.
+
+def config_phase(name):
+    cfg = load_config(os.path.join(ROOT, "configs", f"{name}.json"))
+    s = TruncatedSeries.from_triples(cfg.coefficients, 2, cfg.maxdeg)
+    return build_phase(validate_weight(s, cfg.trust_radius)), cfg.h_grid
+
+
+# (rho, g) of the probe scan on the canonical configs, by h
+QUARTIC_PROBE = (2.197872340425532, 0.6242829536802711)
+PROBES = {
+    "perturbed-quartic": {h: QUARTIC_PROBE for h in (0.2, 0.15, 0.1, 0.07, 0.05)},
+    "gaussian": {0.2: (3.918085106382979, 3.837847725215029),
+                 0.05: (1.952127659574468, 0.9527005998189224)},
+    "quadratic-lambda": {0.05: (1.0510638297872341, 1.1047351742870075)},
+}
+
+
+def probe_by_circle(pd, h):
+    """The probe scan with one phase evaluation per circle."""
+    angles = np.exp(2j * np.pi * np.arange(SP_PROBE_ANGLES) / SP_PROBE_ANGLES)
+    best = (0.0, -np.inf)
+    for rho in np.linspace(0.15, SP_MAX_RADIUS, SP_PROBE_RADII):
+        g = float(-phase_on_contour(pd, (rho * angles)[:, None]).real.max())
+        if g <= 0.0:
+            break
+        if g > best[1]:
+            best = (rho, g)
+        if g >= 19.0 * h:
+            return rho, g
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_contour_radius_on_canonical_configs(name):
+    pd, h_grid = config_phase(name)
+    for h in h_grid:
+        assert _contour_radius(pd, h) == probe_by_circle(pd, h)
+    for h, want in PROBES[name].items():
+        assert h in h_grid
+        assert _contour_radius(pd, h) == pytest.approx(want, rel=1e-12)
+
+
+def test_contour_radius_rejects_a_phase_rising_on_the_first_circle():
+    # a steep quartic makes Re(phi) positive on the smallest probe circle
+    s = TruncatedSeries.from_triples([((1, 1), 0.5, 0.0), ((2, 2), 100.0, 0.0)], 2, 10)
+    pd = build_phase(Weight(1, s, 1.0))
+    with pytest.raises(BadContour, match="no positive-decay radius"):
+        _contour_radius(pd, 0.1)
+
 
 def test_sp_gaussian_constant_is_pi():
     w = make_weight(GAUSS)

@@ -5,7 +5,8 @@ import pytest
 
 from bergman.errors import BadContour, DegenerateHessian
 from bergman.phase import (build_phase, inversion_margin, phase_on_contour,
-                           theta_jacobian_pairs, theta_pairs, verify_contour)
+                           theta_jacobian_pairs, theta_pairs, to_ring, to_slow,
+                           verify_contour)
 from bergman.series import TruncatedSeries, max_abs_diff
 from bergman.weight import Weight, validate_weight
 
@@ -52,15 +53,26 @@ def phase_by_definition(w):
     """Psi(x, yt) - Psi(x, xt) - Psi(y, yt) + Psi(y, xt) in (y, xt, x, yt),
     then x = y + u and yt = xt + v, in the (y, xt, u, v) ring."""
     n, psi = w.n, w.series
-    deg = psi.maxdeg
+    var = [TruncatedSeries.variable(i, 4 * n, psi.maxdeg) for i in range(4 * n)]
 
     def place(first, second):
-        return psi.rename([first * n + j for j in range(n)]
-                          + [second * n + j for j in range(n)], 4 * n)
+        return psi.substitute(var[first * n:(first + 1) * n] + var[second * n:(second + 1) * n])
 
     phi4 = place(2, 3) - place(2, 1) - place(0, 3) + place(0, 1)
-    var = [TruncatedSeries.variable(i, 4 * n, deg) for i in range(4 * n)]
     return phi4.substitute(var[:2 * n] + [var[j] + var[2 * n + j] for j in range(2 * n)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ring_layout_round_trip(n):
+    s = TruncatedSeries.from_triples(
+        [((0,) * (2 * n), 1.5, -0.5), ((1,) + (0,) * (2 * n - 2) + (2,), -0.25, 0.0),
+         ((0,) * (2 * n - 1) + (3,), 0.0, 2.0)], 2 * n, 5)
+    ring = to_ring(s, n)
+    assert (ring.nvars, ring.maxdeg) == (4 * n, 5)
+    # the slow exponents come first, the (u, v) block is zero
+    assert ring.coeffs == {mi + (0,) * (2 * n): c for mi, c in s.coeffs.items()}
+    back = to_slow(ring, n)
+    assert (back.nvars, back.maxdeg, back.coeffs) == (s.nvars, s.maxdeg, s.coeffs)
 
 
 @pytest.mark.parametrize("triples,n,maxdeg", [

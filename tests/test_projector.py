@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from bergman.amplitude import solve_amplitude
+from bergman.cli import load_config
 from bergman.errors import (ConfigInvalid, DegenerateFit,
                             QuadratureUnderresolved)
 from bergman.projector import (apply_projection, assemble_kernel, check_domain,
@@ -11,6 +14,8 @@ from bergman.quadrature import disc_grid
 from bergman.series import TruncatedSeries
 from bergman.weight import validate_weight
 from bergman.phase import build_phase
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
@@ -274,6 +279,19 @@ def test_projection_rejects_a_foreign_weight():
     assert not K.tables
     got = apply_projection(K, monomial(1), w, dom, pts)
     assert np.allclose(got, [0.0976, 0.1952j], atol=1e-4)
+
+
+def test_projection_accepts_an_equal_weight_built_apart():
+    # two validations of one config give equal weights, not one object
+    cfg = load_config(os.path.join(ROOT, "configs", "perturbed-quartic.json"))
+    w_a, w_b = (validate_weight(TruncatedSeries.from_triples(cfg.coefficients, 2, cfg.maxdeg),
+                                cfg.trust_radius) for _ in range(2))
+    assert w_b is not w_a and w_b == w_a and hash(w_b) == hash(w_a)
+    K_a = assemble_kernel(w_a, solve_amplitude(build_phase(w_a), cfg.order), 0.1)
+    dom = make_domain((cfg.radius_v,))
+    pts = np.array([[0.1 + 0.0j], [0.2j]])
+    got = apply_projection(K_a, monomial(1), w_b, dom, pts)
+    assert np.array_equal(got, apply_projection(K_a, monomial(1), K_a.w, dom, pts))
 
 
 def test_reproducing_error_weights_by_the_kernel_weight():

@@ -120,11 +120,14 @@ def test_substitute_composes_with_eval():
     assert np.allclose(comp.eval_grid(pts), want, atol=1e-12)
 
 
-def test_rename_embeds_variables():
-    f = TruncatedSeries.from_triples([((1, 2), 1.0, 0.0)], 2, 4)
-    g = f.rename([0, 3], 4)
-    assert g.nvars == 4
-    assert g.coeff((1, 0, 0, 2)) == 1.0
+def test_equality_is_by_value():
+    def build(maxdeg=4, c=1.0):
+        return TruncatedSeries.from_triples([((1, 2), c, 0.0), ((0, 0), 0.5, 0.0)], 2, maxdeg)
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != build(maxdeg=5) and a != build(c=2.0)
+    assert a != TruncatedSeries.from_triples([((1, 2, 0), 1.0, 0.0)], 3, 4)
+    assert a != 1.0
 
 
 def test_diff_product_rule():
