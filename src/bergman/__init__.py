@@ -23,12 +23,12 @@ from .oracle import (CompareStats, FourierCheck, GramKernel,
                      localized_element, near_diagonal_pairs,
                      pointwise_bound_check, sp_quadrature_check)
 from .phase import (PhaseData, build_phase, inversion_margin, phase_on_contour,
-                    theta_jacobian_pairs, theta_pairs, theta_ratio,
+                    theta_jacobian_pairs, theta_pairing, theta_pairs, theta_ratio,
                     verify_contour)
 from .projector import (DecayFit, DomainSpec, KernelEvaluator, apply_projection,
                         assemble_kernel, check_domain, decay_fit, make_domain,
                         reproducing_error, weighted_norm)
-from .series import TruncatedSeries, max_abs_diff
+from .series import TruncatedSeries
 from .weight import Weight, quadratic_gap_estimate, validate_weight
 
 __all__ = [
@@ -43,10 +43,10 @@ __all__ = [
     "compare_kernels", "config_from_dict", "decay_fit", "emit",
     "estimate_growth", "formal_expansion", "fourier_inversion_check",
     "gram_bergman", "inequality_suite", "inversion_margin", "load_config",
-    "localized_element", "main", "make_domain", "max_abs_diff",
-    "near_diagonal_pairs", "phase_on_contour", "pointwise_bound_check",
-    "quadratic_gap_estimate", "realize", "reproducing_error", "run",
-    "solve_amplitude", "sp_quadrature_check", "theta_jacobian_pairs",
+    "localized_element", "main", "make_domain", "near_diagonal_pairs",
+    "phase_on_contour", "pointwise_bound_check", "quadratic_gap_estimate",
+    "realize", "reproducing_error", "run", "solve_amplitude",
+    "sp_quadrature_check", "theta_jacobian_pairs", "theta_pairing",
     "theta_pairs", "theta_ratio", "validate_weight", "verify_contour",
     "weighted_norm",
 ]

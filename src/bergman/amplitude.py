@@ -37,6 +37,8 @@ from .series import TruncatedSeries
 PAIRING_H = -0.5
 LEADING_NUM = math.pi / 2.0
 
+GROWTH_SAMPLES = 512
+
 
 def _series_det(mat: list[list[TruncatedSeries]]) -> TruncatedSeries:
     n = len(mat)
@@ -216,15 +218,14 @@ def solve_amplitude(pd: PhaseData, order: int) -> Amplitude:
     return Amplitude(n=pd.n, order=order, coeffs=coeffs, c0=ops.c0)
 
 
-def estimate_growth(amp: Amplitude, region_radius: float,
-                    n_samples: int = 512, seed: int = 0) -> float:
-    """Fit the factorial-type bound sup|a_k| <= C^(k+1) k^k on the region.
+def estimate_growth(amp: Amplitude, region_radius: float, seed: int = 0) -> float:
+    """Fit sup|a_k| <= C^(k+1) k^k at GROWTH_SAMPLES Sobol points of the region.
 
     Returns twice the fitted constant (safety margin) and stores the
     normalized sequence (sup|a_k| / k^k)^(1/(k+1)) on the amplitude for
     band diagnostics.
     """
-    pts = sobol_ball(2 * amp.n, region_radius, n_samples, seed=seed)
+    pts = sobol_ball(2 * amp.n, region_radius, GROWTH_SAMPLES, seed=seed)
     profile = []
     for k, ak in enumerate(amp.coeffs):
         sup = float(np.abs(ak.eval_grid(pts)).max()) if not ak.is_zero() else 0.0

@@ -2,9 +2,11 @@
 
 A single JSON config names the weight, truncation orders, h-grid, domains,
 and oracle settings.  ``run`` executes the selected suites in dependency
-order, recording per-suite failures without aborting the rest; ``emit``
-writes the report as JSON or CSV tables.  All randomness is seeded from the
-config, so reports are byte-deterministic.
+order, recording per-suite failures without aborting the rest; the
+stages share one ``RunState``, which builds the weight, phase, order-N
+amplitude and sampled gap once, on first read.  ``emit`` writes the report
+as JSON or CSV tables.  All randomness is seeded from the config, so
+reports are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -17,20 +19,21 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .amplitude import estimate_growth, solve_amplitude
+from .amplitude import Amplitude, estimate_growth, solve_amplitude
 from .errors import BergmanError, ConfigInvalid, DegenerateFit, IoError
 from .oracle import (QuadratureCase, compare_kernels, fourier_inversion_check,
                      gram_bergman, inequality_suite, localized_element,
                      near_diagonal_pairs, pointwise_bound_check,
                      sp_quadrature_check)
-from .phase import build_phase, inversion_margin, verify_contour
+from .phase import PhaseData, build_phase, inversion_margin, verify_contour
 from .projector import (FIT_FLOOR, assemble_kernel, decay_fit, make_domain,
                         projection_table, reproducing_error)
 from .series import TruncatedSeries
-from .weight import quadratic_gap_estimate, validate_weight
+from .weight import Weight, quadratic_gap_estimate, validate_weight
 
 SCHEMA_TAG = "bergman-report/1"
 SUITES = ("validate", "amplitude", "kernel", "verify")
@@ -183,40 +186,44 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def _monomial(exponents, n: int) -> TruncatedSeries:
-    deg = max(sum(exponents), 0)
-    return TruncatedSeries.from_triples([(tuple(exponents), 1.0, 0.0)], n, deg)
+    return TruncatedSeries.from_triples([(tuple(exponents), 1.0, 0.0)], n, sum(exponents))
 
 
-def _core(cfg: RunConfig, ctx: dict) -> dict:
-    if "w" not in ctx:
+@dataclass
+class RunState:
+    """The pieces a run's stages share, each built on first read and kept:
+    the weight, its phase, the order-N amplitude and the sampled gap.  A
+    build that raises keeps nothing, so each stage reading it records the error."""
+
+    cfg: RunConfig
+
+    @cached_property
+    def w(self) -> Weight:
+        cfg = self.cfg
         series = TruncatedSeries.from_triples(
             list(cfg.coefficients), 2 * cfg.dimension, cfg.maxdeg)
-        ctx["w"] = validate_weight(series, cfg.trust_radius)
-        ctx["pd"] = build_phase(ctx["w"])
-    return ctx
+        return validate_weight(series, cfg.trust_radius)
 
+    @cached_property
+    def pd(self) -> PhaseData:
+        return build_phase(self.w)
 
-def _amplitude(cfg: RunConfig, ctx: dict) -> dict:
-    _core(cfg, ctx)
-    if "amp" not in ctx:
-        amp = solve_amplitude(ctx["pd"], cfg.order)
-        estimate_growth(amp, cfg.radius_u, seed=cfg.seed)
-        ctx["amp"] = amp
-    return ctx
+    @cached_property
+    def amp(self) -> Amplitude:
+        amp = solve_amplitude(self.pd, self.cfg.order)
+        estimate_growth(amp, self.cfg.radius_u, seed=self.cfg.seed)
+        return amp
 
+    @cached_property
+    def gap(self) -> tuple[float, float]:
+        """Sampled (cmin, cmax) of the quadratic gap out to half the trust radius."""
+        return quadratic_gap_estimate(self.w, 0.5 * self.cfg.trust_radius,
+                                      seed=self.cfg.seed)
 
-def _gap(cfg: RunConfig, ctx: dict) -> tuple[float, float]:
-    """Sampled (cmin, cmax) of the quadratic gap, computed once per run."""
-    if "gap" not in ctx:
-        _core(cfg, ctx)
-        ctx["gap"] = quadratic_gap_estimate(
-            ctx["w"], 0.5 * cfg.trust_radius, n_samples=4096, seed=cfg.seed)
-    return ctx["gap"]
-
-
-def _delta(cfg: RunConfig, ctx: dict) -> float:
-    """delta = cmin / 2 of the sampled gap: the one rule every stage uses."""
-    return 0.5 * _gap(cfg, ctx)[0]
+    @property
+    def delta(self) -> float:
+        """delta = cmin / 2 of the sampled gap: the one rule every stage uses."""
+        return 0.5 * self.gap[0]
 
 
 def _fit_or_floor(pairs) -> dict:
@@ -235,22 +242,20 @@ def _fit_or_floor(pairs) -> dict:
 # Stages
 
 
-def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
-    _core(cfg, ctx)
-    w, pd = ctx["w"], ctx["pd"]
+def stage_validate(state: RunState) -> dict:
+    cfg, w, pd = state.cfg, state.w, state.pd
     eigs = [float(v) for v in np.linalg.eigvalsh(w.levi)]
-    cmin, cmax = _gap(cfg, ctx)
-    delta = _delta(cfg, ctx)
+    cmin, cmax = state.gap
     checksum = hashlib.sha256(
         json.dumps(w.series.to_triples(), sort_keys=True).encode()).hexdigest()[:16]
     radius = 0.3 * cfg.trust_radius
-    amp_margin = verify_contour(pd, radius, n_samples=10_000, seed=cfg.seed)
-    inv_margin = inversion_margin(w, radius, n_samples=10_000, seed=cfg.seed)
+    amp_margin = verify_contour(pd, radius, seed=cfg.seed)
+    inv_margin = inversion_margin(w, radius, seed=cfg.seed)
     return {
         "dimension": w.n,
         "levi_eigenvalues": eigs,
         "gap": {"cmin": cmin, "cmax": cmax},
-        "delta": delta,
+        "delta": state.delta,
         "polarization_checksum": checksum,
         "hessian_determinant": [pd.hess_det.real, pd.hess_det.imag],
         "phase_margins": {"amplitude": amp_margin,
@@ -259,9 +264,8 @@ def stage_validate(cfg: RunConfig, ctx: dict) -> dict:
     }
 
 
-def stage_amplitude(cfg: RunConfig, ctx: dict) -> dict:
-    _amplitude(cfg, ctx)
-    amp = ctx["amp"]
+def stage_amplitude(state: RunState) -> dict:
+    amp = state.amp
     a0 = amp.coeffs[0].constant_term
     # Orders >= 1 of the expansion vanish by construction of a_1..a_N; the
     # order-zero product c0 * a0 = 1 is the one that can drift.
@@ -277,12 +281,12 @@ def stage_amplitude(cfg: RunConfig, ctx: dict) -> dict:
     }
 
 
-def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
-    _amplitude(cfg, ctx)
-    w, pd = ctx["w"], ctx["pd"]
+def stage_kernel(state: RunState) -> dict:
+    amp = state.amp
+    cfg, w, pd = state.cfg, state.w, state.pd
     dictionary = [(list(t), _monomial(t, cfg.dimension)) for t in cfg.test_functions]
     orders = [cfg.order] + ([cfg.order - 1] if cfg.order >= 1 else [])
-    amps = {cfg.order: ctx["amp"]}
+    amps = {cfg.order: amp}
     for N in orders[1:]:
         amps[N] = solve_amplitude(pd, N)
     outer = make_domain((cfg.radius_v,) * w.n, cfg.n_radial, cfg.n_angular)
@@ -317,9 +321,9 @@ def stage_kernel(cfg: RunConfig, ctx: dict) -> dict:
             "test_functions": [t for t, _ in dictionary]}
 
 
-def _sp_cases(cfg: RunConfig, ctx: dict) -> list:
+def _sp_cases(pd: PhaseData) -> list:
     # each symbol at the phase's slow degree, the most the expansion can use
-    deg = ctx["pd"].slow_deg
+    deg = pd.slow_deg
     return [QuadratureCase(f"x^{a}yt^{b}",
                            TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, deg))
             for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
@@ -339,30 +343,29 @@ def _error_record(exc: BergmanError) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
-    _amplitude(cfg, ctx)
-    w, pd, amp = ctx["w"], ctx["pd"], ctx["amp"]
+def stage_verify(state: RunState) -> dict:
+    amp = state.amp
+    cfg, w, pd = state.cfg, state.w, state.pd
     out: dict = {}
     n = cfg.dimension
     outer = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
 
     def gram_section():
-        x, y = near_diagonal_pairs(0.3 * cfg.radius_u, 20)
-        pairs = []
+        x, y = near_diagonal_pairs(0.3 * cfg.radius_u)
         per_h = []
         for h in cfg.h_grid:
             gk = gram_bergman(w, outer, h, cfg.gram_degree)
             st = compare_kernels(assemble_kernel(w, amp, h), gk, x, y)
             per_h.append({"h": h, "max_rel": st.max_rel,
                           "median_rel": st.median_rel, "cond": gk.cond})
-            pairs.append((h, st.max_rel))
-        return {"points": 20, "per_h": per_h, "fit": _fit_or_floor(pairs)}
+        fit = _fit_or_floor([(r["h"], r["max_rel"]) for r in per_h])
+        return {"points": len(x), "per_h": per_h, "fit": fit}
 
     def fourier_section():
         res = {}
         for t in cfg.test_functions:
             checks = fourier_inversion_check(w, _monomial(t, n), np.zeros(n),
-                                             cfg.radius_v, 96, 192, cfg.h_grid)
+                                             cfg.radius_v, cfg.h_grid)
             pairs = [(chk.h, chk.residual) for chk in checks]
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
                                  "fit": _fit_or_floor(pairs)}
@@ -377,8 +380,7 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
         return res
 
     def inequality_section():
-        suite = inequality_suite(w, _delta(cfg, ctx), 0.3 * cfg.trust_radius,
-                                 n_samples=10_000, seed=cfg.seed)
+        suite = inequality_suite(w, state.delta, 0.3 * cfg.trust_radius, seed=cfg.seed)
         return {"theta_margin": suite.theta_margin, "gz_margin": suite.gz_margin,
                 "ratio_min": suite.ratio_min, "delta": suite.delta,
                 "radius": suite.radius}
@@ -386,28 +388,25 @@ def stage_verify(cfg: RunConfig, ctx: dict) -> dict:
     def localized_section():
         h = cfg.h_grid[len(cfg.h_grid) // 2]
         one = TruncatedSeries.constant(1.0, n, 0)
-        elem = localized_element(one, np.zeros(n), w, h, delta=_delta(cfg, ctx),
+        elem = localized_element(one, np.zeros(n), w, h, delta=state.delta,
                                  seed=cfg.seed)
         return {"h": h, "margin": elem.margin, "delta": elem.delta,
                 "domination_C": elem.domination_C}
 
     def sp_section():
         rows = []
-        ok_flags = []
-        for case in _sp_cases(cfg, ctx):
+        for case in _sp_cases(pd):
             for h in cfg.h_grid:
                 try:
                     r, = sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
                 except BergmanError as exc:
                     rows.append({"name": case.name, "h": h, **_error_record(exc)})
-                    ok_flags.append(False)
                     continue
                 rows.append({"name": r.name, "h": r.h, "error": r.error,
-                             "next_term": r.next_term,
-                             "order_used": r.order_used,
+                             "next_term": r.next_term, "order_used": r.order_used,
                              "terminating": r.terminating, "ok": r.ok})
-                ok_flags.append(r.ok)
-        return {"cases": rows, "all_ok": all(ok_flags)}
+        # a row that records an error has no "ok" and counts as failed
+        return {"cases": rows, "all_ok": all(row.get("ok", False) for row in rows)}
 
     sections = (("gram", gram_section), ("fourier", fourier_section),
                 ("pointwise", pointwise_section), ("inequalities", inequality_section),
@@ -434,12 +433,12 @@ _STAGES = {
 def run(cfg: RunConfig) -> dict:
     """Execute the selected suites; per-suite failures land in the report."""
     report = {"schema": SCHEMA_TAG, "config": cfg.to_jsonable(), "stages": {}}
-    ctx: dict = {}
+    state = RunState(cfg)
     for suite in SUITES:
         if suite not in cfg.suites:
             continue
         try:
-            report["stages"][suite] = _STAGES[suite](cfg, ctx)
+            report["stages"][suite] = _STAGES[suite](state)
         except BergmanError as exc:
             report["stages"][suite] = _error_record(exc)
     return report

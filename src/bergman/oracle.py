@@ -5,24 +5,25 @@ stationary-phase expansion, numerical Fourier inversion on the theta
 contour, localized elements, the pointwise-evaluation bound, and sampled
 contour inequalities.  Everything here is built from plain quadrature and
 linear algebra.  What is shared with the pipeline is named: theta_pairs,
-its Jacobian and theta_ratio from phase, formal_expansion (which
-sp_quadrature_check exists to check), weighted_norm / check_domain from
-projector, and the monomial enumerator _block_monomials from series, which
-lists the Gram basis.  The Gram power table, _monomial_table here, is the
-oracle's own.
+its Jacobian, theta_pairing and theta_ratio from phase, the gap Weight.gap,
+formal_expansion (which sp_quadrature_check exists to check),
+weighted_norm / check_domain from projector, and the monomial enumerator
+_block_monomials from series, which lists the Gram basis.  The Gram power
+table, _monomial_table here, is the oracle's own.  Sample counts and grids
+are constants of the check that uses them; only the Sobol seed is an argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import BadContour, ConfigInvalid, IllConditioned, QuadratureUnderresolved
-from .phase import (PhaseData, fast_uv, phase_on_contour, theta_jacobian_pairs,
-                    theta_pairs, theta_ratio)
+from .phase import (MARGIN_SAMPLES, PhaseData, fast_uv, phase_on_contour,
+                    theta_jacobian_pairs, theta_pairing, theta_ratio)
 from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sobol_ball
@@ -36,9 +37,13 @@ CONTOUR_ORIENTATION = 1.0
 GRAM_COND_CAP = 1e12
 GRAM_HERMITIAN_TOL = 1e-12
 
-# Fourier cutoff chi = 1 up to PLATEAU_FRAC * radius, 0 from SUPPORT_FRAC * radius.
+# Fourier cutoff chi = 1 up to PLATEAU_FRAC * radius, 0 from SUPPORT_FRAC * radius,
+# integrated on an N_RADIAL x N_ANGULAR disc grid.
 FOURIER_PLATEAU_FRAC = 0.6
 FOURIER_SUPPORT_FRAC = 0.9
+FOURIER_N_RADIAL = 96
+FOURIER_N_ANGULAR = 192
+LOCALIZED_SAMPLES = 4096
 SP_MAX_RADIUS = 4.0
 SP_PROBE_RADII = 48
 SP_PROBE_ANGLES = 64
@@ -59,7 +64,6 @@ class GramKernel:
     w: Weight
     dom: DomainSpec
     h: float
-    degree: int
     basis: tuple                 # multi-indices, degree-sorted
     gram: np.ndarray             # raw Hermitian Gram matrix
     scale: np.ndarray            # diagonal normalization applied before factoring
@@ -132,7 +136,7 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
         chol = cho_factor(Gs, lower=True)
     except LinAlgError as exc:
         raise IllConditioned(f"gram factorization failed: {exc}") from exc
-    return GramKernel(w=w, dom=dom, h=float(h), degree=degree, basis=basis,
+    return GramKernel(w=w, dom=dom, h=float(h), basis=basis,
                       gram=G, scale=scale, chol=chol, cond=cond)
 
 
@@ -142,14 +146,14 @@ class CompareStats:
     median_rel: float
 
 
-def near_diagonal_pairs(radius: float, count: int = 20,
-                        offset_frac: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic point pairs on and just off the diagonal, n = 1."""
-    k = np.arange(count)
-    x = radius * np.exp(2j * np.pi * k / count)
+def near_diagonal_pairs(radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """20 deterministic point pairs on a circle of ``radius``, n = 1: the even
+    ones on the diagonal, the odd ones moved off it by 0.3 * radius."""
+    k = np.arange(20)
+    x = radius * np.exp(2j * np.pi * k / k.size)
     y = x.copy()
     odd = k % 2 == 1
-    y[odd] = x[odd] + offset_frac * radius * np.exp(2.4j * k[odd])
+    y[odd] = x[odd] + 0.3 * radius * np.exp(2.4j * k[odd])
     return x[:, None], y[:, None]
 
 
@@ -174,8 +178,7 @@ class FourierCheck:
 
 
 def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
-                            n_radial: int, n_angular: int, h_values,
-                            orientation: float = CONTOUR_ORIENTATION) -> list[FourierCheck]:
+                            h_values) -> list[FourierCheck]:
     """Inversion integral (2 pi h)^{-n} int e^{(i/h)(x-y) theta} u chi dy dtheta.
 
     The contour is parametrized by y with theta = theta(x, y), contributing
@@ -194,19 +197,18 @@ def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
     if float(np.abs(xs).max()) >= plateau:
         raise ConfigInvalid("evaluation point lies outside the cutoff plateau")
 
-    nodes, wts = disc_grid(support, n_radial, n_angular, (plateau,))
+    nodes, wts = disc_grid(support, FOURIER_N_RADIAL, FOURIER_N_ANGULAR, (plateau,))
     y = nodes[:, None]
     chi = radial_bump(np.abs(nodes), plateau, support)
-    th = theta_pairs(w, xs, y)
     jac = theta_jacobian_pairs(w, xs, y)
-    pairing = ((xs - y) * th).sum(axis=1)
+    pairing = theta_pairing(w, xs, y)
     uy = u.eval_grid(y)
     target = complex(u.eval_grid(xs)[0])
     phi_x = float(w.phi(xs)[0])
     checks = []
     for h in h_values:
         vals = np.exp(1j * pairing / h) * uy * chi * jac
-        const = orientation * (2j) ** w.n / (2.0 * np.pi * h) ** w.n
+        const = CONTOUR_ORIENTATION * (2j) ** w.n / (2.0 * np.pi * h) ** w.n
         value = complex(const * (wts * vals).sum())
         residual = abs(value - target) * math.exp(-phi_x / h)
         checks.append(FourierCheck(value=value, target=target, residual=residual, h=h))
@@ -219,7 +221,6 @@ def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
 
 @dataclass(frozen=True)
 class PointwiseBound:
-    h_values: tuple
     ratios: tuple
     max_ratio: float
 
@@ -238,8 +239,7 @@ def pointwise_bound_check(w: Weight, u: TruncatedSeries, inner: DomainSpec,
         sup = float((np.abs(ui) * np.exp(-phi_i / h)).max())
         nrm = weighted_norm(w, uo, outer, h)
         ratios.append(h ** w.n * sup / nrm)
-    return PointwiseBound(h_values=tuple(float(h) for h in h_values),
-                          ratios=tuple(ratios), max_ratio=max(ratios))
+    return PointwiseBound(ratios=tuple(ratios), max_ratio=max(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +253,24 @@ class MarginSuite:
     ratio_min: float
     delta: float
     radius: float
-    n_samples: int
 
 
 def inequality_suite(w: Weight, delta: float, radius: float,
-                     n_samples: int = 10_000, seed: int = 0) -> MarginSuite:
+                     seed: int = 0) -> MarginSuite:
     """Sampled minima of the two contour inequalities; both must be positive.
 
     (a) phi(x) - phi(y) + Im((x - y).theta(x, y)) >= (delta + margin)|x - y|^2
     (b) phi(x) + phi(y) - 2 Re Psi(x, conj y) + delta|x|^2
           >= margin (|x|^2 + |y|^2)
 
-    Samples x, y lie in the ball of ``radius`` around the origin.
+    MARGIN_SAMPLES samples x, y lie in the ball of ``radius`` around the origin.
     """
     if delta <= 0.0:
         raise ConfigInvalid("delta must be positive")
     if radius > w.trust_radius:
         raise ConfigInvalid("sampling radius exceeds the trust radius")
-    x = sobol_ball(w.n, radius, n_samples, seed=seed)
-    y = sobol_ball(w.n, radius, n_samples, seed=seed + 1)
+    x = sobol_ball(w.n, radius, MARGIN_SAMPLES, seed=seed)
+    y = sobol_ball(w.n, radius, MARGIN_SAMPLES, seed=seed + 1)
 
     keep = (np.abs(x - y) ** 2).sum(axis=1) > (1e-8 * radius) ** 2
     ratio_min = float(theta_ratio(w, x[keep], y[keep]).min())
@@ -281,7 +280,7 @@ def inequality_suite(w: Weight, delta: float, radius: float,
     dz_y = (np.abs(y) ** 2).sum(axis=1)
     denom = dz_x + dz_y
     keep2 = denom > (1e-8 * radius) ** 2
-    gap = w.phi(x) + w.phi(y) - 2.0 * w.psi(x, np.conj(y)).real
+    gap = w.gap(x, y)
     gz_ratio = (gap[keep2] + delta * dz_x[keep2]) / denom[keep2]
     gz_margin = float(gz_ratio.min())
 
@@ -292,8 +291,7 @@ def inequality_suite(w: Weight, delta: float, radius: float,
     if gz_margin <= 0.0:
         raise BadContour(f"shifted-gap margin {gz_margin:.3e} not positive")
     return MarginSuite(theta_margin=theta_margin, gz_margin=gz_margin,
-                       ratio_min=ratio_min, delta=delta,
-                       radius=radius, n_samples=n_samples)
+                       ratio_min=ratio_min, delta=delta, radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -428,33 +426,32 @@ class LocalizedElement:
 
     def eval(self, x) -> np.ndarray:
         xs = _as_points(x, self.w.n)
-        th = theta_pairs(self.w, xs, self.z[None, :])
         jac = theta_jacobian_pairs(self.w, xs, self.z[None, :])
-        pairing = ((xs - self.z[None, :]) * th).sum(axis=1)
+        pairing = theta_pairing(self.w, xs, self.z[None, :])
         pref = self.v_value * self.chi_value / (2.0 * np.pi * self.h) ** self.w.n
         return pref * np.exp(1j * pairing / self.h) * jac
 
 
 def localized_element(v: TruncatedSeries, z, w: Weight, h: float, delta: float,
-                      plateau: float | None = None, support: float | None = None,
-                      n_samples: int = 4096, seed: int = 0) -> LocalizedElement:
+                      seed: int = 0) -> LocalizedElement:
     """Construct the localized element at z and assert its domination bound.
 
-    The sampled bound is phi(x) - phi(z) + Im((x-z) theta(x,z)) >= delta
-    |x-z|^2 over the support region; its minimum margin must be positive.
+    The cutoff is 1 up to 0.6 and 0 from 0.9 times the trust radius.  The
+    bound phi(x) - phi(z) + Im((x-z) theta(x,z)) >= delta |x-z|^2 is sampled
+    at LOCALIZED_SAMPLES points of that support; its minimum margin must be
+    positive.
     """
     z = np.asarray(z, dtype=complex).reshape(w.n)
     if v.nvars != w.n:
         raise ConfigInvalid(f"v has {v.nvars} variables, expected {w.n}")
-    plateau = 0.6 * w.trust_radius if plateau is None else plateau
-    support = 0.9 * w.trust_radius if support is None else support
+    plateau, support = 0.6 * w.trust_radius, 0.9 * w.trust_radius
     zdist = float(np.abs(z).max())
     if zdist >= w.trust_radius:
         raise ConfigInvalid("z lies outside the trust region")
     if zdist > plateau:
         raise ConfigInvalid("cutoff plateau does not cover z")
 
-    x = sobol_ball(w.n, support, n_samples, seed=seed)
+    x = sobol_ball(w.n, support, LOCALIZED_SAMPLES, seed=seed)
     sep2 = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
     keep = sep2 > (1e-8 * support) ** 2
     margin = float(theta_ratio(w, x[keep], z[None, :]).min()) - delta
@@ -472,5 +469,5 @@ def localized_element(v: TruncatedSeries, z, w: Weight, h: float, delta: float,
         ref = (abs(v_value) * chi_value * h ** (-w.n)
                * math.exp(-float(w.phi(z[None, :])[0]) / h)
                * np.exp(-delta * sep2 / h))
-        object.__setattr__(elem, "domination_C", float((vals / ref).max()))
+        elem = replace(elem, domination_C=float((vals / ref).max()))
     return elem

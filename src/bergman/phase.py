@@ -19,9 +19,9 @@ The good contour for the fast integral runs through the origin with
 v = -conj(B0^T u), where B0 = B(0, 0) is the weight's Levi matrix
 ``Weight.levi``; on it the quadratic part equals -|B0^T u|^2.  Inversion
 contours pair a point x with theta(x, y) built from the weight's
-holomorphic gradient and Hessian; ``theta_ratio`` is the one formula for
-the defining inequality, and the quality of either contour is the sampled
-margin of its inequality.
+holomorphic gradient and Hessian; ``theta_pairing`` is the one formula for
+(x - y).theta(x, y), ``theta_ratio`` the one for the defining inequality,
+and the quality of either contour is the sampled margin of its inequality.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .series import TruncatedSeries
 from .weight import Weight, _pair_points, polarize
 
 HESS_FLOOR = 1e-10
+# Sobol samples behind every sampled contour margin.
+MARGIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,18 @@ def theta_jacobian_pairs(w: Weight, x, y) -> np.ndarray:
     return np.linalg.det(jac)
 
 
+def theta_pairing(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x - y).theta(x, y) at paired (m, n) rows; either may be a single row."""
+    return ((x - y) * theta_pairs(w, x, y)).sum(axis=1)
+
+
 def theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(phi(x) - phi(y) + Im((x - y).theta(x, y))) / |x - y|^2 at paired points.
 
     ``x`` and ``y`` are (m, n) arrays; either may be a single row.
     """
-    d = x - y
-    pairing = (d * theta_pairs(w, x, y)).sum(axis=1)
-    return (w.phi(x) - w.phi(y) + pairing.imag) / (np.abs(d) ** 2).sum(axis=1)
+    return ((w.phi(x) - w.phi(y) + theta_pairing(w, x, y).imag)
+            / (np.abs(x - y) ** 2).sum(axis=1))
 
 
 def lift(f: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -154,12 +160,11 @@ def phase_on_contour(pd: PhaseData, u: np.ndarray) -> np.ndarray:
     return pd.phi_uv.eval_grid(np.concatenate([slow, u, v], axis=1))
 
 
-def verify_contour(pd: PhaseData, radius: float, n_samples: int = 10_000,
-                   seed: int = 0) -> float:
+def verify_contour(pd: PhaseData, radius: float, seed: int = 0) -> float:
     """Sampled margin of the good contour: min of -Re(phi) / (|u|^2 + |v|^2)
-    over fast samples u.  It must be strictly positive.
+    over MARGIN_SAMPLES fast samples u.  It must be strictly positive.
     """
-    u, v = fast_uv(pd, sobol_ball(pd.n, radius, n_samples, seed=seed))
+    u, v = fast_uv(pd, sobol_ball(pd.n, radius, MARGIN_SAMPLES, seed=seed))
     vals = phase_on_contour(pd, u)
     denom = (np.abs(u) ** 2).sum(axis=1) + (np.abs(v) ** 2).sum(axis=1)
     keep = denom > (1e-8 * radius) ** 2
@@ -170,15 +175,14 @@ def verify_contour(pd: PhaseData, radius: float, n_samples: int = 10_000,
     return margin
 
 
-def inversion_margin(w: Weight, radius: float, n_samples: int = 10_000,
-                     seed: int = 0) -> float:
-    """Sampled min of theta_ratio(0, y) over samples y around the origin.
+def inversion_margin(w: Weight, radius: float, seed: int = 0) -> float:
+    """Min of theta_ratio(0, y) over MARGIN_SAMPLES Sobol samples y near 0.
 
     This is the margin of the inversion contour y -> (y, theta(0, y)); it
     must be strictly positive.
     """
     xv = np.zeros((1, w.n), dtype=complex)
-    y = sobol_ball(w.n, radius, n_samples, seed=seed)
+    y = sobol_ball(w.n, radius, MARGIN_SAMPLES, seed=seed)
     keep = (np.abs(y) ** 2).sum(axis=1) > (1e-8 * max(radius, 1.0)) ** 2
     margin = float(theta_ratio(w, xv, y[keep]).min())
     if margin <= 0.0:

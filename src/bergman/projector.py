@@ -52,9 +52,8 @@ class DomainSpec:
     def n(self) -> int:
         return self.nodes.shape[1]
 
-    def refined(self, factor: int = 2) -> "DomainSpec":
-        return make_domain(self.radii, self.n_radial * factor,
-                           self.n_angular * factor)
+    def refined(self) -> "DomainSpec":
+        return make_domain(self.radii, 2 * self.n_radial, 2 * self.n_angular)
 
 
 def make_domain(radii, n_radial: int = 64, n_angular: int = 128) -> DomainSpec:

@@ -373,18 +373,3 @@ def _monomial_table(pts: np.ndarray, monomials: list[MultiIndex]) -> np.ndarray:
         out[:, col] = v
     return out
 
-
-def max_abs_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
-    """Sup-norm of coefficient differences on the common truncation."""
-    a._require_same_ring(b)
-    deg = min(a.maxdeg, b.maxdeg)
-    keys = set(a.coeffs) | set(b.coeffs)
-    worst = 0.0
-    for mi in keys:
-        if sum(mi) > deg:
-            continue
-        d = abs(a.coeffs.get(mi, 0.0) - b.coeffs.get(mi, 0.0))
-        if d > worst:
-            worst = d
-    return worst
-

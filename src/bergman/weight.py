@@ -27,6 +27,7 @@ from .series import TruncatedSeries
 
 HERMITIAN_TOL = 1e-12
 LEVI_EIG_FLOOR = 1e-10
+GAP_SAMPLES = 4096
 
 
 def _as_points(x, n: int) -> np.ndarray:
@@ -60,10 +61,6 @@ class Weight:
     trust_radius: float
 
     @property
-    def maxdeg(self) -> int:
-        return self.series.maxdeg
-
-    @property
     def levi(self) -> np.ndarray:
         """Levi matrix d2(phi)/dx_j dconj(x)_k at the origin: the Taylor
         coefficient at exponent e_j + e_(n+k), exactly Hermitian once
@@ -88,6 +85,10 @@ class Weight:
         """Polarization Psi(x, ytilde); Psi(x, conj x) = phi(x)."""
         pts = [_as_points(x, self.n), _as_points(ytilde, self.n)]
         return self.series.eval_grid(np.concatenate(pts, axis=1))
+
+    def gap(self, x, y) -> np.ndarray:
+        """phi(x) + phi(y) - 2 Re Psi(x, conj y) at paired points."""
+        return self.phi(x) + self.phi(y) - 2.0 * self.psi(x, np.conj(y)).real
 
 
 def validate_weight(series: TruncatedSeries, trust_radius: float) -> Weight:
@@ -127,22 +128,20 @@ def polarize(w: Weight) -> TruncatedSeries:
     return w.series
 
 
-def quadratic_gap_estimate(w: Weight, radius: float, n_samples: int = 4096,
-                           seed: int = 0) -> tuple[float, float]:
-    """Sampled bounds for (phi(x) + phi(y) - 2 Re Psi(x, conj(y))) / |x-y|^2.
+def quadratic_gap_estimate(w: Weight, radius: float, seed: int = 0) -> tuple[float, float]:
+    """Bounds of w.gap(x, y) / |x-y|^2 over GAP_SAMPLES Sobol pairs.
 
     The gap must be strictly positive for a strictly plurisubharmonic weight;
     a nonpositive sampled minimum raises GapViolation.
     """
     if radius <= 0.0 or radius > w.trust_radius:
         raise ConfigInvalid("sampling radius must lie in (0, trust_radius]")
-    pts = sobol_ball(2 * w.n, radius, n_samples, seed=seed)
+    pts = sobol_ball(2 * w.n, radius, GAP_SAMPLES, seed=seed)
     x, y = pts[:, :w.n], pts[:, w.n:]
     sep2 = (np.abs(x - y) ** 2).sum(axis=1)
     keep = sep2 > (1e-6 * radius) ** 2
     x, y, sep2 = x[keep], y[keep], sep2[keep]
-    gap = w.phi(x) + w.phi(y) - 2.0 * w.psi(x, np.conj(y)).real
-    ratio = gap / sep2
+    ratio = w.gap(x, y) / sep2
     cmin, cmax = float(ratio.min()), float(ratio.max())
     if cmin <= 0.0:
         raise GapViolation(f"sampled quadratic gap hit {cmin} at radius {radius}")

@@ -140,7 +140,7 @@ def test_criterion_2_quadratic_family():
 def test_criterion_3_perturbed_kernel_decay(perturbed_core, perturbed_amps,
                                             perturbed_grams):
     w = perturbed_core[0]
-    x, y = near_diagonal_pairs(0.3 * 0.35, 20)
+    x, y = near_diagonal_pairs(0.3 * 0.35)
     errs = {N: [] for N in (3, 4)}
     for h in H_GRID:
         for N in (3, 4):
@@ -217,10 +217,10 @@ def test_criterion_6_contour_margins(gaussian_core, lambda1_core,
     for name, (w, pd), trust in weights:
         radius = 0.3 * trust
         try:
-            m_amp = verify_contour(pd, radius, n_samples=10_000, seed=0)
-            m_inv = inversion_margin(w, radius, n_samples=10_000, seed=0)
-            cmin, _ = quadratic_gap_estimate(w, 0.5 * trust, n_samples=4096, seed=0)
-            suite = inequality_suite(w, 0.5 * cmin, radius, n_samples=10_000, seed=0)
+            m_amp = verify_contour(pd, radius, seed=0)
+            m_inv = inversion_margin(w, radius, seed=0)
+            cmin, _ = quadratic_gap_estimate(w, 0.5 * trust, seed=0)
+            suite = inequality_suite(w, 0.5 * cmin, radius, seed=0)
             ms = (m_amp, m_inv, suite.theta_margin, suite.gz_margin)
             ok = ok and all(m >= 1e-3 for m in ms)
             parts.append(f"{name}: quad-decay={m_amp:.3f} theta={m_inv:.3f} "
@@ -237,7 +237,7 @@ def test_criterion_7_fourier_inversion(gaussian_core):
     for k in range(4):
         u = TruncatedSeries.from_triples([((k,), 1.0, 0.0)], 1, 3)
         res = [chk.residual
-               for chk in fourier_inversion_check(w, u, [0.0], 1.0, 96, 192, H_GRID)]
+               for chk in fourier_inversion_check(w, u, [0.0], 1.0, H_GRID)]
         if max(res) < 1e-12:
             # already below any fit floor at every h; nothing left to decay
             parts.append(f"y^{k}: at machine floor ({max(res):.1e})")

@@ -239,6 +239,42 @@ def test_main_exits_2_when_a_stage_records_an_error(tmp_path, capsys):
     assert rep["stages"]["validate"]["error"]["type"] == "Degenerate"
 
 
+def test_degenerate_phase_is_recorded_by_every_stage(tmp_path, capsys):
+    # a Levi eigenvalue of 1e-6 passes validate_weight, but det(B0)^2 = 1e-12
+    # makes build_phase raise; every stage that needs the phase records that
+    with open(os.path.join(ROOT, "configs", "gaussian.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["coefficients"] = [{"exponents": [1, 1], "re": 1e-6}]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["report", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    stages = json.loads(out)["stages"]
+    assert set(stages) == {"validate", "amplitude", "kernel", "verify"}
+    for name, stage in stages.items():
+        assert stage["error"]["type"] == "DegenerateHessian", name
+
+
+def test_run_computes_each_shared_piece_once(monkeypatch):
+    # the stages share one phase, one gap sample and one order-N amplitude;
+    # the kernel stage adds the order-(N - 1) solve
+    calls = {}
+    for name in ("build_phase", "quadratic_gap_estimate", "estimate_growth",
+                 "solve_amplitude"):
+        def counted(*args, _fn=getattr(bergman.cli, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bergman.cli, name, counted)
+    path = os.path.join(ROOT, "configs", "gaussian.json")
+    cfg = load_config(path, {"h_grid": [0.2, 0.1, 0.05], "test_functions": [[0]],
+                             "n_radial": 16, "n_angular": 32, "gram_degree": 8})
+    stages = run(cfg)["stages"]
+    assert all("error" not in stage for stage in stages.values())
+    assert calls == {"build_phase": 1, "quadratic_gap_estimate": 1,
+                     "estimate_growth": 1, "solve_amplitude": 2}
+
+
 _ERR = {"error": {"type": "QuadratureUnderresolved", "message": ""}}
 
 

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from bergman import oracle
 from bergman.amplitude import Amplitude, solve_amplitude
 from bergman.errors import BadContour, BergmanError, ConfigInvalid, IllConditioned
 from bergman.cli import load_config
@@ -115,7 +116,7 @@ def test_gram_ill_conditioned_anisotropic():
 # -- kernel comparison --------------------------------------------------------
 
 def test_near_diagonal_pairs_layout():
-    x, y = near_diagonal_pairs(0.2, 20)
+    x, y = near_diagonal_pairs(0.2)
     assert x.shape == (20, 1) and y.shape == (20, 1)
     assert np.allclose(x[0], y[0])          # even entries on the diagonal
     assert not np.allclose(x[1], y[1])      # odd entries offset
@@ -129,7 +130,7 @@ def test_compare_kernels_gaussian():
     gk = gram_bergman(w, make_domain((1.0,)), 0.1, 25)
     # sampling radius 0.1: the disc-truncation deficit e^{-(1-r)^2/h} of the
     # Gram oracle stays below the 1e-3 budget
-    x, y = near_diagonal_pairs(0.1, 20)
+    x, y = near_diagonal_pairs(0.1)
     stats = compare_kernels(K, gk, x, y)
     assert 0 < stats.median_rel <= stats.max_rel < 1e-3
 
@@ -140,7 +141,7 @@ def test_compare_kernels_null_amplitude():
     null = Amplitude(n=1, order=0, coeffs=[zero], c0=0.0 + 0.0j)
     K = assemble_kernel(w, null, 0.1)
     gk = gram_bergman(w, make_domain((1.0,)), 0.1, 20)
-    x, y = near_diagonal_pairs(0.25, 10)
+    x, y = near_diagonal_pairs(0.25)
     stats = compare_kernels(K, gk, x, y)
     assert abs(stats.max_rel - 1.0) < 1e-6
 
@@ -152,7 +153,7 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
                ((2, 0, 2, 0), 0.1, 0.0), ((0, 2, 0, 2), 0.05, 0.0)]
     w = validate_weight(TruncatedSeries.from_triples(product, 4, 8), 1.0)
     K = assemble_kernel(w, solve_amplitude(build_phase(w), 1), 0.1)
-    x, y = near_diagonal_pairs(0.1, 20)
+    x, y = near_diagonal_pairs(0.1)
     with pytest.raises(BergmanError):
         K.eval(x, y)
 
@@ -162,7 +163,7 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
 def test_fourier_gaussian_constant():
     w = make_weight(GAUSS)
     residuals = []
-    for chk in fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0, 96, 192,
+    for chk in fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0,
                                        (0.2, 0.1, 0.05)):
         assert abs(chk.target - 1.0) < 1e-15
         residuals.append(chk.residual)
@@ -173,15 +174,15 @@ def test_fourier_gaussian_constant():
 
 def test_fourier_odd_monomial_vanishes():
     w = make_weight(GAUSS)
-    chk, = fourier_inversion_check(w, monomial(1, 2), np.zeros(1), 1.0, 64, 128, [0.1])
+    chk, = fourier_inversion_check(w, monomial(1, 2), np.zeros(1), 1.0, [0.1])
     assert abs(chk.value) < 1e-14
     assert chk.residual < 1e-14
 
 
-def test_fourier_orientation_detector():
+def test_fourier_orientation_detector(monkeypatch):
     w = make_weight(GAUSS)
-    chk, = fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0, 64, 128, [0.1],
-                                   orientation=-1.0)
+    monkeypatch.setattr(oracle, "CONTOUR_ORIENTATION", -1.0)
+    chk, = fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0, [0.1])
     assert abs(chk.value + 1.0) < 1e-2
     assert chk.residual > 1.9
 
@@ -189,8 +190,7 @@ def test_fourier_orientation_detector():
 def test_fourier_point_must_sit_on_plateau():
     w = make_weight(GAUSS)
     with pytest.raises(ConfigInvalid):
-        fourier_inversion_check(w, monomial(0, 2), np.array([0.7 + 0.0j]), 1.0, 64, 128,
-                                [0.1])
+        fourier_inversion_check(w, monomial(0, 2), np.array([0.7 + 0.0j]), 1.0, [0.1])
 
 
 # -- pointwise bound ----------------------------------------------------------
@@ -224,37 +224,36 @@ def test_pointwise_bound_scale_invariant():
 
 def test_inequality_margins_gaussian_exact():
     w = make_weight(GAUSS)
-    suite = inequality_suite(w, 0.25, 0.36, 10_000, 0)
+    suite = inequality_suite(w, 0.25, 0.36)
     assert abs(suite.theta_margin - 0.25) < 1e-9
     assert abs(suite.ratio_min - 0.5) < 1e-9
     assert suite.gz_margin > 0.1
-    assert suite.n_samples == 10_000
 
 
 def test_inequality_gz_small_delta():
     w = make_weight(GAUSS)
-    suite = inequality_suite(w, 0.1, 0.36, 10_000, 0)
+    suite = inequality_suite(w, 0.1, 0.36)
     assert suite.gz_margin > 0
 
 
 def test_inequality_delta_beyond_gap():
     w = make_weight(GAUSS)
     with pytest.raises(BadContour):
-        inequality_suite(w, 0.6, 0.36, 4000, 0)
+        inequality_suite(w, 0.6, 0.36)
 
 
 def test_inequality_guards():
     w = make_weight(GAUSS)
     with pytest.raises(ConfigInvalid):
-        inequality_suite(w, 0.0, 0.3, 100, 0)
+        inequality_suite(w, 0.0, 0.3)
     with pytest.raises(ConfigInvalid):
-        inequality_suite(w, 0.1, 5.0, 100, 0)
+        inequality_suite(w, 0.1, 5.0)
 
 
 def test_inequality_deterministic():
     w = make_weight(QUARTIC, trust=1.0)
-    a = inequality_suite(w, 0.2, 0.3, 2000, 9)
-    b = inequality_suite(w, 0.2, 0.3, 2000, 9)
+    a = inequality_suite(w, 0.2, 0.3, seed=9)
+    b = inequality_suite(w, 0.2, 0.3, seed=9)
     assert a == b
 
 
@@ -395,8 +394,7 @@ def test_localized_plateau_must_cover_center():
     w = make_weight(GAUSS, trust=1.0)
     with pytest.raises(ConfigInvalid):
         localized_element(TruncatedSeries.constant(1.0, 1, 0),
-                          np.array([0.7 + 0.0j]), w, 0.1, delta=0.25,
-                          plateau=0.5, support=0.9)
+                          np.array([0.7 + 0.0j]), w, 0.1, delta=0.25)
 
 
 def test_localized_domination_fails_with_huge_delta():

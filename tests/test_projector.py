@@ -234,7 +234,7 @@ def test_domain_guards():
         check_domain(too_big, w)
     ok = make_domain((1.0,))
     check_domain(ok, w)
-    assert ok.refined(2).nodes.shape[0] == 4 * ok.nodes.shape[0]
+    assert ok.refined().nodes.shape[0] == 4 * ok.nodes.shape[0]
 
 
 def test_single_radius_domain_is_the_disc_grid():
