@@ -10,8 +10,12 @@ operator
 applied to u(y+u, xt+v) * exp((2/h) R), evaluated at u = v = 0.  Retained
 diagrams with p pairings and q remainder insertions carry h^(p-q); full
 contraction forces 2p >= 3q, so the order h^j is a finite sum whose deepest
-diagram has p = 3j pairings.  A pairing takes two derivatives, so each
-series here is known to fewer degrees than its inputs, and says so.
+diagram has p = 3j pairings.  Only the u^alpha v^beta parts with
+|alpha| = |beta| = p survive p pairings, so the engine holds the lifted
+symbol and R^q as blocks of slow series in (y, xt) (see ``phase``), forms
+only those (p, p) blocks of their product, and contracts them block by
+block with B^{-1}.  A pairing takes two derivatives, so each series here is
+known to fewer degrees than its inputs, and says so.
 
 The two normalization constants are not free: they are calibrated once
 against the exact Gaussian contour integral (weight |x|^2/2, for which the
@@ -21,13 +25,15 @@ oracle in the oracle module guards both numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientDegree, VariableMismatch
-from .phase import PhaseData, lift, to_ring, to_slow
+from .phase import PhaseData, lift_blocks
 from .quadrature import sobol_ball
 from .series import TruncatedSeries
 
@@ -72,6 +78,24 @@ def _series_matrix_inverse(mat: list[list[TruncatedSeries]],
     return out
 
 
+def _block_product(f: dict, g: dict, maxdeg: int, p: int | None = None) -> dict:
+    """The blocks of f * g, each to degree maxdeg - |alpha| - |beta|; with p,
+    only the blocks of bidegree (p, p)."""
+    by_bidegree: dict = {}
+    for key, t in g.items():
+        by_bidegree.setdefault((sum(key[0]), sum(key[1])), []).append((key, t))
+    out: dict = {}
+    for (a, b), s in f.items():
+        pairs = g.items() if p is None else by_bidegree.get((p - sum(a), p - sum(b)), ())
+        for (c, d), t in pairs:
+            key = (tuple(map(operator.add, a, c)), tuple(map(operator.add, b, d)))
+            deg = maxdeg - sum(key[0]) - sum(key[1])
+            if deg >= 0:
+                prod = s.truncate(deg) * t
+                out[key] = out[key] + prod if key in out else prod
+    return out
+
+
 @dataclass
 class Amplitude:
     """Solution of the amplitude equation up to the requested order."""
@@ -105,75 +129,59 @@ class ExpansionTermOps:
 
         det_inv = _series_det(pd.quad_B).invert()
         self.c0 = (LEADING_NUM ** n) * det_inv
-        # B^{-1} entries in the (y, xt, u, v) ring, for the pairings.
-        self.binv_big = [[to_ring(e, n) for e in row]
-                         for row in _series_matrix_inverse(pd.quad_B, det_inv)]
+        self.binv = _series_matrix_inverse(pd.quad_B, det_inv)
 
+        self._maxdeg = pd.maxdeg
         self._remainder = pd.remainder
-        self._rpow: list[TruncatedSeries] = [
-            TruncatedSeries.constant(1.0, 4 * n, pd.maxdeg)]
+        self._origin = ((0,) * n, (0,) * n)
+        self._rpow: list[dict] = [
+            {self._origin: TruncatedSeries.constant(1.0, 2 * n, pd.maxdeg)}]
 
     # -- helpers -------------------------------------------------------------
 
-    def _remainder_power(self, q: int) -> TruncatedSeries:
+    def _remainder_power(self, q: int) -> dict:
         while len(self._rpow) <= q:
-            self._rpow.append(self._rpow[-1] * self._remainder)
+            self._rpow.append(_block_product(self._rpow[-1], self._remainder, self._maxdeg))
         return self._rpow[q]
 
-    def _u_deg(self, mi) -> int:
-        return sum(mi[2 * self.n:3 * self.n])
-
-    def _v_deg(self, mi) -> int:
-        return sum(mi[3 * self.n:])
-
-    def _pair_once(self, s: TruncatedSeries) -> TruncatedSeries:
-        n = self.n
-        acc = None
-        for j in range(n):
-            for k in range(n):
-                d = s.diff(2 * n + k).diff(3 * n + j)
-                if d.is_zero():
-                    continue
-                term = self.binv_big[j][k] * d
-                acc = term if acc is None else acc + term
-        if acc is None:
-            return TruncatedSeries.zero(4 * n, max(s.maxdeg - 2, 0))
-        return acc
+    def _pair_once(self, blocks: dict) -> dict:
+        """u^a v^b -> a_k b_j Binv_jk u^(a - e_k) v^(b - e_j), summed over j, k."""
+        out: dict = {}
+        for (a, b), s in blocks.items():
+            for j, k in itertools.product(range(self.n), repeat=2):
+                if a[k] and b[j]:
+                    key = (a[:k] + (a[k] - 1,) + a[k + 1:], b[:j] + (b[j] - 1,) + b[j + 1:])
+                    term = self.binv[j][k] * s * (a[k] * b[j])
+                    out[key] = out[key] + term if key in out else term
+        return out
 
     # -- the operators ---------------------------------------------------------
 
     def apply(self, j: int, f: TruncatedSeries) -> TruncatedSeries:
         """T_j f to degree min(f.maxdeg, slow_deg) - 2 pmax: pmax = 3j, or j without remainder."""
+        f = f.truncate(self.slow_deg)
         if j == 0:
-            return f.truncate(self.slow_deg)
-        fc = lift(f.truncate(self.slow_deg), self.n)
-        pmax = j if self._remainder.is_zero() else 3 * j
-        deg = fc.maxdeg - 2 * pmax
+            return f
+        fc = lift_blocks(f, self.n)
+        pmax = 3 * j if self._remainder else j
+        deg = f.maxdeg - 2 * pmax
         if deg < 0:
-            raise InsufficientDegree(f"T_{j} needs degree {2 * pmax}, its input has {fc.maxdeg}")
+            raise InsufficientDegree(f"T_{j} needs degree {2 * pmax}, its input has {f.maxdeg}")
         total = TruncatedSeries.zero(2 * self.n, deg)
         for q in range(0, 2 * j + 1):
             p = j + q
             rq = self._remainder_power(q)
-            if q > 0 and rq.is_zero():
+            if not rq:
                 break
-            # Only fully contractible terms survive: u- and v-degree both p.
-            # Pairing removes 2p degrees: the product is needed to deg + 2p.
-            fa = fc.truncate(deg + 2 * p).filter(
-                lambda mi: self._u_deg(mi) <= p and self._v_deg(mi) <= p)
-            rb = rq.filter(lambda mi: self._u_deg(mi) <= p and self._v_deg(mi) <= p)
-            if fa.is_zero() or rb.is_zero():
-                continue
-            g = (fa * rb).filter(
-                lambda mi: self._u_deg(mi) == p and self._v_deg(mi) == p)
-            if g.is_zero():
-                continue
+            # Only fully contractible terms survive: u- and v-degree both p,
+            # each block to the degree deg that p pairings leave.
+            g = _block_product(fc, rq, deg + 2 * p, p)
             for _ in range(p):
                 g = self._pair_once(g)
-            coef = (2.0 ** q) * (PAIRING_H ** p) / (
-                math.factorial(q) * math.factorial(p))
-            # Fully contracted: every term of g has u- and v-degree 0.
-            total = total + to_slow(g, self.n) * coef
+            if g:
+                coef = (2.0 ** q) * (PAIRING_H ** p) / (
+                    math.factorial(q) * math.factorial(p))
+                total = total + g[self._origin] * coef
         return total
 
 

@@ -356,7 +356,7 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
     if hmax < 1:
         raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
     b = complex(pd.b0[0, 0])
-    terminating = pd.remainder.is_zero()
+    terminating = not pd.remainder
 
     results = []
     for case in cases:

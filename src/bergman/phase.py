@@ -4,16 +4,19 @@ From the polarization Psi of a weight the phase
 
     phi(y, xt; x, yt) = Psi(x, yt) - Psi(x, xt) - Psi(y, yt) + Psi(y, xt)
 
-is written in the fast displacements (u, v) = (x - y, yt - xt), in the
-4n-variable ring ordered (y-block, xt-block, u-block, v-block), the slow
-blocks in the weight's table coordinates.  With S = Psi(y + u, xt + v), the
-last three terms are S at v = 0, at u = 0 and at u = v = 0, so phi is
-exactly the part of S whose monomials have u-degree >= 1 and v-degree >= 1:
-one ``lift`` of Psi and a filter.  The diagonal {u = v = 0} is therefore a critical
-manifold with value zero, and the quadratic part of phi is u^T B(y, xt) v
-with B the mixed Hessian d_x d_yt Psi.  This module owns the ring layout:
-beside ``lift``, ``to_ring`` embeds a slow series in (y, xt) as a constant
-in (u, v), and ``to_slow`` drops the (u, v) block again.
+is written in the fast displacements (u, v) = (x - y, yt - xt) over the
+slow variables (y, xt), in the weight's table coordinates.  A series in
+(y, xt, u, v) is held as a dict of blocks: the key is the pair (alpha,
+beta) of (u, v) exponents, and the value is the slow series of the
+u^alpha v^beta part, kept to degree maxdeg - |alpha| - |beta|.
+``lift_blocks`` expands f(y + u, xt + v) that way.  With S = Psi(y + u,
+xt + v), the last three terms of phi are S at v = 0, at u = 0 and at
+u = v = 0, so phi is exactly the blocks of S with |alpha| >= 1 and
+|beta| >= 1.  The diagonal {u = v = 0} is therefore a critical manifold
+with value zero; the (e_j, e_k) blocks are the mixed Hessian
+B = d_x d_yt Psi of the quadratic part u^T B(y, xt) v, and the blocks of
+fast degree >= 3 are the remainder.  Over the origin y = xt = 0, phi is the
+part of Psi with x- and xt-degree >= 1.
 
 The good contour for the fast integral runs through the origin with
 v = -conj(B0^T u), where B0 = B(0, 0) is the weight's Levi matrix
@@ -26,6 +29,9 @@ and the quality of either contour is the sampled margin of its inequality.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +52,11 @@ class PhaseData:
 
     n: int
     maxdeg: int
-    phi_uv: TruncatedSeries      # phi in (y, xt, u, v): every monomial has u- and v-degree >= 1
-    quad_B: list                 # n x n nested list of series in (y, xt): d_x d_yt Psi
+    phi0: TruncatedSeries        # phi at y = xt = 0, a series in (u, v)
+    quad_B: list                 # n x n nested list of series in (y, xt): the (e_j, e_k) blocks
     b0: np.ndarray               # B at the origin: the weight's Levi matrix
     hess_det: complex            # det(b0)^2 = (-1)^n det of the fast Hessian [[0, B], [B^T, 0]]
-    remainder: TruncatedSeries   # phi_uv with (u, v)-degree >= 3
+    remainder: dict              # blocks of phi with |alpha| + |beta| >= 3; empty: none
 
     @property
     def slow_deg(self) -> int:
@@ -105,43 +111,39 @@ def theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             / (np.abs(x - y) ** 2).sum(axis=1))
 
 
-def lift(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """f(x, xt) -> f(y + u, xt + v) in the (y, xt, u, v) ring."""
-    subs = [TruncatedSeries.variable(j, 4 * n, f.maxdeg)
-            + TruncatedSeries.variable(2 * n + j, 4 * n, f.maxdeg)
-            for j in range(2 * n)]
-    return f.substitute(subs)
+def lift_blocks(f: TruncatedSeries, n: int) -> dict:
+    """f(x, xt) -> f(y + u, xt + v) as blocks {(alpha, beta): slow series}.
 
-
-def to_ring(s: TruncatedSeries, n: int) -> TruncatedSeries:
-    """s(y, xt) as a series in the (y, xt, u, v) ring, constant in (u, v)."""
-    fast = (0,) * (2 * n)
-    return TruncatedSeries(4 * n, s.maxdeg, {mi + fast: c for mi, c in s.coeffs.items()})
-
-
-def to_slow(s: TruncatedSeries, n: int) -> TruncatedSeries:
-    """s in (y, xt) with its (u, v) block dropped; every term must have u- and v-degree 0."""
-    return TruncatedSeries(2 * n, s.maxdeg, {mi[:2 * n]: c for mi, c in s.coeffs.items()})
+    Each monomial expands by the binomial theorem; the u^alpha v^beta block
+    is kept to degree f.maxdeg - |alpha| - |beta|, so the blocks hold the
+    lift to total degree f.maxdeg.
+    """
+    parts: dict = {}
+    for mi, c in f.coeffs.items():
+        for k in itertools.product(*(range(e + 1) for e in mi)):
+            slow = tuple(map(operator.sub, mi, k))
+            parts.setdefault(k, {})[slow] = c * math.prod(map(math.comb, mi, k))
+    return {(k[:n], k[n:]): TruncatedSeries(f.nvars, f.maxdeg - sum(k), p, _checked=True)
+            for k, p in parts.items()}
 
 
 def build_phase(w: Weight) -> PhaseData:
-    """Assemble the four-point phase from one lift of Psi."""
+    """Assemble the four-point phase from the blocks of Psi(y + u, xt + v)."""
     n = w.n
     psi = polarize(w)
-    phi_uv = lift(psi, n).filter(lambda mi: any(mi[2 * n:3 * n]) and any(mi[3 * n:]))
-    quad_B = [[psi.diff(j).diff(n + k) for k in range(n)] for j in range(n)]
-
     b0 = w.levi
     if np.linalg.svd(b0, compute_uv=False).min() <= HESS_FLOOR:
         raise DegenerateHessian(f"mixed block singular at the origin: {b0}")
-    hess_det = complex(np.linalg.det(b0) ** 2)
-    if abs(hess_det) <= HESS_FLOOR:
-        raise DegenerateHessian(f"fast Hessian determinant {hess_det} too small")
 
-    remainder = phi_uv.filter(lambda mi: sum(mi[2 * n:]) >= 3)
-
-    return PhaseData(n=n, maxdeg=psi.maxdeg, phi_uv=phi_uv, quad_B=quad_B,
-                     b0=b0, hess_det=hess_det, remainder=remainder)
+    blocks = lift_blocks(psi, n)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    no_term = TruncatedSeries.zero(2 * n, psi.maxdeg - 2)
+    quad_B = [[blocks.get((unit[j], unit[k]), no_term) for k in range(n)] for j in range(n)]
+    remainder = {(a, b): s for (a, b), s in blocks.items()
+                 if any(a) and any(b) and sum(a) + sum(b) >= 3}
+    phi0 = psi.filter(lambda mi: any(mi[:n]) and any(mi[n:]))
+    return PhaseData(n=n, maxdeg=psi.maxdeg, phi0=phi0, quad_B=quad_B, b0=b0,
+                     hess_det=complex(np.linalg.det(b0) ** 2), remainder=remainder)
 
 
 def fast_uv(pd: PhaseData, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,8 +158,7 @@ def fast_uv(pd: PhaseData, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def phase_on_contour(pd: PhaseData, u: np.ndarray) -> np.ndarray:
     """Evaluate phi on the good contour at fast displacements u."""
     u, v = fast_uv(pd, u)
-    slow = np.zeros((u.shape[0], 2 * pd.n), dtype=complex)
-    return pd.phi_uv.eval_grid(np.concatenate([slow, u, v], axis=1))
+    return pd.phi0.eval_grid(np.concatenate([u, v], axis=1))
 
 
 def verify_contour(pd: PhaseData, radius: float, seed: int = 0) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitude import Amplitude, RealizedSymbol, realize
-from .errors import ConfigInvalid, DegenerateFit, QuadratureUnderresolved
+from .errors import ConfigInvalid, DegenerateFit
 from .quadrature import polydisc_grid
 from .series import TruncatedSeries, _block_monomials, _monomial_table
 from .weight import Weight, _as_points, _pair_points
@@ -43,7 +43,6 @@ class DomainSpec:
     """
 
     radii: tuple[float, ...]
-    n_radial: int
     n_angular: int
     nodes: np.ndarray      # (m, n) complex
     weights: np.ndarray    # (m,) positive
@@ -51,9 +50,6 @@ class DomainSpec:
     @property
     def n(self) -> int:
         return self.nodes.shape[1]
-
-    def refined(self) -> "DomainSpec":
-        return make_domain(self.radii, 2 * self.n_radial, 2 * self.n_angular)
 
 
 def make_domain(radii, n_radial: int = 64, n_angular: int = 128) -> DomainSpec:
@@ -64,8 +60,7 @@ def make_domain(radii, n_radial: int = 64, n_angular: int = 128) -> DomainSpec:
     if any(r <= 0 for r in radii):
         raise ConfigInvalid(f"domain radii must be positive, got {radii}")
     nodes, weights = polydisc_grid(radii, n_radial, n_angular)
-    return DomainSpec(radii=radii, n_radial=n_radial, n_angular=n_angular,
-                      nodes=nodes, weights=weights)
+    return DomainSpec(radii=radii, n_angular=n_angular, nodes=nodes, weights=weights)
 
 
 def check_domain(dom: DomainSpec, w: Weight) -> None:
@@ -168,16 +163,14 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
 
 
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
-                     dom: DomainSpec, eval_pts, tol: float | None = None) -> np.ndarray:
+                     dom: DomainSpec, eval_pts) -> np.ndarray:
     """Quadrature for h^{-n} int e^{(2/h)(Psi(x, conj y) - phi(y))} a u(y) L(dy).
 
     ``u`` is a holomorphic polynomial in the n table coordinates.  The
     result is h^{-n} T @ c, with c the coefficients of u and T the kernel's
     monomial table (projection_table) on this grid at these points; a call
     whose u has a monomial the stored table lacks rebuilds it at u's degree.
-    With ``tol`` set, the quadrature is repeated on a doubled grid, which
-    has its own table, and QuadratureUnderresolved is raised if the results
-    differ by more than 10 * tol.  ``w`` must be the kernel's own weight.
+    ``w`` must be the kernel's own weight.
     """
     if w != K.w:
         raise ConfigInvalid("the projection weight differs from the kernel's weight")
@@ -188,24 +181,14 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
     xd = _as_points(eval_pts, K.n)
     degree = max((sum(t) for t in u.coeffs), default=0)
 
-    def run(d: DomainSpec) -> np.ndarray:
-        key = table_key(d, xd)
-        if not K.tables.get(key, ({}, None))[0].keys() >= u.coeffs.keys():
-            projection_table([K], d, xd, degree)
-        cols, T = K.tables[key]
-        c = np.zeros(len(cols), dtype=complex)
-        for t, coef in u.coeffs.items():
-            c[cols[t]] = coef
-        return (T @ c) * K.h ** (-K.n)
-
-    vals = run(dom)
-    if tol is not None:
-        fine = run(dom.refined())
-        drift = float(np.abs(vals - fine).max())
-        if drift > 10.0 * tol:
-            raise QuadratureUnderresolved(
-                f"node doubling moved the projection by {drift:.3e} (> 10*{tol:.1e})")
-    return vals
+    key = table_key(dom, xd)
+    if not K.tables.get(key, ({}, None))[0].keys() >= u.coeffs.keys():
+        projection_table([K], dom, xd, degree)
+    cols, T = K.tables[key]
+    c = np.zeros(len(cols), dtype=complex)
+    for t, coef in u.coeffs.items():
+        c[cols[t]] = coef
+    return (T @ c) * K.h ** (-K.n)
 
 
 def weighted_norm(w: Weight, values: np.ndarray, dom: DomainSpec, h: float) -> float:

@@ -229,6 +229,8 @@ class TruncatedSeries:
                 out[dmi] = c * k
         return TruncatedSeries(self.nvars, deg, out, _checked=True)
 
+    # Kept only because the benchmark tracer (perfbench/tracer.py) resolves it;
+    # tests build reference lifts with it.
     def substitute(self, subs: Sequence["TruncatedSeries"]) -> "TruncatedSeries":
         """Compose: replace variable i by subs[i].
 

@@ -138,3 +138,36 @@ def test_amplitude_deterministic():
     b = solve_amplitude(make_phase(QUARTIC, maxdeg=20), 3)
     for k in range(4):
         assert (a.coeffs[k] - b.coeffs[k]).max_abs() == 0.0
+
+
+# A non-separable n = 2 weight: the Levi form couples x1 and x2, so B^{-1}
+# has nonzero off-diagonal entries.
+NONSEPARABLE = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
+                ((1, 1, 1, 1), 0.1, 0.0), ((2, 0, 2, 0), 0.05, 0.0),
+                ((2, 0, 0, 2), 0.03, 0.0), ((0, 2, 2, 0), 0.03, 0.0),
+                ((1, 0, 0, 1), 0.1, 0.0), ((0, 1, 1, 0), 0.1, 0.0)]
+
+
+def test_nonseparable_coefficients_match_their_closed_forms():
+    # with g = (d_xj d_xtk Phi) on the diagonal (x, conj x):
+    # a_0 = (2/pi)^2 det g and a_1 = (a_0 / 4) tr(g^{-1} L), where
+    # L_jk = d_j d_kbar log det g = (D D_jk - D_j D_k) / D^2 for D = det g
+    n = 2
+    s = TruncatedSeries.from_triples(NONSEPARABLE, 2 * n, 20)
+    w = validate_weight(s, 1.0)
+    amp = solve_amplitude(build_phase(w), 1)
+    x = 0.08 * np.exp(1j * np.array([[0.3, 1.1], [2.0, -0.7], [-1.4, 2.6], [0.9, -2.2]]))
+    pts = w.displacements(x)
+    hess = [[s.diff(j).diff(n + k) for k in range(n)] for j in range(n)]
+    det = hess[0][0] * hess[1][1] - hess[0][1] * hess[1][0]
+    g = np.stack([np.stack([h.eval_grid(pts) for h in row], axis=1) for row in hess], axis=1)
+    d = det.eval_grid(pts)
+    L = np.stack([np.stack([
+        (d * det.diff(j).diff(n + k).eval_grid(pts)
+         - det.diff(j).eval_grid(pts) * det.diff(n + k).eval_grid(pts)) / d ** 2
+        for k in range(n)], axis=1) for j in range(n)], axis=1)
+    a0 = (2.0 / np.pi) ** 2 * np.linalg.det(g)
+    a1 = 0.25 * a0 * np.trace(np.linalg.solve(g, L), axis1=1, axis2=2)
+    for k, want in enumerate([a0, a1]):
+        got = amp.coeffs[k].eval_grid(pts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(got).max(), k

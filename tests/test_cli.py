@@ -10,7 +10,7 @@ import bergman
 from bergman.amplitude import ExpansionTermOps
 from bergman.cli import (RunConfig, config_from_dict, emit, load_config, main,
                          report_csv, report_json, run)
-from bergman.errors import ConfigInvalid, IoError
+from bergman.errors import ConfigInvalid, DegenerateHessian, IoError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -239,15 +239,12 @@ def test_main_exits_2_when_a_stage_records_an_error(tmp_path, capsys):
     assert rep["stages"]["validate"]["error"]["type"] == "Degenerate"
 
 
-def test_degenerate_phase_is_recorded_by_every_stage(tmp_path, capsys):
-    # a Levi eigenvalue of 1e-6 passes validate_weight, but det(B0)^2 = 1e-12
-    # makes build_phase raise; every stage that needs the phase records that
-    with open(os.path.join(ROOT, "configs", "gaussian.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
-    raw["coefficients"] = [{"exponents": [1, 1], "re": 1e-6}]
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(raw))
-    assert main(["report", "--config", str(cfg_path)]) == 2
+def test_degenerate_phase_is_recorded_by_every_stage(monkeypatch, capsys):
+    # a build_phase that raises is recorded by every stage that needs the phase
+    def degenerate(w):
+        raise DegenerateHessian("mixed block singular at the origin")
+    monkeypatch.setattr(bergman.cli, "build_phase", degenerate)
+    assert main(["report", "--config", os.path.join(ROOT, "configs", "gaussian.json")]) == 2
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     stages = json.loads(out)["stages"]

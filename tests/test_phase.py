@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bergman.errors import BadContour, DegenerateHessian
-from bergman.phase import (build_phase, inversion_margin, phase_on_contour,
-                           theta_jacobian_pairs, theta_pairs, to_ring, to_slow,
-                           verify_contour)
+from bergman.phase import (build_phase, inversion_margin, lift_blocks, phase_on_contour,
+                           theta_jacobian_pairs, theta_pairs, verify_contour)
 from bergman.series import TruncatedSeries
 from bergman.weight import Weight, validate_weight
 
@@ -27,18 +26,19 @@ def test_gaussian_quadratic_data():
     pd = make_phase(GAUSS)
     assert np.allclose(pd.b0, [[0.5]])
     assert abs(pd.hess_det - 0.25) < 1e-14
-    assert pd.remainder.is_zero()
+    assert not pd.remainder
 
 
 def test_four_point_phase_telescopes():
     # phase vanishes identically when only one of (u, v) moves
     pd = make_phase(QUARTIC, maxdeg=10)
-    for mi, c in pd.phi_uv.coeffs.items():
-        if abs(c) == 0.0:
-            continue
-        u_deg = sum(mi[2:3])
-        v_deg = sum(mi[3:4])
-        assert u_deg >= 1 and v_deg >= 1, mi
+    assert pd.remainder
+    for ((a,), (b,)), s in pd.remainder.items():
+        assert a >= 1 and b >= 1 and a + b >= 3, (a, b)
+        assert not s.is_zero()
+    assert not pd.quad_B[0][0].is_zero()
+    for a, b in pd.phi0.coeffs:
+        assert a >= 1 and b >= 1, (a, b)
 
 
 # Re g for the holomorphic cubic g(x) = sum_a c_a x^a, on top of a cubic weight
@@ -62,38 +62,52 @@ def phase_by_definition(w):
     return phi4.substitute(var[:2 * n] + [var[j] + var[2 * n + j] for j in range(2 * n)])
 
 
+def reassemble(blocks, n, maxdeg):
+    """The blocks {(alpha, beta): slow series} as one series in (y, xt, u, v)."""
+    out = {}
+    for (a, b), s in blocks.items():
+        assert s.maxdeg == maxdeg - sum(a) - sum(b), (a, b)
+        for mi, c in s.coeffs.items():
+            out[mi + a + b] = c
+    return TruncatedSeries(4 * n, maxdeg, out)
+
+
 @pytest.mark.parametrize("n", [1, 2])
-def test_ring_layout_round_trip(n):
-    s = TruncatedSeries.from_triples(
-        [((0,) * (2 * n), 1.5, -0.5), ((1,) + (0,) * (2 * n - 2) + (2,), -0.25, 0.0),
-         ((0,) * (2 * n - 1) + (3,), 0.0, 2.0)], 2 * n, 5)
-    ring = to_ring(s, n)
-    assert (ring.nvars, ring.maxdeg) == (4 * n, 5)
-    # the slow exponents come first, the (u, v) block is zero
-    assert ring.coeffs == {mi + (0,) * (2 * n): c for mi, c in s.coeffs.items()}
-    back = to_slow(ring, n)
-    assert (back.nvars, back.maxdeg, back.coeffs) == (s.nvars, s.maxdeg, s.coeffs)
+def test_lift_blocks_matches_substitute(n):
+    # random dense complex f: the blocks, put back together, are f(y + u, xt + v)
+    rng = np.random.default_rng(n)
+    maxdeg = 6
+    f = TruncatedSeries(2 * n, maxdeg, {
+        mi: complex(*rng.standard_normal(2))
+        for mi in np.ndindex(*(maxdeg + 1,) * (2 * n)) if sum(mi) <= maxdeg})
+    var = [TruncatedSeries.variable(i, 4 * n, maxdeg) for i in range(4 * n)]
+    want = f.substitute([var[j] + var[2 * n + j] for j in range(2 * n)])
+    blocks = lift_blocks(f, n)
+    zero = (0,) * n
+    assert (zero, zero) in blocks and ((maxdeg,) + zero[1:], zero) in blocks
+    got = reassemble(blocks, n, maxdeg)
+    assert got.coeffs.keys() == want.coeffs.keys()
+    assert (got - want).max_abs() <= 1e-14 * want.max_abs()
 
 
 @pytest.mark.parametrize("triples,n,maxdeg", [
     (QUARTIC, 1, 10), (HOLO_CUBIC, 1, 12), (PRODUCT, 2, 8)],
     ids=["quartic", "holomorphic-cubic", "product-2d"])
 def test_phase_matches_its_definition(triples, n, maxdeg):
+    # phi = u^T B v + remainder, block by block
     w = make_weight(triples, n, maxdeg)
     pd = build_phase(w)
     want = phase_by_definition(w)
-    assert pd.phi_uv.maxdeg == want.maxdeg
-    assert (pd.phi_uv - want).max_abs() < 1e-14
-    # B is the u_j v_k part of the phase, and nothing else
-    for j in range(n):
-        for k in range(n):
-            unit = tuple(int(i == j) for i in range(n)) + tuple(int(i == k) for i in range(n))
-            part = {mi[:2 * n]: c for mi, c in pd.phi_uv.coeffs.items()
-                    if mi[2 * n:] == unit}
-            b = pd.quad_B[j][k]
-            assert set(b.coeffs) == set(part)
-            for mi, c in part.items():
-                assert abs(b.coeff(mi) - c) <= 1e-14 * abs(c)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    quad = {(unit[j], unit[k]): pd.quad_B[j][k] for j in range(n) for k in range(n)}
+    assert not quad.keys() & pd.remainder.keys()
+    got = reassemble({**quad, **pd.remainder}, n, pd.maxdeg)
+    assert got.maxdeg == want.maxdeg
+    assert (got - want).max_abs() < 1e-14
+    # over the origin, the blocks' constant terms are phi0
+    at_origin = {a + b: s.constant_term for (a, b), s in {**quad, **pd.remainder}.items()
+                 if s.constant_term != 0.0}
+    assert pd.phi0.coeffs == at_origin
 
 
 def test_quadratic_block_series():
@@ -116,10 +130,10 @@ def test_degenerate_hessian_rejected():
         build_phase(w)
 
 
-def test_tiny_levi_form_fails_the_determinant_floor():
-    # B = 1e-6 clears the singular-value floor, but det(B)^2 = 1e-12 does not
-    with pytest.raises(DegenerateHessian, match="determinant"):
-        make_phase([((1, 1), 1e-6, 0.0)], maxdeg=8)
+def test_tiny_levi_form_builds_a_phase():
+    # a Levi eigenvalue of 1e-6 passes validate_weight, so the phase must build
+    pd = make_phase([((1, 1), 1e-6, 0.0)], maxdeg=8)
+    assert abs(pd.hess_det - 1e-12) <= 1e-12 * 1e-12
 
 
 def test_hess_det_is_square_of_det_b_n2():

@@ -5,8 +5,7 @@ import pytest
 
 from bergman.amplitude import solve_amplitude
 from bergman.cli import load_config
-from bergman.errors import (ConfigInvalid, DegenerateFit,
-                            QuadratureUnderresolved)
+from bergman.errors import ConfigInvalid, DegenerateFit
 from bergman.projector import (apply_projection, assemble_kernel, check_domain,
                                decay_fit, make_domain, projection_table,
                                reproducing_error, table_key, weighted_norm)
@@ -203,30 +202,6 @@ def test_projection_small_h_stays_finite():
     assert np.all(weighted < 1e-12), weighted
 
 
-def test_projection_refinement_guard():
-    w, amp = pipeline(GAUSS, 4)
-    K = assemble_kernel(w, amp, 0.05)
-    pts = np.array([[0.1 + 0.0j]])
-    coarse = make_domain((1.0,), n_radial=3, n_angular=8)
-    with pytest.raises(QuadratureUnderresolved):
-        apply_projection(K, monomial(3, 6), w, coarse, pts, tol=1e-10)
-    fine = make_domain((1.0,), n_radial=64, n_angular=128)
-    apply_projection(K, monomial(3, 6), w, fine, pts, tol=1e-8)
-
-
-def test_projection_refinement_guard_with_warm_table():
-    # a cached coarse-grid table must not stand in for the doubled grid
-    w, amp = pipeline(GAUSS, 4)
-    K = assemble_kernel(w, amp, 0.05)
-    pts = np.array([[0.1 + 0.0j]])
-    coarse = make_domain((1.0,), n_radial=3, n_angular=8)
-    apply_projection(K, monomial(3, 6), w, coarse, pts)
-    assert len(K.tables) == 1
-    with pytest.raises(QuadratureUnderresolved):
-        apply_projection(K, monomial(3, 6), w, coarse, pts, tol=1e-10)
-    assert len(K.tables) == 2
-
-
 def test_domain_guards():
     w, _ = pipeline(GAUSS, 2, trust=1.2)
     too_big = make_domain((1.5,))
@@ -234,7 +209,6 @@ def test_domain_guards():
         check_domain(too_big, w)
     ok = make_domain((1.0,))
     check_domain(ok, w)
-    assert ok.refined().nodes.shape[0] == 4 * ok.nodes.shape[0]
 
 
 def test_single_radius_domain_is_the_disc_grid():
