@@ -17,6 +17,10 @@ only those (p, p) blocks of their product, and contracts them block by
 block with B^{-1}.  A pairing takes two derivatives, so each series here is
 known to fewer degrees than its inputs, and says so.
 
+Each phase has one set of operators, kept in its memo: det B^{-1}, B^{-1}
+and the remainder powers are built once, and each T_j f is computed once,
+so every solve_amplitude and formal_expansion on that phase shares them.
+
 The two normalization constants are not free: they are calibrated once
 against the exact Gaussian contour integral (weight |x|^2/2, for which the
 order-zero value is pi in one variable) and then frozen.  The 2D quadrature
@@ -136,6 +140,7 @@ class ExpansionTermOps:
         self._origin = ((0,) * n, (0,) * n)
         self._rpow: list[dict] = [
             {self._origin: TruncatedSeries.constant(1.0, 2 * n, pd.maxdeg)}]
+        self._applied: dict = {}     # (j, f) -> T_j f
 
     # -- helpers -------------------------------------------------------------
 
@@ -158,7 +163,16 @@ class ExpansionTermOps:
     # -- the operators ---------------------------------------------------------
 
     def apply(self, j: int, f: TruncatedSeries) -> TruncatedSeries:
-        """T_j f to degree min(f.maxdeg, slow_deg) - 2 pmax: pmax = 3j, or j without remainder."""
+        """T_j f to degree min(f.maxdeg, slow_deg) - 2 pmax: pmax = 3j, or j without remainder.
+
+        Each (j, f) is computed once; series compare and hash by value.
+        """
+        out = self._applied.get((j, f))
+        if out is None:
+            out = self._applied[j, f] = self._term(j, f)
+        return out
+
+    def _term(self, j: int, f: TruncatedSeries) -> TruncatedSeries:
         f = f.truncate(self.slow_deg)
         if j == 0:
             return f
@@ -185,6 +199,13 @@ class ExpansionTermOps:
         return total
 
 
+def _phase_ops(pd: PhaseData) -> ExpansionTermOps:
+    """The phase's one ExpansionTermOps, built on first use and kept in its memo."""
+    if "ops" not in pd.memo:
+        pd.memo["ops"] = ExpansionTermOps(pd)
+    return pd.memo["ops"]
+
+
 def formal_expansion(pd: PhaseData, terms: list[TruncatedSeries],
                      hmax: int) -> list[TruncatedSeries]:
     """Expansion of the fast contour integral applied to a symbol.
@@ -198,7 +219,7 @@ def formal_expansion(pd: PhaseData, terms: list[TruncatedSeries],
     if any(t.nvars != 2 * pd.n for t in terms):
         raise VariableMismatch(
             f"symbol terms must have {2 * pd.n} variables, as the phase expects")
-    ops = ExpansionTermOps(pd)
+    ops = _phase_ops(pd)
     out = []
     for m in range(hmax + 1):
         acc = TruncatedSeries.zero(2 * pd.n, ops.slow_deg)
@@ -216,7 +237,7 @@ def solve_amplitude(pd: PhaseData, order: int) -> Amplitude:
     a_m is known to degree maxdeg - 2 - 6m (maxdeg - 2 - 2m without a
     remainder), so order N needs maxdeg >= 6N + 2.
     """
-    ops = ExpansionTermOps(pd)
+    ops = _phase_ops(pd)
     coeffs = [ops.c0.invert()]
     for m in range(1, order + 1):
         acc = TruncatedSeries.zero(2 * pd.n, ops.slow_deg)

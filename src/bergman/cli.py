@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -189,32 +188,55 @@ def _monomial(exponents, n: int) -> TruncatedSeries:
     return TruncatedSeries.from_triples([(tuple(exponents), 1.0, 0.0)], n, sum(exponents))
 
 
+class _shared:
+    """A RunState piece built on first read and kept, or the BergmanError its
+    build raised, kept and raised again at every later read."""
+
+    def __init__(self, build):
+        self.build, self.key = build, f"_built_{build.__name__}"
+        self.__doc__ = build.__doc__
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        if self.key not in state.__dict__:
+            try:
+                state.__dict__[self.key] = self.build(state)
+            except BergmanError as exc:
+                state.__dict__[self.key] = exc
+        value = state.__dict__[self.key]
+        if isinstance(value, BergmanError):
+            raise value
+        return value
+
+
 @dataclass
 class RunState:
-    """The pieces a run's stages share, each built on first read and kept:
-    the weight, its phase, the order-N amplitude and the sampled gap.  A
-    build that raises keeps nothing, so each stage reading it records the error."""
+    """The pieces a run's stages share, each built once on first read: the
+    weight, its phase, the order-N amplitude and the sampled gap.  A build
+    that raises is kept too, so each stage reading it records the error
+    without building again."""
 
     cfg: RunConfig
 
-    @cached_property
+    @_shared
     def w(self) -> Weight:
         cfg = self.cfg
         series = TruncatedSeries.from_triples(
             list(cfg.coefficients), 2 * cfg.dimension, cfg.maxdeg)
         return validate_weight(series, cfg.trust_radius)
 
-    @cached_property
+    @_shared
     def pd(self) -> PhaseData:
         return build_phase(self.w)
 
-    @cached_property
+    @_shared
     def amp(self) -> Amplitude:
         amp = solve_amplitude(self.pd, self.cfg.order)
         estimate_growth(amp, self.cfg.radius_u, seed=self.cfg.seed)
         return amp
 
-    @cached_property
+    @_shared
     def gap(self) -> tuple[float, float]:
         """Sampled (cmin, cmax) of the quadratic gap out to half the trust radius."""
         return quadratic_gap_estimate(self.w, 0.5 * self.cfg.trust_radius,
@@ -394,17 +416,20 @@ def stage_verify(state: RunState) -> dict:
                 "domination_C": elem.domination_C}
 
     def sp_section():
-        rows = []
-        for case in _sp_cases(pd):
-            for h in cfg.h_grid:
+        # h outer, so that each h's contour is built once; rows stay case by case
+        cases = _sp_cases(pd)
+        rows = [[None] * len(cfg.h_grid) for _ in cases]
+        for i, h in enumerate(cfg.h_grid):
+            for case_rows, case in zip(rows, cases):
                 try:
                     r, = sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
                 except BergmanError as exc:
-                    rows.append({"name": case.name, "h": h, **_error_record(exc)})
+                    case_rows[i] = {"name": case.name, "h": h, **_error_record(exc)}
                     continue
-                rows.append({"name": r.name, "h": r.h, "error": r.error,
-                             "next_term": r.next_term, "order_used": r.order_used,
-                             "terminating": r.terminating, "ok": r.ok})
+                case_rows[i] = {"name": r.name, "h": r.h, "error": r.error,
+                                "next_term": r.next_term, "order_used": r.order_used,
+                                "terminating": r.terminating, "ok": r.ok}
+        rows = [row for case_rows in rows for row in case_rows]
         # a row that records an error has no "ok" and counts as failed
         return {"cases": rows, "all_ok": all(row.get("ok", False) for row in rows)}
 

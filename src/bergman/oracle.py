@@ -11,6 +11,9 @@ weighted_norm / check_domain from projector, and the monomial enumerator
 _block_monomials from series, which lists the Gram basis.  The Gram power
 table, _monomial_table here, is the oracle's own.  Sample counts and grids
 are constants of the check that uses them; only the Sobol seed is an argument.
+sp_quadrature_check builds one contour per h (probe radius, disc, nodes and
+measure), which the phase keeps for the h in use, and expands each case
+through the phase's one set of expansion operators.
 """
 
 from __future__ import annotations
@@ -342,6 +345,22 @@ def _contour_radius(pd: PhaseData, h: float) -> tuple[float, float]:
     return best
 
 
+def _sp_contour(pd: PhaseData, h: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(g, (u, v) nodes, measure wts * e^{2 phi/h}) of the quadrature disc at h.
+
+    They depend on (pd, h) alone, so the phase's memo keeps them for the
+    live h; a call at another h replaces them.
+    """
+    live = pd.memo.get("sp_contour")
+    if live is None or live[0] != h:
+        rho, g = _contour_radius(pd, h)
+        nodes, wts = disc_grid(rho, SP_N_RADIAL, SP_N_ANGULAR)
+        u, v = fast_uv(pd, nodes)
+        measure = wts * np.exp(2.0 * phase_on_contour(pd, u) / h)
+        live = pd.memo["sp_contour"] = (h, g, np.concatenate([u, v], axis=1), measure)
+    return live[1:]
+
+
 def sp_quadrature_check(pd: PhaseData, cases, h_values,
                         hmax: int = 6) -> list[QuadratureResult]:
     """Direct quadrature of the fast contour integral against the expansion.
@@ -349,7 +368,8 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
     The integral h^{-n} conj(b0) int e^{(2/h) phi} f L(du) over the good
     contour through the origin is compared with the formal series: exact
     agreement when the phase has no remainder of (u, v)-degree >= 3 (the
-    expansion terminates), next-term bound otherwise.
+    expansion terminates), next-term bound otherwise.  Each case is expanded
+    once and each h's contour built once; results are listed case by case.
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
@@ -358,22 +378,23 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
     b = complex(pd.b0[0, 0])
     terminating = not pd.remainder
 
-    results = []
+    expanded = []
     for case in cases:
-        f = case.symbol
-        if f.nvars != 2 * pd.n:
+        if case.symbol.nvars != 2 * pd.n:
             raise ConfigInvalid(f"case {case.name}: symbol must have {2 * pd.n} variables")
-        terms = formal_expansion(pd, [f], hmax)
-        vals = np.array([t.constant_term for t in terms])
+        terms = formal_expansion(pd, [case.symbol], hmax)
+        expanded.append((case, np.array([t.constant_term for t in terms])))
 
-        for h in h_values:
-            rho, g = _contour_radius(pd, h)
-            nodes, wts = disc_grid(rho, SP_N_RADIAL, SP_N_ANGULAR)
-            u, v = fast_uv(pd, nodes)
-            phi_vals = phase_on_contour(pd, u)
-            fv = f.eval_grid(np.concatenate([u, v], axis=1))
-            quad = complex(np.conj(b) / h * (wts * np.exp(2.0 * phi_vals / h)
-                                             * fv).sum())
+    by_h = []
+    for h in h_values:
+        g, uv, measure = _sp_contour(pd, h)
+        row = []
+        for case, vals in expanded:
+            # fv stays named: numpy would write measure * (unnamed temporary)
+            # into the temporary, and that in-place complex product rounds
+            # differently from the one into a fresh array
+            fv = case.symbol.eval_grid(uv)
+            quad = complex(np.conj(b) / h * (measure * fv).sum())
             tail = math.exp(-2.0 * g / h) * max(abs(quad), 1.0)
 
             if terminating or not (np.abs(vals) > 0).any():
@@ -381,12 +402,14 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
                 partial = complex(np.polyval(vals[::-1], h))
                 order_used, next_term = hmax, 0.0
                 err = abs(quad - partial)
-                budget = SP_TERMINATING_TOL * max(1.0, abs(partial))
-                if tail > 0.25 * budget:
+                # the tail is weighed against what the contour captures, not
+                # against the expansion, whose size can hide a contour that
+                # captures nothing of it
+                if tail > 0.25 * SP_TERMINATING_TOL * max(1.0, abs(quad)):
                     raise QuadratureUnderresolved(
                         f"case {case.name}: boundary decay e^(-2*{g:.3f}/{h}) "
                         f"too weak for the terminating tolerance")
-                ok = err <= budget
+                ok = err <= SP_TERMINATING_TOL * max(1.0, abs(partial))
             else:
                 nxt = np.abs(vals[1:]) * h ** np.arange(1, hmax + 1)
                 # optimal truncation; exact zeros are skipped as next terms
@@ -400,11 +423,12 @@ def sp_quadrature_check(pd: PhaseData, cases, h_values,
                         f"case {case.name}: contour tail {tail:.3e} overwhelms "
                         f"the next-term bound {next_term:.3e} at h = {h}")
                 ok = err <= SP_BOUND_FACTOR * next_term
-            results.append(QuadratureResult(
+            row.append(QuadratureResult(
                 name=case.name, terminating=terminating, h=float(h),
                 quad=quad, partial=partial, order_used=order_used,
                 next_term=next_term, error=float(err), ok=bool(ok)))
-    return results
+        by_h.append(row)
+    return [r for per_case in zip(*by_h) for r in per_case]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,9 @@ class PhaseData:
     b0: np.ndarray               # B at the origin: the weight's Levi matrix
     hess_det: complex            # det(b0)^2 = (-1)^n det of the fast Hessian [[0, B], [B^T, 0]]
     remainder: dict              # blocks of phi with |alpha| + |beta| >= 3; empty: none
+    # Work that depends on the phase alone, kept as long as the phase: the
+    # expansion operators (amplitude) and the live sp contour (oracle).
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def slow_deg(self) -> int:

@@ -73,6 +73,18 @@ def test_amplitude_solves_unit_feedback():
         assert terms[j].max_abs() < 1e-10
 
 
+def test_shared_operators_change_no_expansion():
+    # solve_amplitude and formal_expansion share the phase's one set of
+    # operators and its T_j f memo; each expansion equals, bit for bit, the
+    # one on a freshly built phase
+    w = validate_weight(TruncatedSeries.from_triples(QUARTIC, 2, 26), 1.0)
+    pd = build_phase(w)
+    amp = solve_amplitude(pd, 4)
+    u = TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 24)
+    for terms in (amp.coeffs, [u], amp.coeffs):
+        assert formal_expansion(pd, terms, 4) == formal_expansion(build_phase(w), terms, 4)
+
+
 def test_pluriharmonic_gauge_invariance():
     # adding Re(g) for holomorphic cubic g leaves every coefficient unchanged
     rng = np.random.default_rng(7)

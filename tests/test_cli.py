@@ -8,9 +8,10 @@ import pytest
 import bergman
 
 from bergman.amplitude import ExpansionTermOps
-from bergman.cli import (RunConfig, config_from_dict, emit, load_config, main,
-                         report_csv, report_json, run)
-from bergman.errors import ConfigInvalid, DegenerateHessian, IoError
+from bergman.cli import (RunConfig, RunState, _error_record, _sp_cases, config_from_dict,
+                         emit, load_config, main, report_csv, report_json, run)
+from bergman.errors import ConfigInvalid, DegenerateHessian, IoError, QuadratureUnderresolved
+from bergman.oracle import sp_quadrature_check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -240,8 +241,12 @@ def test_main_exits_2_when_a_stage_records_an_error(tmp_path, capsys):
 
 
 def test_degenerate_phase_is_recorded_by_every_stage(monkeypatch, capsys):
-    # a build_phase that raises is recorded by every stage that needs the phase
+    # a build_phase that raises is recorded by every stage that needs the
+    # phase, and runs once: the run keeps the error as it keeps a phase
+    calls = []
+
     def degenerate(w):
+        calls.append(w)
         raise DegenerateHessian("mixed block singular at the origin")
     monkeypatch.setattr(bergman.cli, "build_phase", degenerate)
     assert main(["report", "--config", os.path.join(ROOT, "configs", "gaussian.json")]) == 2
@@ -251,25 +256,101 @@ def test_degenerate_phase_is_recorded_by_every_stage(monkeypatch, capsys):
     assert set(stages) == {"validate", "amplitude", "kernel", "verify"}
     for name, stage in stages.items():
         assert stage["error"]["type"] == "DegenerateHessian", name
+    assert len(calls) == 1
 
 
 def test_run_computes_each_shared_piece_once(monkeypatch):
-    # the stages share one phase, one gap sample and one order-N amplitude;
-    # the kernel stage adds the order-(N - 1) solve
-    calls = {}
-    for name in ("build_phase", "quadratic_gap_estimate", "estimate_growth",
-                 "solve_amplitude"):
+    # the stages share one phase, one gap sample, one order-N amplitude and
+    # one set of expansion operators; the kernel stage's order-(N - 1) solve
+    # reads the operators' T_j f memo and computes no new term
+    calls, built, computed, solves = {}, [], [], []
+    for name in ("build_phase", "quadratic_gap_estimate", "estimate_growth"):
         def counted(*args, _fn=getattr(bergman.cli, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(bergman.cli, name, counted)
+    init, term = ExpansionTermOps.__init__, ExpansionTermOps._term
+    monkeypatch.setattr(ExpansionTermOps, "__init__",
+                        lambda self, pd: built.append(pd) or init(self, pd))
+    monkeypatch.setattr(ExpansionTermOps, "_term",
+                        lambda self, j, f: computed.append(j) or term(self, j, f))
+    solve = bergman.cli.solve_amplitude
+
+    def counted_solve(pd, order):
+        before = len(computed)
+        amp = solve(pd, order)
+        solves.append((amp, len(computed) - before))
+        return amp
+    monkeypatch.setattr(bergman.cli, "solve_amplitude", counted_solve)
     path = os.path.join(ROOT, "configs", "gaussian.json")
     cfg = load_config(path, {"h_grid": [0.2, 0.1, 0.05], "test_functions": [[0]],
                              "n_radial": 16, "n_angular": 32, "gram_degree": 8})
     stages = run(cfg)["stages"]
     assert all("error" not in stage for stage in stages.values())
-    assert calls == {"build_phase": 1, "quadratic_gap_estimate": 1,
-                     "estimate_growth": 1, "solve_amplitude": 2}
+    assert calls == {"build_phase": 1, "quadratic_gap_estimate": 1, "estimate_growth": 1}
+    assert len(built) == 1
+    (amp, amp_terms), (lower, lower_terms) = solves
+    assert (amp.order, lower.order) == (cfg.order, cfg.order - 1)
+    assert amp_terms > 0 and lower_terms == 0
+    assert lower.coeffs == amp.coeffs[:cfg.order]
+
+
+def _verify_sp(name: str, **overrides):
+    """A verify run on configs/<name>.json, with the sections other than
+    sp_quadrature cut down; the sp rows do not read the changed fields."""
+    cfg = load_config(os.path.join(ROOT, "configs", f"{name}.json"),
+                      {"suites": ["verify"], "test_functions": [[0]], "n_radial": 16,
+                       "n_angular": 32, "gram_degree": 8, **overrides})
+    return cfg, run(cfg)["stages"]["verify"]["sp_quadrature"]["cases"]
+
+
+def _row_fields(r) -> dict:
+    return {"name": r.name, "h": r.h, "error": r.error, "next_term": r.next_term,
+            "order_used": r.order_used, "terminating": r.terminating, "ok": r.ok}
+
+
+@pytest.mark.parametrize("name", ["gaussian", "quadratic-lambda"])
+def test_sp_rows_equal_one_uncached_check(name):
+    # the run's rows come from the phase it shares with the amplitude and
+    # kernel stages, one contour per h; one call on a fresh phase, which
+    # shares nothing, gives the same rows bit for bit
+    cfg, rows = _verify_sp(name)
+    pd = RunState(cfg).pd  # a new run state builds its own phase
+    want = sp_quadrature_check(pd, _sp_cases(pd), cfg.h_grid, hmax=cfg.hmax)
+    assert rows == [_row_fields(r) for r in want]
+
+
+def test_sp_rows_equal_calls_that_rebuild_every_contour(monkeypatch):
+    # perturbed-quartic has underresolved rows, so one call would stop at the
+    # first; calls case by case change h at every call and so rebuild the
+    # contour every time.  The run builds it once per h.
+    from bergman import oracle
+    probes, discs = [], []
+    radius, disc = oracle._contour_radius, oracle.disc_grid
+    monkeypatch.setattr(oracle, "_contour_radius",
+                        lambda pd, h: probes.append(h) or radius(pd, h))
+
+    def counted_disc(*args):
+        if args[1:] == (oracle.SP_N_RADIAL, oracle.SP_N_ANGULAR):
+            discs.append(args)
+        return disc(*args)
+    monkeypatch.setattr(oracle, "disc_grid", counted_disc)
+    cfg, rows = _verify_sp("perturbed-quartic")
+    assert probes == list(cfg.h_grid) and len(discs) == len(cfg.h_grid)
+
+    pd = RunState(cfg).pd  # a new run state builds its own phase
+    want = []
+    for case in _sp_cases(pd):
+        for h in cfg.h_grid:
+            try:
+                r, = sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
+            except QuadratureUnderresolved as exc:
+                want.append({"name": case.name, "h": h, **_error_record(exc)})
+                continue
+            want.append(_row_fields(r))
+    assert len(probes) == len(cfg.h_grid) + len(want)
+    assert rows == want
+    assert sum("ok" not in row for row in rows) > 0
 
 
 _ERR = {"error": {"type": "QuadratureUnderresolved", "message": ""}}

@@ -5,7 +5,8 @@ import pytest
 
 from bergman import oracle
 from bergman.amplitude import Amplitude, solve_amplitude
-from bergman.errors import BadContour, BergmanError, ConfigInvalid, IllConditioned
+from bergman.errors import (BadContour, BergmanError, ConfigInvalid, IllConditioned,
+                            QuadratureUnderresolved)
 from bergman.cli import load_config
 from bergman.oracle import (SP_MAX_RADIUS, SP_PROBE_ANGLES, SP_PROBE_RADII,
                             QuadratureCase, _contour_radius, compare_kernels,
@@ -308,6 +309,21 @@ def test_contour_radius_rejects_a_phase_rising_on_the_first_circle():
     pd = build_phase(Weight(1, s, 1.0))
     with pytest.raises(BadContour, match="no positive-decay radius"):
         _contour_radius(pd, 0.1)
+
+
+def test_sp_flat_weight_is_underresolved_not_failed():
+    # configs/gaussian.json with Levi form 1e-6: no probe circle decays
+    # (g ~ 1e-11), so the quadrature captures nothing of an expansion of size
+    # ~1e11; the terminating guard must say so rather than report a failure
+    cfg = load_config(os.path.join(ROOT, "configs", "gaussian.json"))
+    pd = build_phase(make_weight([((1, 1), 1e-6, 0.0)], maxdeg=cfg.maxdeg,
+                                 trust=cfg.trust_radius))
+    case = QuadratureCase("x^1yt^1", TruncatedSeries.from_triples(
+        [((1, 1), 1.0, 0.0)], 2, pd.slow_deg))
+    for h in cfg.h_grid:
+        assert _contour_radius(pd, h)[1] < 1e-9
+        with pytest.raises(QuadratureUnderresolved, match="terminating tolerance"):
+            sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
 
 
 def test_sp_gaussian_constant_is_pi():
