@@ -82,9 +82,10 @@ def _series_matrix_inverse(mat: list[list[TruncatedSeries]],
     return out
 
 
-def _block_product(f: dict, g: dict, maxdeg: int, p: int | None = None) -> dict:
+def _block_product(f: dict, g: dict, maxdeg: int, p: int | None = None,
+                   cap: int | None = None) -> dict:
     """The blocks of f * g, each to degree maxdeg - |alpha| - |beta|; with p,
-    only the blocks of bidegree (p, p)."""
+    only those of bidegree (p, p), with cap, those of bidegree <= (cap, cap)."""
     by_bidegree: dict = {}
     for key, t in g.items():
         by_bidegree.setdefault((sum(key[0]), sum(key[1])), []).append((key, t))
@@ -94,7 +95,7 @@ def _block_product(f: dict, g: dict, maxdeg: int, p: int | None = None) -> dict:
         for (c, d), t in pairs:
             key = (tuple(map(operator.add, a, c)), tuple(map(operator.add, b, d)))
             deg = maxdeg - sum(key[0]) - sum(key[1])
-            if deg >= 0:
+            if deg >= 0 and (cap is None or max(map(sum, key)) <= cap):
                 prod = s.truncate(deg) * t
                 out[key] = out[key] + prod if key in out else prod
     return out
@@ -145,8 +146,11 @@ class ExpansionTermOps:
     # -- helpers -------------------------------------------------------------
 
     def _remainder_power(self, q: int) -> dict:
+        # T_j (j <= slow_deg // 6) reads R^q at bidegree <= j + q, and R's
+        # blocks have |alpha|, |beta| >= 1, so a block beyond that feeds none
         while len(self._rpow) <= q:
-            self._rpow.append(_block_product(self._rpow[-1], self._remainder, self._maxdeg))
+            self._rpow.append(_block_product(self._rpow[-1], self._remainder, self._maxdeg,
+                                             cap=len(self._rpow) + self.slow_deg // 6))
         return self._rpow[q]
 
     def _pair_once(self, blocks: dict) -> dict:

@@ -29,7 +29,7 @@ from .oracle import (QuadratureCase, compare_kernels, fourier_inversion_check,
                      near_diagonal_pairs, pointwise_bound_check,
                      sp_quadrature_check)
 from .phase import PhaseData, build_phase, inversion_margin, verify_contour
-from .projector import (FIT_FLOOR, assemble_kernel, decay_fit, make_domain,
+from .projector import (FIT_FLOOR, DomainSpec, assemble_kernel, decay_fit, make_domain,
                         projection_table, reproducing_error)
 from .series import TruncatedSeries
 from .weight import Weight, quadratic_gap_estimate, validate_weight
@@ -184,10 +184,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # Shared pipeline state
 
 
-def _monomial(exponents, n: int) -> TruncatedSeries:
-    return TruncatedSeries.from_triples([(tuple(exponents), 1.0, 0.0)], n, sum(exponents))
-
-
 class _shared:
     """A RunState piece built on first read and kept, or the BergmanError its
     build raised, kept and raised again at every later read."""
@@ -213,9 +209,9 @@ class _shared:
 @dataclass
 class RunState:
     """The pieces a run's stages share, each built once on first read: the
-    weight, its phase, the order-N amplitude and the sampled gap.  A build
-    that raises is kept too, so each stage reading it records the error
-    without building again."""
+    weight, its phase, the order-N amplitude, the sampled gap, the grids and
+    the test functions.  A build that raises is kept too, so each stage
+    reading it records the error without building again."""
 
     cfg: RunConfig
 
@@ -247,6 +243,27 @@ class RunState:
         """delta = cmin / 2 of the sampled gap: the one rule every stage uses."""
         return 0.5 * self.gap[0]
 
+    @property
+    def margin_radius(self) -> float:
+        """Sampling radius of the contour and inequality margins: 0.3 x trust."""
+        return 0.3 * self.cfg.trust_radius
+
+    @_shared
+    def outer(self) -> DomainSpec:
+        cfg = self.cfg
+        return make_domain((cfg.radius_v,) * cfg.dimension, cfg.n_radial, cfg.n_angular)
+
+    @_shared
+    def inner(self) -> DomainSpec:
+        cfg = self.cfg
+        return make_domain((cfg.radius_u,) * cfg.dimension, cfg.err_n_radial, cfg.err_n_angular)
+
+    @_shared
+    def monomials(self) -> list:
+        """The test functions y^t, in config order."""
+        return [TruncatedSeries.from_triples([(t, 1.0, 0.0)], self.cfg.dimension, sum(t))
+                for t in self.cfg.test_functions]
+
 
 def _fit_or_floor(pairs) -> dict:
     errs = [e for _, e in pairs]
@@ -270,7 +287,7 @@ def stage_validate(state: RunState) -> dict:
     cmin, cmax = state.gap
     checksum = hashlib.sha256(
         json.dumps(w.series.to_triples(), sort_keys=True).encode()).hexdigest()[:16]
-    radius = 0.3 * cfg.trust_radius
+    radius = state.margin_radius
     amp_margin = verify_contour(pd, radius, seed=cfg.seed)
     inv_margin = inversion_margin(w, radius, seed=cfg.seed)
     return {
@@ -306,13 +323,10 @@ def stage_amplitude(state: RunState) -> dict:
 def stage_kernel(state: RunState) -> dict:
     amp = state.amp
     cfg, w, pd = state.cfg, state.w, state.pd
-    dictionary = [(list(t), _monomial(t, cfg.dimension)) for t in cfg.test_functions]
     orders = [cfg.order] + ([cfg.order - 1] if cfg.order >= 1 else [])
     amps = {cfg.order: amp}
     for N in orders[1:]:
         amps[N] = solve_amplitude(pd, N)
-    outer = make_domain((cfg.radius_v,) * w.n, cfg.n_radial, cfg.n_angular)
-    inner = make_domain((cfg.radius_u,) * w.n, cfg.err_n_radial, cfg.err_n_angular)
     degree = max(sum(t) for t in cfg.test_functions)
     measured = {N: [] for N in orders}
     for h in cfg.h_grid:
@@ -320,9 +334,10 @@ def stage_kernel(state: RunState) -> dict:
         # table build serves all of them and the projections below only
         # read their tables.
         kernels = [assemble_kernel(w, amps[N], h) for N in orders]
-        projection_table(kernels, outer, inner.nodes, degree)
+        projection_table(kernels, state.outer, state.inner.nodes, degree)
         for N, K in zip(orders, kernels):
-            err = max(reproducing_error(K, u, inner, outer) for _, u in dictionary)
+            err = max(reproducing_error(K, u, state.inner, state.outer)
+                      for u in state.monomials)
             measured[N].append((K.symbol.cutoff, err))
     rows = []
     fits = {}
@@ -340,7 +355,7 @@ def stage_kernel(state: RunState) -> dict:
                          "beta_running": beta_running})
         fits[str(N)] = _fit_or_floor(errs)
     return {"rows": rows, "fits": fits,
-            "test_functions": [t for t, _ in dictionary]}
+            "test_functions": [list(t) for t in cfg.test_functions]}
 
 
 def _sp_cases(pd: PhaseData) -> list:
@@ -370,13 +385,12 @@ def stage_verify(state: RunState) -> dict:
     cfg, w, pd = state.cfg, state.w, state.pd
     out: dict = {}
     n = cfg.dimension
-    outer = make_domain((cfg.radius_v,) * n, cfg.n_radial, cfg.n_angular)
 
     def gram_section():
         x, y = near_diagonal_pairs(0.3 * cfg.radius_u)
         per_h = []
         for h in cfg.h_grid:
-            gk = gram_bergman(w, outer, h, cfg.gram_degree)
+            gk = gram_bergman(w, state.outer, h, cfg.gram_degree)
             st = compare_kernels(assemble_kernel(w, amp, h), gk, x, y)
             per_h.append({"h": h, "max_rel": st.max_rel,
                           "median_rel": st.median_rel, "cond": gk.cond})
@@ -385,27 +399,22 @@ def stage_verify(state: RunState) -> dict:
 
     def fourier_section():
         res = {}
-        for t in cfg.test_functions:
-            checks = fourier_inversion_check(w, _monomial(t, n), np.zeros(n),
-                                             cfg.radius_v, cfg.h_grid)
+        for t, u in zip(cfg.test_functions, state.monomials):
+            checks = fourier_inversion_check(w, u, np.zeros(n), cfg.radius_v, cfg.h_grid)
             pairs = [(chk.h, chk.residual) for chk in checks]
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
                                  "fit": _fit_or_floor(pairs)}
         return res
 
     def pointwise_section():
-        inner = make_domain((cfg.radius_u,) * n, cfg.err_n_radial, cfg.err_n_angular)
         res = {}
-        for t in cfg.test_functions:
-            pb = pointwise_bound_check(w, _monomial(t, n), inner, outer, cfg.h_grid)
+        for t, u in zip(cfg.test_functions, state.monomials):
+            pb = pointwise_bound_check(w, u, state.inner, state.outer, cfg.h_grid)
             res[str(list(t))] = {"ratios": list(pb.ratios), "max": pb.max_ratio}
         return res
 
     def inequality_section():
-        suite = inequality_suite(w, state.delta, 0.3 * cfg.trust_radius, seed=cfg.seed)
-        return {"theta_margin": suite.theta_margin, "gz_margin": suite.gz_margin,
-                "ratio_min": suite.ratio_min, "delta": suite.delta,
-                "radius": suite.radius}
+        return asdict(inequality_suite(w, state.delta, state.margin_radius, seed=cfg.seed))
 
     def localized_section():
         h = cfg.h_grid[len(cfg.h_grid) // 2]
@@ -415,21 +424,19 @@ def stage_verify(state: RunState) -> dict:
         return {"h": h, "margin": elem.margin, "delta": elem.delta,
                 "domination_C": elem.domination_C}
 
+    def sp_row(case, h):
+        try:
+            r = sp_quadrature_check(pd, case, h, hmax=cfg.hmax)
+        except BergmanError as exc:
+            return {"name": case.name, "h": h, **_error_record(exc)}
+        return {"name": r.name, "h": r.h, "error": r.error, "next_term": r.next_term,
+                "order_used": r.order_used, "terminating": r.terminating, "ok": r.ok}
+
     def sp_section():
         # h outer, so that each h's contour is built once; rows stay case by case
         cases = _sp_cases(pd)
-        rows = [[None] * len(cfg.h_grid) for _ in cases]
-        for i, h in enumerate(cfg.h_grid):
-            for case_rows, case in zip(rows, cases):
-                try:
-                    r, = sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
-                except BergmanError as exc:
-                    case_rows[i] = {"name": case.name, "h": h, **_error_record(exc)}
-                    continue
-                case_rows[i] = {"name": r.name, "h": r.h, "error": r.error,
-                                "next_term": r.next_term, "order_used": r.order_used,
-                                "terminating": r.terminating, "ok": r.ok}
-        rows = [row for case_rows in rows for row in case_rows]
+        by_h = [[sp_row(case, h) for case in cases] for h in cfg.h_grid]
+        rows = [row for per_case in zip(*by_h) for row in per_case]
         # a row that records an error has no "ok" and counts as failed
         return {"cases": rows, "all_ok": all(row.get("ok", False) for row in rows)}
 

@@ -59,7 +59,8 @@ class InsufficientDegree(BergmanError):
 
 
 class QuadratureUnderresolved(BergmanError):
-    """Node doubling moved the result beyond the allowed tolerance."""
+    """The contour tail e^(-2g/h), left beyond the quadrature disc, is too
+    large against the tolerance the result is checked to."""
 
 
 class IllConditioned(BergmanError):

@@ -10,10 +10,10 @@ formal_expansion (which sp_quadrature_check exists to check),
 weighted_norm / check_domain from projector, and the monomial enumerator
 _block_monomials from series, which lists the Gram basis.  The Gram power
 table, _monomial_table here, is the oracle's own.  Sample counts and grids
-are constants of the check that uses them; only the Sobol seed is an argument.
-sp_quadrature_check builds one contour per h (probe radius, disc, nodes and
-measure), which the phase keeps for the h in use, and expands each case
-through the phase's one set of expansion operators.
+are constants of the check that uses them; only the Sobol seed is an argument,
+and quadrature.sampled_ratio drops their near-coincident samples.
+sp_quadrature_check checks one (case, h) row on the contour of h (probe
+radius, disc, nodes and measure), which the phase keeps for the h in use.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .phase import (MARGIN_SAMPLES, PhaseData, fast_uv, phase_on_contour,
                     theta_jacobian_pairs, theta_pairing, theta_ratio)
 from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
-from .quadrature import disc_grid, radial_bump, sobol_ball
+from .quadrature import disc_grid, radial_bump, sampled_ratio, sobol_ball
 from .series import TruncatedSeries, _block_monomials
 from .weight import Weight, _as_points, _pair_points
 
@@ -275,17 +275,12 @@ def inequality_suite(w: Weight, delta: float, radius: float,
     x = sobol_ball(w.n, radius, MARGIN_SAMPLES, seed=seed)
     y = sobol_ball(w.n, radius, MARGIN_SAMPLES, seed=seed + 1)
 
-    keep = (np.abs(x - y) ** 2).sum(axis=1) > (1e-8 * radius) ** 2
-    ratio_min = float(theta_ratio(w, x[keep], y[keep]).min())
+    ratio_min = float(theta_ratio(w, x, y, radius).min())
     theta_margin = ratio_min - delta
 
     dz_x = (np.abs(x) ** 2).sum(axis=1)
-    dz_y = (np.abs(y) ** 2).sum(axis=1)
-    denom = dz_x + dz_y
-    keep2 = denom > (1e-8 * radius) ** 2
-    gap = w.gap(x, y)
-    gz_ratio = (gap[keep2] + delta * dz_x[keep2]) / denom[keep2]
-    gz_margin = float(gz_ratio.min())
+    denom = dz_x + (np.abs(y) ** 2).sum(axis=1)
+    gz_margin = float(sampled_ratio(w.gap(x, y) + delta * dz_x, denom, radius).min())
 
     if theta_margin <= 0.0:
         raise BadContour(
@@ -361,74 +356,65 @@ def _sp_contour(pd: PhaseData, h: float) -> tuple[float, np.ndarray, np.ndarray]
     return live[1:]
 
 
-def sp_quadrature_check(pd: PhaseData, cases, h_values,
-                        hmax: int = 6) -> list[QuadratureResult]:
+def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
+                        hmax: int = 6) -> QuadratureResult:
     """Direct quadrature of the fast contour integral against the expansion.
 
     The integral h^{-n} conj(b0) int e^{(2/h) phi} f L(du) over the good
     contour through the origin is compared with the formal series: exact
     agreement when the phase has no remainder of (u, v)-degree >= 3 (the
-    expansion terminates), next-term bound otherwise.  Each case is expanded
-    once and each h's contour built once; results are listed case by case.
+    expansion terminates), next-term bound otherwise.  The contour of h is
+    the phase's live one (``_sp_contour``), and the expansion reads the
+    phase's one set of operators.
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
     if hmax < 1:
         raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
+    if case.symbol.nvars != 2 * pd.n:
+        raise ConfigInvalid(f"case {case.name}: symbol must have {2 * pd.n} variables")
     b = complex(pd.b0[0, 0])
     terminating = not pd.remainder
+    vals = np.array([t.constant_term for t in formal_expansion(pd, [case.symbol], hmax)])
 
-    expanded = []
-    for case in cases:
-        if case.symbol.nvars != 2 * pd.n:
-            raise ConfigInvalid(f"case {case.name}: symbol must have {2 * pd.n} variables")
-        terms = formal_expansion(pd, [case.symbol], hmax)
-        expanded.append((case, np.array([t.constant_term for t in terms])))
+    g, uv, measure = _sp_contour(pd, h)
+    # fv stays named: numpy would write measure * (unnamed temporary)
+    # into the temporary, and that in-place complex product rounds
+    # differently from the one into a fresh array
+    fv = case.symbol.eval_grid(uv)
+    quad = complex(np.conj(b) / h * (measure * fv).sum())
+    tail = math.exp(-2.0 * g / h) * max(abs(quad), 1.0)
 
-    by_h = []
-    for h in h_values:
-        g, uv, measure = _sp_contour(pd, h)
-        row = []
-        for case, vals in expanded:
-            # fv stays named: numpy would write measure * (unnamed temporary)
-            # into the temporary, and that in-place complex product rounds
-            # differently from the one into a fresh array
-            fv = case.symbol.eval_grid(uv)
-            quad = complex(np.conj(b) / h * (measure * fv).sum())
-            tail = math.exp(-2.0 * g / h) * max(abs(quad), 1.0)
-
-            if terminating or not (np.abs(vals) > 0).any():
-                # exact sum, or a series vanishing identically at the center
-                partial = complex(np.polyval(vals[::-1], h))
-                order_used, next_term = hmax, 0.0
-                err = abs(quad - partial)
-                # the tail is weighed against what the contour captures, not
-                # against the expansion, whose size can hide a contour that
-                # captures nothing of it
-                if tail > 0.25 * SP_TERMINATING_TOL * max(1.0, abs(quad)):
-                    raise QuadratureUnderresolved(
-                        f"case {case.name}: boundary decay e^(-2*{g:.3f}/{h}) "
-                        f"too weak for the terminating tolerance")
-                ok = err <= SP_TERMINATING_TOL * max(1.0, abs(partial))
-            else:
-                nxt = np.abs(vals[1:]) * h ** np.arange(1, hmax + 1)
-                # optimal truncation; exact zeros are skipped as next terms
-                masked = np.where(nxt > 0, nxt, np.inf)
-                order_used = int(np.argmin(masked)) if np.isfinite(masked).any() else 0
-                next_term = float(nxt[order_used])
-                partial = complex(np.polyval(vals[:order_used + 1][::-1], h))
-                err = abs(quad - partial)
-                if tail > 0.5 * next_term:
-                    raise QuadratureUnderresolved(
-                        f"case {case.name}: contour tail {tail:.3e} overwhelms "
-                        f"the next-term bound {next_term:.3e} at h = {h}")
-                ok = err <= SP_BOUND_FACTOR * next_term
-            row.append(QuadratureResult(
-                name=case.name, terminating=terminating, h=float(h),
-                quad=quad, partial=partial, order_used=order_used,
-                next_term=next_term, error=float(err), ok=bool(ok)))
-        by_h.append(row)
-    return [r for per_case in zip(*by_h) for r in per_case]
+    if terminating or not (np.abs(vals) > 0).any():
+        # exact sum, or a series vanishing identically at the center
+        partial = complex(np.polyval(vals[::-1], h))
+        order_used, next_term = hmax, 0.0
+        err = abs(quad - partial)
+        # the tail is weighed against what the contour captures, not
+        # against the expansion, whose size can hide a contour that
+        # captures nothing of it
+        if tail > 0.25 * SP_TERMINATING_TOL * max(1.0, abs(quad)):
+            raise QuadratureUnderresolved(
+                f"case {case.name}: boundary decay e^(-2*{g:.3f}/{h}) "
+                f"too weak for the terminating tolerance")
+        ok = err <= SP_TERMINATING_TOL * max(1.0, abs(partial))
+    else:
+        nxt = np.abs(vals[1:]) * h ** np.arange(1, hmax + 1)
+        # optimal truncation; exact zeros are skipped as next terms
+        masked = np.where(nxt > 0, nxt, np.inf)
+        order_used = int(np.argmin(masked)) if np.isfinite(masked).any() else 0
+        next_term = float(nxt[order_used])
+        partial = complex(np.polyval(vals[:order_used + 1][::-1], h))
+        err = abs(quad - partial)
+        if tail > 0.5 * next_term:
+            raise QuadratureUnderresolved(
+                f"case {case.name}: contour tail {tail:.3e} overwhelms "
+                f"the next-term bound {next_term:.3e} at h = {h}")
+        ok = err <= SP_BOUND_FACTOR * next_term
+    return QuadratureResult(
+        name=case.name, terminating=terminating, h=float(h),
+        quad=quad, partial=partial, order_used=order_used,
+        next_term=next_term, error=float(err), ok=bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +462,7 @@ def localized_element(v: TruncatedSeries, z, w: Weight, h: float, delta: float,
         raise ConfigInvalid("cutoff plateau does not cover z")
 
     x = sobol_ball(w.n, support, LOCALIZED_SAMPLES, seed=seed)
-    sep2 = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
-    keep = sep2 > (1e-8 * support) ** 2
-    margin = float(theta_ratio(w, x[keep], z[None, :]).min()) - delta
+    margin = float(theta_ratio(w, x, z[None, :], support).min()) - delta
     if margin <= 0.0:
         raise BadContour(
             f"localized element at {z} violates domination: margin {margin:.3e}")
@@ -490,6 +474,7 @@ def localized_element(v: TruncatedSeries, z, w: Weight, h: float, delta: float,
                             domination_C=0.0)
     if v_value != 0:
         vals = np.abs(elem.eval(x)) * np.exp(-w.phi(x) / h)
+        sep2 = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
         ref = (abs(v_value) * chi_value * h ** (-w.n)
                * math.exp(-float(w.phi(z[None, :])[0]) / h)
                * np.exp(-delta * sep2 / h))

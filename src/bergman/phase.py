@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadContour, DegenerateHessian
-from .quadrature import sobol_ball
+from .quadrature import sampled_ratio, sobol_ball
 from .series import TruncatedSeries
 from .weight import Weight, _pair_points, polarize
 
@@ -105,13 +105,11 @@ def theta_pairing(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((x - y) * theta_pairs(w, x, y)).sum(axis=1)
 
 
-def theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(phi(x) - phi(y) + Im((x - y).theta(x, y))) / |x - y|^2 at paired points.
-
-    ``x`` and ``y`` are (m, n) arrays; either may be a single row.
-    """
-    return ((w.phi(x) - w.phi(y) + theta_pairing(w, x, y).imag)
-            / (np.abs(x - y) ** 2).sum(axis=1))
+def theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
+    """(phi(x) - phi(y) + Im((x - y).theta(x, y))) / |x - y|^2 at the paired
+    (m, n) rows, either may be one, that ``sampled_ratio`` keeps at ``radius``."""
+    return sampled_ratio(w.phi(x) - w.phi(y) + theta_pairing(w, x, y).imag,
+                         (np.abs(x - y) ** 2).sum(axis=1), radius)
 
 
 def lift_blocks(f: TruncatedSeries, n: int) -> dict:
@@ -169,10 +167,8 @@ def verify_contour(pd: PhaseData, radius: float, seed: int = 0) -> float:
     over MARGIN_SAMPLES fast samples u.  It must be strictly positive.
     """
     u, v = fast_uv(pd, sobol_ball(pd.n, radius, MARGIN_SAMPLES, seed=seed))
-    vals = phase_on_contour(pd, u)
     denom = (np.abs(u) ** 2).sum(axis=1) + (np.abs(v) ** 2).sum(axis=1)
-    keep = denom > (1e-8 * radius) ** 2
-    margin = float((-vals[keep].real / denom[keep]).min())
+    margin = float(sampled_ratio(-phase_on_contour(pd, u).real, denom, radius).min())
     if margin <= 0.0:
         raise BadContour(
             f"amplitude contour margin {margin:.3e} is not positive at radius {radius}")
@@ -185,10 +181,8 @@ def inversion_margin(w: Weight, radius: float, seed: int = 0) -> float:
     This is the margin of the inversion contour y -> (y, theta(0, y)); it
     must be strictly positive.
     """
-    xv = np.zeros((1, w.n), dtype=complex)
     y = sobol_ball(w.n, radius, MARGIN_SAMPLES, seed=seed)
-    keep = (np.abs(y) ** 2).sum(axis=1) > (1e-8 * max(radius, 1.0)) ** 2
-    margin = float(theta_ratio(w, xv, y[keep]).min())
+    margin = float(theta_ratio(w, np.zeros((1, w.n), dtype=complex), y, radius).min())
     if margin <= 0.0:
         raise BadContour(
             f"inversion contour margin {margin:.3e} is not positive at radius {radius}")

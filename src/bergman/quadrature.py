@@ -92,6 +92,15 @@ def sobol_ball(nvars_complex: int, radius: float, n_samples: int,
     return np.concatenate(out, axis=0)[:n_samples]
 
 
+def sampled_ratio(num: np.ndarray, den: np.ndarray, radius: float) -> np.ndarray:
+    """num / den at the samples with den > (1e-6 * radius)^2, den a squared
+    distance of samples in the ball of ``radius``: the one coincidence rule
+    of every sampled margin.  Nearer samples carry no ratio, because there
+    the cancellation in num swamps its limit."""
+    keep = den > (1e-6 * radius) ** 2
+    return num[keep] / den[keep]
+
+
 def radial_bump(r: np.ndarray, plateau: float, support: float) -> np.ndarray:
     """Cutoff equal to 1 for r <= plateau, 0 for r >= support.
 

@@ -343,6 +343,8 @@ class TruncatedSeries:
             A[xcol[mi[:k]], ycol[mi[k:]]] = c
         return _monomial_table(u, xmon), A @ _monomial_table(v, ymon).T
 
+    # Kept only because the benchmark tracer (perfbench/tracer.py) resolves it;
+    # the pipeline calls bilinear_factors.
     def eval_bilinear(self, u_vals: np.ndarray, v_vals: np.ndarray) -> np.ndarray:
         """The series on the product grid, X @ B of bilinear_factors; shape (p, m)."""
         X, B = self.bilinear_factors(u_vals, v_vals)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (ConfigInvalid, Degenerate, GapViolation, NotRealValued,
                      VariableMismatch)
-from .quadrature import sobol_ball
+from .quadrature import sampled_ratio, sobol_ball
 from .series import TruncatedSeries
 
 HERMITIAN_TOL = 1e-12
@@ -138,10 +138,7 @@ def quadratic_gap_estimate(w: Weight, radius: float, seed: int = 0) -> tuple[flo
         raise ConfigInvalid("sampling radius must lie in (0, trust_radius]")
     pts = sobol_ball(2 * w.n, radius, GAP_SAMPLES, seed=seed)
     x, y = pts[:, :w.n], pts[:, w.n:]
-    sep2 = (np.abs(x - y) ** 2).sum(axis=1)
-    keep = sep2 > (1e-6 * radius) ** 2
-    x, y, sep2 = x[keep], y[keep], sep2[keep]
-    ratio = w.gap(x, y) / sep2
+    ratio = sampled_ratio(w.gap(x, y), (np.abs(x - y) ** 2).sum(axis=1), radius)
     cmin, cmax = float(ratio.min()), float(ratio.max())
     if cmin <= 0.0:
         raise GapViolation(f"sampled quadratic gap hit {cmin} at radius {radius}")

@@ -192,13 +192,13 @@ def test_criterion_5_stationary_phase_vs_quadrature(gaussian_core):
             TruncatedSeries.from_triples([((a, b), 1.0, 0.0)], 2, pd.maxdeg - 2))
             for a, b in pairs]
 
-    rows_t = sp_quadrature_check(pd, cases(pd), H_GRID)
+    rows_t = [sp_quadrature_check(pd, c, h) for c in cases(pd) for h in H_GRID]
     worst_t = max(r.error / max(1.0, abs(r.partial)) for r in rows_t)
     term_ok = all(r.ok for r in rows_t) and worst_t < 1e-8
 
     # hmax 4 needs 6 * 4 degrees below the slow degree 24
     _, cpd = build(CUBIC, 26, 1.2)
-    rows_n = sp_quadrature_check(cpd, cases(cpd), H_GRID, hmax=4)
+    rows_n = [sp_quadrature_check(cpd, c, h, hmax=4) for c in cases(cpd) for h in H_GRID]
     nt_ok = all(r.ok and r.next_term > 0 for r in rows_n)
     worst_n = max(r.error / r.next_term for r in rows_n)
     ok = term_ok and nt_ok

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bergman.amplitude import (estimate_growth, formal_expansion, realize,
+from bergman.amplitude import (ExpansionTermOps, _block_product, _phase_ops,
+                               estimate_growth, formal_expansion, realize,
                                solve_amplitude)
 from bergman.errors import InsufficientDegree, VariableMismatch
 from bergman.series import TruncatedSeries
@@ -83,6 +84,45 @@ def test_shared_operators_change_no_expansion():
     u = TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 24)
     for terms in (amp.coeffs, [u], amp.coeffs):
         assert formal_expansion(pd, terms, 4) == formal_expansion(build_phase(w), terms, 4)
+
+
+def dense_weight_triples(seed=0):
+    """|x|^2/2 plus small Hermitian c_ab x^a conj(x)^b, 1 <= a, b, 3 <= a + b <= 8."""
+    rng = np.random.default_rng(seed)
+    triples = [((1, 1), 0.5, 0.0)]
+    for a in range(1, 8):
+        for b in range(a, 9 - a):
+            if a + b < 3:
+                continue
+            re, im = 0.02 * rng.uniform(-1.0, 1.0, 2)
+            if a == b:
+                triples.append(((a, a), re, 0.0))
+            else:
+                triples += [((a, b), re, im), ((b, a), re, -im)]
+    return triples
+
+
+@pytest.mark.parametrize("triples, order, maxdeg", [
+    pytest.param(dense_weight_triples(), 3, 20, id="dense"),
+    pytest.param(QUARTIC, 4, 26, id="quartic"),
+])
+def test_remainder_powers_hold_only_the_blocks_the_terms_read(triples, order, maxdeg):
+    # T_j (j <= slow_deg // 6) reads R^q at bidegree <= j + q, so R^q keeps
+    # no block beyond q + slow_deg // 6, and the solve equals, bit for bit,
+    # one whose powers hold every block
+    pd = make_phase(triples, maxdeg=maxdeg)
+    amp = solve_amplitude(pd, order)
+    rpow = _phase_ops(pd)._rpow
+    assert len(rpow) == 2 * order + 1
+    for q, power in enumerate(rpow):
+        assert all(max(sum(a), sum(b)) <= q + pd.slow_deg // 6 for a, b in power), q
+
+    full_pd = make_phase(triples, maxdeg=maxdeg)
+    full = full_pd.memo["ops"] = ExpansionTermOps(full_pd)
+    for _ in range(2 * order):
+        full._rpow.append(_block_product(full._rpow[-1], full_pd.remainder, full_pd.maxdeg))
+    assert sum(map(len, full._rpow)) > sum(map(len, rpow))
+    assert solve_amplitude(full_pd, order).coeffs == amp.coeffs
 
 
 def test_pluriharmonic_gauge_invariance():

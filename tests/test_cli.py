@@ -312,11 +312,13 @@ def _row_fields(r) -> dict:
 @pytest.mark.parametrize("name", ["gaussian", "quadratic-lambda"])
 def test_sp_rows_equal_one_uncached_check(name):
     # the run's rows come from the phase it shares with the amplitude and
-    # kernel stages, one contour per h; one call on a fresh phase, which
-    # shares nothing, gives the same rows bit for bit
+    # kernel stages, one contour per h; case-major calls on a fresh phase,
+    # which shares nothing and rebuilds the contour at every call, give the
+    # same rows bit for bit
     cfg, rows = _verify_sp(name)
     pd = RunState(cfg).pd  # a new run state builds its own phase
-    want = sp_quadrature_check(pd, _sp_cases(pd), cfg.h_grid, hmax=cfg.hmax)
+    want = [sp_quadrature_check(pd, case, h, hmax=cfg.hmax)
+            for case in _sp_cases(pd) for h in cfg.h_grid]
     assert rows == [_row_fields(r) for r in want]
 
 
@@ -343,7 +345,7 @@ def test_sp_rows_equal_calls_that_rebuild_every_contour(monkeypatch):
     for case in _sp_cases(pd):
         for h in cfg.h_grid:
             try:
-                r, = sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
+                r = sp_quadrature_check(pd, case, h, hmax=cfg.hmax)
             except QuadratureUnderresolved as exc:
                 want.append({"name": case.name, "h": h, **_error_record(exc)})
                 continue

@@ -323,14 +323,14 @@ def test_sp_flat_weight_is_underresolved_not_failed():
     for h in cfg.h_grid:
         assert _contour_radius(pd, h)[1] < 1e-9
         with pytest.raises(QuadratureUnderresolved, match="terminating tolerance"):
-            sp_quadrature_check(pd, [case], [h], hmax=cfg.hmax)
+            sp_quadrature_check(pd, case, h, hmax=cfg.hmax)
 
 
 def test_sp_gaussian_constant_is_pi():
     w = make_weight(GAUSS)
     pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 14))
-    r, = sp_quadrature_check(pd, [case], [0.1])
+    r = sp_quadrature_check(pd, case, 0.1)
     assert r.ok
     assert abs(r.quad - np.pi) < 1e-10
     assert abs(r.partial - np.pi) < 1e-12
@@ -343,7 +343,7 @@ def test_sp_single_pairing_value():
     pd = build_phase(w)
     case = QuadratureCase("xyt", TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 14))
     for h in (0.2, 0.1):
-        r, = sp_quadrature_check(pd, [case], [h])
+        r = sp_quadrature_check(pd, case, h)
         assert r.ok
         assert abs(r.quad - (-np.pi * h)) < 1e-9
         assert abs(r.partial - (-np.pi * h)) < 1e-11
@@ -354,7 +354,7 @@ def test_sp_cubic_next_term_bound():
     pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24))
     for h in (0.1, 0.05):
-        r, = sp_quadrature_check(pd, [case], [h], hmax=4)
+        r = sp_quadrature_check(pd, case, h, hmax=4)
         assert r.ok
         assert r.next_term > 0
         assert r.error <= 10.0 * r.next_term
@@ -364,7 +364,7 @@ def test_sp_rejects_hmax_below_one():
     pd = build_phase(make_weight(QUARTIC, maxdeg=26, trust=1.0))
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24))
     with pytest.raises(ConfigInvalid, match="hmax"):
-        sp_quadrature_check(pd, [case], [0.1], hmax=0)
+        sp_quadrature_check(pd, case, 0.1, hmax=0)
 
 
 def test_sp_rejects_higher_dimension():
@@ -374,7 +374,7 @@ def test_sp_rejects_higher_dimension():
     pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 4, 0))
     with pytest.raises(ConfigInvalid):
-        sp_quadrature_check(pd, [case], [0.1])
+        sp_quadrature_check(pd, case, 0.1)
 
 
 # -- localized elements -------------------------------------------------------

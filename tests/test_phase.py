@@ -5,7 +5,7 @@ import pytest
 
 from bergman.errors import BadContour, DegenerateHessian
 from bergman.phase import (build_phase, inversion_margin, lift_blocks, phase_on_contour,
-                           theta_jacobian_pairs, theta_pairs, verify_contour)
+                           theta_jacobian_pairs, theta_pairs, theta_ratio, verify_contour)
 from bergman.series import TruncatedSeries
 from bergman.weight import Weight, validate_weight
 
@@ -229,6 +229,23 @@ def test_theta_broadcasts_one_to_many():
     assert th.shape == (3, 1)
     one = theta_pairs(w, np.array([0.25 + 0.0j]), ys[1])
     assert np.allclose(th[1], one[0])
+
+
+def test_theta_ratio_drops_pairs_below_the_coincidence_floor():
+    # as y -> x the theta ratio tends to the Levi form at x, here
+    # 0.5 + 0.4|x|^2 + 0.3 Re(x^2) = 0.546; at separation 3e-9, below the
+    # floor 1e-6 x 0.3, cancellation scatters it over 0.3..2.0, so that pair
+    # is dropped, and the pairs above the floor agree with the limit
+    w = make_weight([((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0),
+                     ((3, 1), 0.05, 0.0), ((1, 3), 0.05, 0.0)])
+    x = np.array([[0.25 + 0.15j]])
+    levi = 0.5 + 0.4 * abs(x[0, 0]) ** 2 + 0.3 * (x[0, 0] ** 2).real
+    dirs = np.exp(2j * np.pi * np.arange(8) / 8)[:, None]
+    seps = (6e-7, 1e-6, 1e-5, 1e-4)
+    y = np.concatenate([x + 3e-9 * dirs] + [x + s * dirs for s in seps])
+    ratio = theta_ratio(w, x, y, 0.3)
+    assert ratio.shape == (len(seps) * len(dirs),)
+    assert np.abs(ratio - levi).max() < 1e-3
 
 
 def test_bad_contour_raises():
