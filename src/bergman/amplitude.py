@@ -17,9 +17,9 @@ only those (p, p) blocks of their product, and contracts them block by
 block with B^{-1}.  A pairing takes two derivatives, so each series here is
 known to fewer degrees than its inputs, and says so.
 
-Each phase has one set of operators, kept in its memo: det B^{-1}, B^{-1}
-and the remainder powers are built once, and each T_j f is computed once,
-so every solve_amplitude and formal_expansion on that phase shares them.
+Each phase has one set of operators, kept in its memo: det B^{-1} (c0 and
+B^{-1}; a_0 is det B scaled), the remainder powers and each T_j f are built
+once, so every solve_amplitude and formal_expansion on that phase shares them.
 
 The two normalization constants are not free: they are calibrated once
 against the exact Gaussian contour integral (weight |x|^2/2, for which the
@@ -132,7 +132,9 @@ class ExpansionTermOps:
         self.n = n = pd.n
         self.slow_deg = pd.slow_deg
 
-        det_inv = _series_det(pd.quad_B).invert()
+        det = _series_det(pd.quad_B)
+        det_inv = det.invert()
+        self.a0 = (LEADING_NUM ** -n) * det
         self.c0 = (LEADING_NUM ** n) * det_inv
         self.binv = _series_matrix_inverse(pd.quad_B, det_inv)
 
@@ -236,13 +238,13 @@ def formal_expansion(pd: PhaseData, terms: list[TruncatedSeries],
 def solve_amplitude(pd: PhaseData, order: int) -> Amplitude:
     """Solve (expansion of a) = 1 order by order.
 
-    The order-zero equation fixes a0 as the reciprocal of c0; each higher
+    The order-zero equation fixes a0 = 1/c0 = det B / LEADING_NUM^n; each higher
     order cancels the lower-order diagrams:  a_m = -sum_{j=1..m} T_j a_{m-j}.
     a_m is known to degree maxdeg - 2 - 6m (maxdeg - 2 - 2m without a
     remainder), so order N needs maxdeg >= 6N + 2.
     """
     ops = _phase_ops(pd)
-    coeffs = [ops.c0.invert()]
+    coeffs = [ops.a0]
     for m in range(1, order + 1):
         acc = TruncatedSeries.zero(2 * pd.n, ops.slow_deg)
         for j in range(1, m + 1):

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import BadContour, ConfigInvalid, IllConditioned, QuadratureUnderresolved
 from .phase import (MARGIN_SAMPLES, PhaseData, fast_uv, phase_on_contour,
@@ -31,7 +30,7 @@ from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
 from .quadrature import disc_grid, radial_bump, sampled_ratio, sobol_ball
 from .series import TruncatedSeries, _block_monomials
-from .weight import Weight, _as_points, _pair_points
+from .weight import Weight, _as_points
 
 # Sign of the theta-contour orientation, fixed once by requiring the
 # Gaussian u = 1 inversion to return +1.  Guarded by a regression test.
@@ -69,28 +68,23 @@ class GramKernel:
     h: float
     basis: tuple                 # multi-indices, degree-sorted
     gram: np.ndarray             # raw Hermitian Gram matrix
-    scale: np.ndarray            # diagonal normalization applied before factoring
-    chol: tuple                  # cho_factor of the scaled Gram matrix
+    onb: np.ndarray              # columns: an orthonormal basis of the span, in the monomials
     cond: float
 
+    def _orthonormal(self, x) -> np.ndarray:
+        """The orthonormal basis e_k at the points x, one row per point."""
+        return _monomial_table(_as_points(x, self.w.n), self.basis) @ self.onb
+
     def eval(self, x, y) -> np.ndarray:
-        """K_exact(x_i, conj(y_i)) for paired points (either may broadcast)."""
-        xs, ys = _pair_points(x, y, self.w.n)
-        a = _monomial_table(xs, self.basis) * self.scale[None, :]
-        b = _monomial_table(ys, self.basis).conj() * self.scale[None, :]
-        solved = cho_solve(self.chol, b.T)
-        return np.einsum("pk,kp->p", a, solved)
+        """K_exact(x_i, conj(y_i)) = sum_k e_k(x_i) conj(e_k(y_i)); either side may broadcast."""
+        return (self._orthonormal(x) * self._orthonormal(y).conj()).sum(axis=1)
 
     def project(self, u: TruncatedSeries, x) -> np.ndarray:
         """Quadrature projection of u through this kernel, at the points x."""
         nodes = self.dom.nodes
-        uy = u.eval_grid(nodes)
         damp = self.dom.weights * np.exp(-2.0 * self.w.phi(nodes) / self.h)
-        xs = _as_points(x, self.w.n)
-        out = np.empty(xs.shape[0], dtype=complex)
-        for i in range(xs.shape[0]):
-            out[i] = (damp * self.eval(xs[i:i + 1], nodes) * uy).sum()
-        return out
+        coef = self._orthonormal(nodes).conj().T @ (damp * u.eval_grid(nodes))
+        return self._orthonormal(x) @ coef
 
 
 def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
@@ -136,11 +130,12 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
             f"scaled gram condition {cond:.3e} exceeds {GRAM_COND_CAP:.0e}; "
             f"lower the degree or raise h")
     try:
-        chol = cho_factor(Gs, lower=True)
-    except LinAlgError as exc:
+        chol = np.linalg.cholesky(Gs)
+    except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"gram factorization failed: {exc}") from exc
-    return GramKernel(w=w, dom=dom, h=float(h), basis=basis,
-                      gram=G, scale=scale, chol=chol, cond=cond)
+    # G = diag(1/scale) L L^H diag(1/scale), so diag(scale) L^{-H} is orthonormal
+    onb = scale[:, None] * np.linalg.inv(chol).conj().T
+    return GramKernel(w=w, dom=dom, h=float(h), basis=basis, gram=G, onb=onb, cond=cond)
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,8 @@ class PointwiseBound:
 
 def pointwise_bound_check(w: Weight, u: TruncatedSeries, inner: DomainSpec,
                           outer: DomainSpec, h_values) -> PointwiseBound:
-    """sup over the inner region of h^n |u| e^{-phi/h}, against the outer norm."""
+    """sup over the inner region of h^{n/2} |u| e^{-phi/h}, against the outer
+    norm; the Bergman bound |u| e^{-phi/h} <= C h^{-n/2} ||u|| keeps it O(1)."""
     if max(inner.radii) >= max(outer.radii):
         raise ConfigInvalid("inner region must be strictly inside the outer one")
     check_domain(outer, w)
@@ -241,7 +237,7 @@ def pointwise_bound_check(w: Weight, u: TruncatedSeries, inner: DomainSpec,
     for h in h_values:
         sup = float((np.abs(ui) * np.exp(-phi_i / h)).max())
         nrm = weighted_norm(w, uo, outer, h)
-        ratios.append(h ** w.n * sup / nrm)
+        ratios.append(h ** (w.n / 2) * sup / nrm)
     return PointwiseBound(ratios=tuple(ratios), max_ratio=max(ratios))
 
 

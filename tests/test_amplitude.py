@@ -223,3 +223,22 @@ def test_nonseparable_coefficients_match_their_closed_forms():
     for k, want in enumerate([a0, a1]):
         got = amp.coeffs[k].eval_grid(pts)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(got).max(), k
+
+
+@pytest.mark.parametrize("triples, n, maxdeg, order", [
+    pytest.param(QUARTIC, 1, 26, 4, id="quartic"),
+    pytest.param(NONSEPARABLE, 2, 8, 1, id="nonseparable"),
+])
+def test_one_inversion_per_phase(monkeypatch, triples, n, maxdeg, order):
+    # det B is inverted once, for c0 and B^{-1}; a_0 = 1/c0 is read off det B,
+    # the classical leading term (2/pi)^n det(Levi form) at the origin
+    w = validate_weight(TruncatedSeries.from_triples(triples, 2 * n, maxdeg), 1.0)
+    pd = build_phase(w)
+    calls = []
+    invert = TruncatedSeries.invert
+    monkeypatch.setattr(TruncatedSeries, "invert",
+                        lambda self: calls.append(self) or invert(self))
+    amp = solve_amplitude(pd, order)
+    assert len(calls) == 1
+    want = (2.0 / np.pi) ** n * np.linalg.det(w.levi)
+    assert abs(amp.coeffs[0].constant_term - want) <= 1e-15

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bergman import oracle
 from bergman.amplitude import Amplitude, solve_amplitude
@@ -114,6 +115,38 @@ def test_gram_ill_conditioned_anisotropic():
         gram_bergman(w, dom, 0.02, 35)
 
 
+WIDE_DISC = make_domain((2.5,), n_radial=160, n_angular=192)
+
+
+def test_gram_matches_the_radial_moment_kernel():
+    # on a radial weight the monomials are orthogonal, so the span's kernel
+    # is sum_k (x conj y)^k / m_k with m_k = 2 pi int r^(2k+1) e^{-2 phi/h} dr;
+    # e^{-2 phi/h} is below e^{-70} beyond the 2.5 disc
+    w = make_weight(QUARTIC, trust=3.0)
+    x, y = near_diagonal_pairs(0.105)
+    z = x[:, 0] * y[:, 0].conj()
+    for h in (0.2, 0.1, 0.05):
+        def moment(k):
+            return 2 * np.pi * quad(lambda r: r ** (2 * k + 1) * np.exp(-(r * r + 0.2 * r ** 4) / h),
+                                    0, np.inf, epsabs=0, epsrel=1e-13, limit=200)[0]
+        for degree in (25, 40):
+            want = sum(z ** k / moment(k) for k in range(degree + 1))
+            got = gram_bergman(w, WIDE_DISC, h, degree).eval(x, y)
+            assert np.abs(got / want - 1).max() < 1e-12, (h, degree)
+
+
+def test_gram_wide_discs_agree_on_a_nonradial_weight():
+    # phi = |x|^2/2 + 0.1|x|^4 + 0.05 Re(x^3 conj x) is coercive: e^{-2 phi/h}
+    # is below e^{-50} beyond the 2.5 disc, so both discs hold the kernel
+    w = make_weight(QUARTIC + [((3, 1), 0.025, 0.0), ((1, 3), 0.025, 0.0)], trust=3.0)
+    wider = make_domain((3.0,), n_radial=160, n_angular=192)
+    x, y = near_diagonal_pairs(0.105)
+    for h in (0.2, 0.1, 0.05):
+        a = gram_bergman(w, WIDE_DISC, h, 40).eval(x, y)
+        b = gram_bergman(w, wider, h, 40).eval(x, y)
+        assert np.abs(a / b - 1).max() < 1e-12, h
+
+
 # -- kernel comparison --------------------------------------------------------
 
 def test_near_diagonal_pairs_layout():
@@ -202,10 +235,11 @@ def test_pointwise_bound_gaussian_closed_form():
     outer = make_domain((1.0,))
     hs = [0.2, 0.15, 0.1, 0.07, 0.05]
     pb = pointwise_bound_check(w, monomial(0, 2), inner, outer, hs)
-    # sup |e^{-phi/h}| = 1 at 0; norm = sqrt(pi h (1 - e^{-1/h})); the grid
-    # has no node exactly at 0, so agreement is at quadrature precision
+    # sup |e^{-phi/h}| = 1 at 0; norm = sqrt(pi h (1 - e^{-1/h})), so the
+    # ratio h^{1/2} / norm is h-free up to the disc edge; the grid has no
+    # node exactly at 0, so agreement is at quadrature precision
     for h, got in zip(hs, pb.ratios):
-        want = np.sqrt(h / np.pi) / np.sqrt(1.0 - np.exp(-1.0 / h))
+        want = 1.0 / np.sqrt(np.pi * (1.0 - np.exp(-1.0 / h)))
         assert abs(got - want) < 1e-5
     assert pb.max_ratio == max(pb.ratios)
 
