@@ -31,6 +31,7 @@ from .oracle import (QuadratureCase, compare_kernels, fourier_inversion_check,
 from .phase import PhaseData, build_phase, inversion_margin, verify_contour
 from .projector import (FIT_FLOOR, DomainSpec, assemble_kernel, decay_fit, make_domain,
                         projection_table, reproducing_error)
+from .quadrature import SOBOL_DIMS
 from .series import TruncatedSeries
 from .weight import Weight, quadratic_gap_estimate, validate_weight
 
@@ -90,6 +91,10 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     n = data["dimension"]
     if not isinstance(n, int) or n < 1:
         raise ConfigInvalid("dimension must be a positive integer")
+    if 4 * n > SOBOL_DIMS:
+        raise ConfigInvalid(
+            f"dimension {n}: the sampled gap draws 4n = {4 * n} Sobol' dimensions, "
+            f"the embedded table has {SOBOL_DIMS}, so dimension <= {SOBOL_DIMS // 4}")
 
     def read(key: str, convert, default=None):
         """convert(value of key, else of ``default``, else of RunConfig's

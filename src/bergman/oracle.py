@@ -352,6 +352,17 @@ def _sp_contour(pd: PhaseData, h: float) -> tuple[float, np.ndarray, np.ndarray]
     return live[1:]
 
 
+def _sp_expansion(pd: PhaseData, symbol: TruncatedSeries, hmax: int) -> np.ndarray:
+    """The expansion's h^0..h^hmax coefficients at the center.  Every h of a
+    case reads the same ones, so the phase's memo keeps them by (symbol,
+    hmax)."""
+    key = ("sp_expansion", symbol, hmax)
+    if key not in pd.memo:
+        pd.memo[key] = np.array(
+            [t.constant_term for t in formal_expansion(pd, [symbol], hmax)])
+    return pd.memo[key]
+
+
 def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
                         hmax: int = 6) -> QuadratureResult:
     """Direct quadrature of the fast contour integral against the expansion.
@@ -360,8 +371,8 @@ def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
     contour through the origin is compared with the formal series: exact
     agreement when the phase has no remainder of (u, v)-degree >= 3 (the
     expansion terminates), next-term bound otherwise.  The contour of h is
-    the phase's live one (``_sp_contour``), and the expansion reads the
-    phase's one set of operators.
+    the phase's live one (``_sp_contour``), and the expansion is formed once
+    per (symbol, hmax) and phase (``_sp_expansion``).
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
@@ -371,7 +382,7 @@ def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
         raise ConfigInvalid(f"case {case.name}: symbol must have {2 * pd.n} variables")
     b = complex(pd.b0[0, 0])
     terminating = not pd.remainder
-    vals = np.array([t.constant_term for t in formal_expansion(pd, [case.symbol], hmax)])
+    vals = _sp_expansion(pd, case.symbol, hmax)
 
     g, uv, measure = _sp_contour(pd, h)
     # fv stays named: numpy would write measure * (unnamed temporary)

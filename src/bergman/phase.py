@@ -58,7 +58,8 @@ class PhaseData:
     hess_det: complex            # det(b0)^2 = (-1)^n det of the fast Hessian [[0, B], [B^T, 0]]
     remainder: dict              # blocks of phi with |alpha| + |beta| >= 3; empty: none
     # Work that depends on the phase alone, kept as long as the phase: the
-    # expansion operators (amplitude) and the live sp contour (oracle).
+    # expansion operators (amplitude), the live sp contour and each sp
+    # case's expansion (oracle).
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

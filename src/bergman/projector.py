@@ -12,7 +12,7 @@ table with u's coefficients, so projecting several test functions costs one
 pass of complex exp, not one per function.  Kernels that share the weight and h (the truncation orders
 at one h) differ only in a, so projection_table builds their tables in one
 pass: the factor e^{(2/h)(Psi - phi)} is computed once per block of rows and
-multiplied by each kernel's amplitude.  The table is built from Psi and a
+multiplied by each distinct amplitude.  The table is built from Psi and a
 in factored form X @ B, with the node-side factors B shared by every block
 of evaluation rows; phi(y) is folded into the constant row of Psi's node
 factor, so the combined exponent Psi - phi is formed inside the matrix
@@ -119,8 +119,9 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
     w_j y_j^t for every monomial y^t of total degree <= ``degree``.  The
     kernels must share the weight and h, so they differ only in a: the
     exponential factor is computed once per block of rows and multiplied by
-    each kernel's amplitude.  Each kernel stores ({t: column of T}, T) in
-    its ``tables`` under ``table_key``.
+    each kernel's amplitude.  Kernels whose realized symbols are equal (orders
+    cut at the same k) get one table between them.  Each kernel stores
+    ({t: column of T}, T) in its ``tables`` under ``table_key``.
     """
     K0 = kernels[0]
     if any(K.w != K0.w or K.h != K0.h for K in kernels):
@@ -133,9 +134,10 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
     # two terms alone overflow and underflow at small h.
     X, P = K0.w.series.bilinear_factors(xd, yd)
     P[0] -= K0.w.phi(d.nodes)
-    amps = [K.symbol.series.bilinear_factors(xd, yd) for K in kernels]
+    symbols = list(dict.fromkeys(K.symbol.series for K in kernels))
+    amps = [a.bilinear_factors(xd, yd) for a in symbols]
     load = d.weights[:, None] * _monomial_table(d.nodes, monomials)
-    Ts = [np.empty((xd.shape[0], len(monomials)), dtype=complex) for _ in kernels]
+    Ts = [np.empty((xd.shape[0], len(monomials)), dtype=complex) for _ in symbols]
     chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
     # One exponent and one product buffer serve every block and kernel.
     shape = (min(chunk, xd.shape[0]), d.nodes.shape[0])
@@ -158,8 +160,8 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
             np.multiply(E, M, out=M)
             T[blk] = M @ load
     cols = {t: col for col, t in enumerate(monomials)}
-    for K, T in zip(kernels, Ts):
-        K.tables[table_key(d, xd)] = cols, T
+    for K in kernels:
+        K.tables[table_key(d, xd)] = cols, Ts[symbols.index(K.symbol.series)]
 
 
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,

@@ -4,6 +4,13 @@ Discs are integrated with a Gauss-Legendre rule in the radius (optionally
 split into panels so piecewise-smooth radial factors stay spectrally
 accurate) tensored with a uniform trapezoid rule in the angle, which is
 exact for trigonometric polynomials below the node count.
+
+Samples are scipy's scrambled Sobol' sequence, ``scipy.stats.qmc.Sobol(d,
+scramble=True, seed=seed)``, reproduced bit for bit with numpy alone: the
+Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008), a
+left linear matrix scramble plus a digital shift drawn from
+``np.random.default_rng(seed)`` in scipy's order, and points in Gray-code
+order at 30 bits.
 """
 
 from __future__ import annotations
@@ -11,7 +18,25 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.stats import qmc
+
+from .errors import ConfigInvalid
+
+SOBOL_BITS = 30
+# Joe-Kuo's primitive polynomials (as integers; degree s = bit length - 1)
+# and initial direction numbers m_1..m_s, for the first SOBOL_DIMS
+# dimensions of the table scipy ships.  Dimension 0 has no polynomial:
+# its direction numbers are all 1.
+_JOE_KUO = (
+    (1, ()),
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+)
+SOBOL_DIMS = len(_JOE_KUO)
 
 
 @functools.cache
@@ -63,6 +88,87 @@ def polydisc_grid(radii: tuple[float, ...], n_radial: int, n_angular: int,
     return nodes, weights
 
 
+def _direction_numbers(d: int) -> np.ndarray:
+    """Unscrambled direction numbers v[i, j] of the first d dimensions, bit
+    j of the point index, as 30-bit integers (Bratley & Fox, ACM TOMS 14,
+    1988: m_j = m_(j-s) ^ XOR_k a_k 2^k m_(j-k))."""
+    v = np.empty((d, SOBOL_BITS), dtype=np.int64)
+    for i, (poly, init) in enumerate(_JOE_KUO[:d]):
+        s = poly.bit_length() - 1
+        m = list(init) or [1] * SOBOL_BITS
+        for j in range(len(m), SOBOL_BITS):
+            new = m[j - s]
+            for k in range(1, s + 1):
+                if poly >> (s - k) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        v[i] = m
+    return v << np.arange(SOBOL_BITS - 1, -1, -1)
+
+
+class Sobol:
+    """Scrambled Sobol' points in [0, 1)^d, bit for bit those of
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``.
+
+    The scramble draws, from ``np.random.default_rng(seed)``, first the
+    digital shift's bits and then the lower-triangular binary matrices of
+    the linear matrix scramble, whose diagonal is set to 1.  Points are
+    30-bit integers in Gray-code order, one row per dimension.
+    """
+
+    def __init__(self, d: int, seed: int = 0):
+        if not 1 <= d <= SOBOL_DIMS:
+            raise ConfigInvalid(
+                f"Sobol' dimension {d} outside the embedded 1..{SOBOL_DIMS}")
+        rng = np.random.default_rng(seed)
+        shift = rng.integers(0, 2, (d, SOBOL_BITS), dtype=np.uint32)
+        ltm = np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+        # Digit k of a direction number is its bit 29 - k (most significant
+        # first); scrambled digit p is the XOR over k <= p of ltm[p, k] * digit k.
+        place = np.arange(SOBOL_BITS - 1, -1, -1)
+        digits = _direction_numbers(d)[:, :, None] >> place & 1
+        scrambled = digits @ ltm.transpose(0, 2, 1) & 1
+        self._v = (scrambled << place).sum(axis=2).astype(np.uint32)
+        self._shift = shift @ (2 ** np.arange(SOBOL_BITS, dtype=np.uint32))
+        self._blocks: list = []   # the points drawn so far, one (d, k) block per draw
+        self._drawn = 0
+
+    def random_base2(self, m: int) -> np.ndarray:
+        """The next 2^m points, shape (2^m, d): the first 2^m, then as many
+        again as drawn so far, so the total stays a power of 2.
+
+        The values are scipy's; the layout is not: the result is the
+        transpose of a (d, 2^m) array, so every pass over one coordinate of
+        the sample is one contiguous run.  numpy's row sums round alike in
+        both layouts below 8 columns, which covers sobol_ball's |z|^2 over
+        at most SOBOL_DIMS / 2 = 4 complex coordinates.
+        """
+        n = 2 ** m
+        if self._blocks and n != self._drawn:
+            raise ValueError(f"{self._drawn} + 2^{m} Sobol' points is not a power of 2")
+        pts = np.empty((self._v.shape[0], n), dtype=np.uint32)
+        if not self._blocks:
+            pts[:, 0] = self._shift
+            for j in range(m):
+                # Gray-code order: points [2^j, 2^(j+1)) are points
+                # [0, 2^j) reversed, each XOR direction number j.
+                np.bitwise_xor(pts[:, 2 ** j - 1::-1], self._v[:, j, None],
+                               out=pts[:, 2 ** j:2 ** (j + 1)])
+        else:
+            # The same doubling, read from the blocks drawn so far, last first.
+            lo = 0
+            for block in reversed(self._blocks):
+                hi = lo + block.shape[1]
+                np.bitwise_xor(block[:, ::-1], self._v[:, m, None], out=pts[:, lo:hi])
+                lo = hi
+        self._blocks.append(pts)
+        self._drawn += n
+        out = pts.astype(np.float64)
+        out *= 2.0 ** -SOBOL_BITS
+        return out.T
+
+
 def sobol_ball(nvars_complex: int, radius: float, n_samples: int,
                seed: int = 0) -> np.ndarray:
     """Scrambled-Sobol points in the complex ball |z| <= radius.
@@ -72,7 +178,7 @@ def sobol_ball(nvars_complex: int, radius: float, n_samples: int,
     sequence is deterministic for a fixed seed.
     """
     d = 2 * nvars_complex
-    eng = qmc.Sobol(d, scramble=True, seed=seed)
+    eng = Sobol(d, seed=seed)
     # Power-of-2 blocks, doubling the total each draw; Sobol balance only
     # holds for those sizes.
     k = max(10, int(np.ceil(np.log2(max(n_samples, 2)))))

@@ -75,6 +75,21 @@ def test_bad_grid_and_suites():
         cfg_with(suites=["kernel", "nonsense"])
 
 
+def test_dimension_capped_by_the_embedded_sobol_table(tmp_path, capsys):
+    # the sampled gap draws 4n Sobol' dimensions; the package embeds 8
+    def gaussian(n):
+        return dict(BASE, dimension=n, test_functions=[[0] * n], coefficients=[
+            {"exponents": [int(k % n == j) for k in range(2 * n)], "re": 0.5}
+            for j in range(n)])
+
+    assert config_from_dict(gaussian(2)).dimension == 2
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(gaussian(3)))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "dimension <= 2" in err and "Traceback" not in err
+
+
 def test_exponent_arity_checked():
     with pytest.raises(ConfigInvalid):
         cfg_with(coefficients=[{"exponents": [1, 1, 1], "re": 0.5}])

@@ -394,6 +394,22 @@ def test_sp_cubic_next_term_bound():
         assert r.error <= 10.0 * r.next_term
 
 
+def test_sp_expands_each_case_once_per_phase(monkeypatch):
+    # every h of a (symbol, hmax) reads one expansion, kept in the phase's memo
+    w = make_weight(CUBIC, maxdeg=26, trust=1.2)
+    cases = [QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24)),
+             QuadratureCase("xyt", TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 24))]
+    rows = [(c, h, k) for h in (0.1, 0.07, 0.05) for c in cases for k in (3, 4)]
+    fresh = [sp_quadrature_check(build_phase(w), c, h, hmax=k) for c, h, k in rows]
+    expanded = []
+    expand = oracle.formal_expansion
+    monkeypatch.setattr(oracle, "formal_expansion",
+                        lambda pd, terms, hmax: expanded.append(hmax) or expand(pd, terms, hmax))
+    pd = build_phase(w)
+    assert [sp_quadrature_check(pd, c, h, hmax=k) for c, h, k in rows] == fresh
+    assert sorted(expanded) == [3, 3, 4, 4]
+
+
 def test_sp_rejects_hmax_below_one():
     pd = build_phase(make_weight(QUARTIC, maxdeg=26, trust=1.0))
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 24))

@@ -177,6 +177,26 @@ def test_shared_table_build_matches_single_builds(triples, n, order, maxdeg, pts
         assert len(K.tables) == 1
 
 
+def test_equal_symbols_share_one_table(monkeypatch):
+    # two kernels of one amplitude realize equal symbols: one table serves both
+    w, amp, dom = projection_setup(QUARTIC, 1, 4, 26)
+    other = solve_amplitude(build_phase(w), 3)
+    pts = np.array(N1_PTS)
+    kernels = [assemble_kernel(w, a, 0.1) for a in (amp, amp, other)]
+    factored = []
+    factors = TruncatedSeries.bilinear_factors
+    monkeypatch.setattr(TruncatedSeries, "bilinear_factors",
+                        lambda s, *a: factored.append(s) or factors(s, *a))
+    projection_table(kernels, dom, pts, 3)
+    assert len(factored) == 3   # Psi and the two distinct symbols
+    key = table_key(dom, pts)
+    tables = [K.tables[key][1] for K in kernels]
+    assert tables[0] is tables[1] and tables[2] is not tables[0]
+    alone = assemble_kernel(w, amp, 0.1)
+    projection_table([alone], dom, pts, 3)
+    assert np.array_equal(alone.tables[key][1], tables[0])
+
+
 def test_shared_table_build_needs_one_weight_and_one_h():
     w, amp = pipeline(QUARTIC, 2, maxdeg=16, trust=1.0)
     other, other_amp = pipeline(GAUSS, 2, maxdeg=16, trust=1.0)
