@@ -5,12 +5,13 @@ split into panels so piecewise-smooth radial factors stay spectrally
 accurate) tensored with a uniform trapezoid rule in the angle, which is
 exact for trigonometric polynomials below the node count.
 
-Samples are scipy's scrambled Sobol' sequence, ``scipy.stats.qmc.Sobol(d,
-scramble=True, seed=seed)``, reproduced bit for bit with numpy alone: the
-Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008), a
-left linear matrix scramble plus a digital shift drawn from
-``np.random.default_rng(seed)`` in scipy's order, and points in Gray-code
-order at 30 bits.
+Samples are one power-of-2 block of scipy's scrambled Sobol' sequence,
+``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)``,
+reproduced bit for bit with numpy alone: the Joe-Kuo direction numbers
+(Joe & Kuo, SIAM J. Sci. Comput. 30, 2008), a left linear matrix scramble
+plus a digital shift drawn from ``np.random.default_rng(seed)`` in scipy's
+order, and points in Gray-code order at 30 bits.  ``sobol_ball`` maps that
+block onto a complex ball, so every sample set is a single draw.
 """
 
 from __future__ import annotations
@@ -106,96 +107,64 @@ def _direction_numbers(d: int) -> np.ndarray:
     return v << np.arange(SOBOL_BITS - 1, -1, -1)
 
 
-class Sobol:
-    """Scrambled Sobol' points in [0, 1)^d, bit for bit those of
-    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``.
+def sobol(d: int, m: int, seed: int = 0) -> np.ndarray:
+    """The first 2^m scrambled Sobol' points in [0, 1)^d, shape (2^m, d),
+    bit for bit ``scipy.stats.qmc.Sobol(d, scramble=True,
+    seed=seed).random_base2(m)``.
 
     The scramble draws, from ``np.random.default_rng(seed)``, first the
     digital shift's bits and then the lower-triangular binary matrices of
     the linear matrix scramble, whose diagonal is set to 1.  Points are
-    30-bit integers in Gray-code order, one row per dimension.
+    30-bit integers in Gray-code order, built one row per dimension, so the
+    result is a transpose and each coordinate is one contiguous run.
     """
-
-    def __init__(self, d: int, seed: int = 0):
-        if not 1 <= d <= SOBOL_DIMS:
-            raise ConfigInvalid(
-                f"Sobol' dimension {d} outside the embedded 1..{SOBOL_DIMS}")
-        rng = np.random.default_rng(seed)
-        shift = rng.integers(0, 2, (d, SOBOL_BITS), dtype=np.uint32)
-        ltm = np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
-        ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
-        # Digit k of a direction number is its bit 29 - k (most significant
-        # first); scrambled digit p is the XOR over k <= p of ltm[p, k] * digit k.
-        place = np.arange(SOBOL_BITS - 1, -1, -1)
-        digits = _direction_numbers(d)[:, :, None] >> place & 1
-        scrambled = digits @ ltm.transpose(0, 2, 1) & 1
-        self._v = (scrambled << place).sum(axis=2).astype(np.uint32)
-        self._shift = shift @ (2 ** np.arange(SOBOL_BITS, dtype=np.uint32))
-        self._blocks: list = []   # the points drawn so far, one (d, k) block per draw
-        self._drawn = 0
-
-    def random_base2(self, m: int) -> np.ndarray:
-        """The next 2^m points, shape (2^m, d): the first 2^m, then as many
-        again as drawn so far, so the total stays a power of 2.
-
-        The values are scipy's; the layout is not: the result is the
-        transpose of a (d, 2^m) array, so every pass over one coordinate of
-        the sample is one contiguous run.  numpy's row sums round alike in
-        both layouts below 8 columns, which covers sobol_ball's |z|^2 over
-        at most SOBOL_DIMS / 2 = 4 complex coordinates.
-        """
-        n = 2 ** m
-        if self._blocks and n != self._drawn:
-            raise ValueError(f"{self._drawn} + 2^{m} Sobol' points is not a power of 2")
-        pts = np.empty((self._v.shape[0], n), dtype=np.uint32)
-        if not self._blocks:
-            pts[:, 0] = self._shift
-            for j in range(m):
-                # Gray-code order: points [2^j, 2^(j+1)) are points
-                # [0, 2^j) reversed, each XOR direction number j.
-                np.bitwise_xor(pts[:, 2 ** j - 1::-1], self._v[:, j, None],
-                               out=pts[:, 2 ** j:2 ** (j + 1)])
-        else:
-            # The same doubling, read from the blocks drawn so far, last first.
-            lo = 0
-            for block in reversed(self._blocks):
-                hi = lo + block.shape[1]
-                np.bitwise_xor(block[:, ::-1], self._v[:, m, None], out=pts[:, lo:hi])
-                lo = hi
-        self._blocks.append(pts)
-        self._drawn += n
-        out = pts.astype(np.float64)
-        out *= 2.0 ** -SOBOL_BITS
-        return out.T
+    if not 1 <= d <= SOBOL_DIMS:
+        raise ConfigInvalid(
+            f"Sobol' dimension {d} outside the embedded 1..{SOBOL_DIMS}")
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (d, SOBOL_BITS), dtype=np.uint32)
+    ltm = np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+    # Digit k of a direction number is its bit 29 - k (most significant
+    # first); scrambled digit p is the XOR over k <= p of ltm[p, k] * digit k.
+    place = np.arange(SOBOL_BITS - 1, -1, -1)
+    digits = _direction_numbers(d)[:, :, None] >> place & 1
+    v = ((digits @ ltm.transpose(0, 2, 1) & 1) << place).sum(axis=2).astype(np.uint32)
+    pts = np.empty((d, 2 ** m), dtype=np.uint32)
+    pts[:, 0] = shift @ (2 ** np.arange(SOBOL_BITS, dtype=np.uint32))
+    for j in range(m):
+        # Gray-code order: points [2^j, 2^(j+1)) are points [0, 2^j)
+        # reversed, each XOR direction number j.
+        np.bitwise_xor(pts[:, 2 ** j - 1::-1], v[:, j, None],
+                       out=pts[:, 2 ** j:2 ** (j + 1)])
+    out = pts.astype(np.float64)
+    out *= 2.0 ** -SOBOL_BITS
+    return out.T
 
 
 def sobol_ball(nvars_complex: int, radius: float, n_samples: int,
                seed: int = 0) -> np.ndarray:
-    """Scrambled-Sobol points in the complex ball |z| <= radius.
+    """n_samples scrambled-Sobol' points in the complex ball |z| <= radius,
+    shape (n_samples, nvars_complex).
 
-    Returns shape (m, nvars_complex) with m >= n_samples; points are drawn in
-    the bounding cube and the ones outside the ball are rejected, so the
-    sequence is deterministic for a fixed seed.
+    The first n_samples points u of one 2^m-point block of the
+    2nv-dimensional sequence (nv = nvars_complex, 2^m >= n_samples) are
+    mapped onto the ball by a measure-preserving map (Fang & Wang,
+    Number-theoretic Methods in Statistics, 1994, ch. 4): |z|^2 = radius^2
+    u_0^(1/nv); the shares |z_j|^2 / |z|^2, uniform on the simplex, by stick
+    breaking on u_1..u_(nv-1); the phases 2 pi u_nv..u_(2nv-1).
     """
-    d = 2 * nvars_complex
-    eng = Sobol(d, seed=seed)
-    # Power-of-2 blocks, doubling the total each draw; Sobol balance only
-    # holds for those sizes.
-    k = max(10, int(np.ceil(np.log2(max(n_samples, 2)))))
-    out = []
-    got = 0
-    total = 0
-    while got < n_samples:
-        draw = k if total == 0 else int(np.log2(total))
-        block = eng.random_base2(draw)
-        total += 2 ** draw
-        cube = (2.0 * block - 1.0) * radius
-        z = cube[:, 0::2] + 1j * cube[:, 1::2]
-        keep = np.sqrt((np.abs(z) ** 2).sum(axis=1)) <= radius
-        z = z[keep]
-        out.append(z)
-        got += z.shape[0]
-    return np.concatenate(out, axis=0)[:n_samples]
+    nv = nvars_complex
+    u = sobol(2 * nv, (n_samples - 1).bit_length(), seed)[:n_samples]
+    shares = np.empty((n_samples, nv))
+    rest = np.ones(n_samples)
+    for j in range(nv - 1):
+        keep = u[:, 1 + j] ** (1.0 / (nv - 1 - j))
+        shares[:, j] = rest * (1.0 - keep)
+        rest *= keep
+    shares[:, -1] = rest
+    r2 = radius ** 2 * u[:, 0] ** (1.0 / nv)
+    return np.sqrt(r2[:, None] * shares) * np.exp(2j * np.pi * u[:, nv:])
 
 
 def sampled_ratio(num: np.ndarray, den: np.ndarray, radius: float) -> np.ndarray:

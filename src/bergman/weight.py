@@ -131,7 +131,10 @@ def polarize(w: Weight) -> TruncatedSeries:
 def quadratic_gap_estimate(w: Weight, radius: float, seed: int = 0) -> tuple[float, float]:
     """Bounds of w.gap(x, y) / |x-y|^2 over GAP_SAMPLES Sobol pairs.
 
-    The gap must be strictly positive for a strictly plurisubharmonic weight;
+    The pairs (x, y) are the first GAP_SAMPLES points of the 4n-dimensional
+    sequence, one power-of-2 block mapped onto the ball of ``radius`` in
+    C^(2n) by ``sobol_ball``, so no point is drawn and then rejected.  The
+    gap must be strictly positive for a strictly plurisubharmonic weight;
     a nonpositive sampled minimum raises GapViolation.
     """
     if radius <= 0.0 or radius > w.trust_radius:

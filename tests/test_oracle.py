@@ -304,8 +304,10 @@ def config_phase(name):
 
 # (rho, g) of the probe scan on the canonical configs, by h
 QUARTIC_PROBE = (2.197872340425532, 0.6242829536802711)
+NONRADIAL_PROBE = (1.7882978723404257, 0.38401974620236357)
 PROBES = {
     "perturbed-quartic": {h: QUARTIC_PROBE for h in (0.2, 0.15, 0.1, 0.07, 0.05)},
+    "nonradial-quartic": {h: NONRADIAL_PROBE for h in (0.2, 0.15, 0.1, 0.07, 0.05)},
     "gaussian": {0.2: (3.918085106382979, 3.837847725215029),
                  0.05: (1.952127659574468, 0.9527005998189224)},
     "quadratic-lambda": {0.05: (1.0510638297872341, 1.1047351742870075)},

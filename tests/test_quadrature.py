@@ -7,8 +7,11 @@ import pytest
 from scipy.stats import qmc
 
 from bergman import quadrature
+from bergman.cli import load_config
 from bergman.errors import ConfigInvalid
-from bergman.quadrature import SOBOL_DIMS, Sobol, sobol_ball
+from bergman.quadrature import SOBOL_DIMS, sobol, sobol_ball
+from bergman.series import TruncatedSeries
+from bergman.weight import quadratic_gap_estimate, validate_weight
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -19,21 +22,16 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("seed", [0, 1, 1710, 1711])
 def test_sobol_matches_scipy_bit_for_bit(seed):
-    # sobol_ball's draw sequence: 2^k points first, then one doubling per draw
     for d in range(1, SOBOL_DIMS + 1):
-        ours, ref = Sobol(d, seed=seed), qmc.Sobol(d, scramble=True, seed=seed)
-        for m in (10, 10, 11, 12):
-            assert same_bits(ours.random_base2(m), ref.random_base2(m)), (d, m)
+        for m in (0, 1, 10, 14):
+            ref = qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)
+            assert same_bits(sobol(d, m, seed), ref), (d, m)
 
 
-def test_sobol_draws_keep_a_power_of_two_total():
-    eng = Sobol(2, seed=0)
-    eng.random_base2(3)
-    with pytest.raises(ValueError, match="power of 2"):
-        eng.random_base2(2)
+def test_sobol_dimension_outside_the_table():
     for d in (0, SOBOL_DIMS + 1):
         with pytest.raises(ConfigInvalid, match="embedded"):
-            Sobol(d)
+            sobol(d, 3)
 
 
 def test_sobol_ball_matches_the_scipy_engine(monkeypatch):
@@ -42,10 +40,40 @@ def test_sobol_ball_matches_the_scipy_engine(monkeypatch):
     counts = {1: 1000, 2: 1000, 3: 100, 4: 32}
     assert 2 * max(counts) == SOBOL_DIMS
     ours = {nv: sobol_ball(nv, 0.3, k, seed=7) for nv, k in counts.items()}
-    monkeypatch.setattr(quadrature, "Sobol",
-                        lambda d, seed: qmc.Sobol(d, scramble=True, seed=seed))
+    monkeypatch.setattr(quadrature, "sobol", lambda d, m, seed: qmc.Sobol(
+        d, scramble=True, seed=seed).random_base2(m))
     for nv, k in counts.items():
         assert same_bits(ours[nv], sobol_ball(nv, 0.3, k, seed=7)), nv
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_sobol_ball_is_uniform_on_the_ball(nv):
+    # moments of the uniform ball in C^nv: E|z|^2 = r^2 nv/(nv+1),
+    # E|z_j|^2 = r^2/(nv+1), E z_j = 0.  3000 points (not a power of 2)
+    # meet the second moments to 4.3e-4 relative and the mean to 6.9e-4 r
+    # at seed 3; the bounds are 1e-3 and 2e-3 r
+    r, k = 0.7, 3000
+    z = sobol_ball(nv, r, k, seed=3)
+    assert z.shape == (k, nv)
+    abs2 = np.abs(z) ** 2
+    assert abs2.sum(axis=1).max() <= r * r
+    assert abs2.sum(axis=1).mean() == pytest.approx(r * r * nv / (nv + 1), rel=1e-3)
+    assert abs2.mean(axis=0) == pytest.approx(np.full(nv, r * r / (nv + 1)), rel=1e-3)
+    assert np.abs(z.mean(axis=0)).max() < 2e-3 * r
+
+
+def test_gap_estimate_draws_one_block(monkeypatch):
+    # product-2d's gap sample, 4096 points in 4n = 8 real dimensions, is
+    # one 2^12-point block
+    cfg = load_config(os.path.join(ROOT, "configs", "product-2d.json"))
+    w = validate_weight(TruncatedSeries.from_triples(cfg.coefficients, 4, cfg.maxdeg),
+                        cfg.trust_radius)
+    draws = []
+    engine = quadrature.sobol
+    monkeypatch.setattr(quadrature, "sobol",
+                        lambda d, m, seed: draws.append((d, m)) or engine(d, m, seed))
+    quadratic_gap_estimate(w, 0.5 * cfg.trust_radius, seed=cfg.seed)
+    assert draws == [(8, 12)]
 
 
 def test_importing_the_cli_loads_no_scipy():
