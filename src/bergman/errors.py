@@ -64,7 +64,8 @@ class QuadratureUnderresolved(BergmanError):
 
 
 class IllConditioned(BergmanError):
-    """Gram matrix condition estimate exceeds the safe threshold."""
+    """Gram matrix condition estimate exceeds the safe threshold, or a
+    projection table leaves the double-precision range."""
 
 
 class DegenerateFit(BergmanError):

@@ -9,30 +9,49 @@ keeps the result keyed by the two: its monomial table holds, for every
 holomorphic monomial y^t up to a degree, the quadrature of the kernel
 against w_j y_j^t.  Each test function u is then a contraction of that
 table with u's coefficients, so projecting several test functions costs one
-pass of complex exp, not one per function.  Kernels that share the weight and h (the truncation orders
-at one h) differ only in a, so projection_table builds their tables in one
-pass: the factor e^{(2/h)(Psi - phi)} is computed once per block of rows and
-multiplied by each distinct amplitude.  The table is built from Psi and a
-in factored form X @ B, with the node-side factors B shared by every block
-of evaluation rows; phi(y) is folded into the constant row of Psi's node
-factor, so the combined exponent Psi - phi is formed inside the matrix
-product and the integrand never overflows inside the trust region.
+pass of complex exp, not one per function.  Kernels that share the weight
+and h (the truncation orders at one h) differ only in a, so
+projection_table builds their tables in one pass: the factor
+e^{(2/h)(Psi - phi)} is computed once per block of points and multiplied by
+each distinct amplitude.  The table is built from Psi and a in factored
+form X @ B, with the node-side factors B shared by every block of points;
+phi(y) is folded into the constant row of Psi's node factor, so the
+combined exponent Psi - phi is formed inside the matrix product and the
+integrand never overflows inside the trust region.
+
+The table is holomorphic in the evaluation point, because the amplitude is
+an analytic symbol, so Cauchy's formula gives the rows from one circle
+around them: on the inner disc's 1152 rows the pass sums the kernel at 32
+torus points and two probe rows instead, and reads the rows off the torus's
+FFT (the trapezoid rule for Cauchy's integral).  The probe rows, nearest to
+and farthest from the origin, are summed directly and must agree with the
+torus to within CIRCLE_TOL; a torus that misses them, or is not finite,
+doubles, and when none passes the rows are summed directly.  So the torus
+never costs accuracy: at small h its rounding sits at the cancellation
+scale e^{max phi / 2h}, far above the interior rows' values, and the guard
+declines it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .amplitude import Amplitude, RealizedSymbol, realize
-from .errors import ConfigInvalid, DegenerateFit
+from .errors import ConfigInvalid, DegenerateFit, IllConditioned
 from .quadrature import polydisc_grid
 from .series import TruncatedSeries, _block_monomials, _monomial_table
 from .weight import Weight, _as_points, _pair_points
 
 # Elements of one (evaluation rows x quadrature nodes) block in projection_table.
 BLOCK_ELEMENTS = 2 ** 18
+# The first torus size projection_table tries, and how closely a torus must
+# reproduce its directly summed probe rows, relative to each row's largest
+# entry, before its rows are read off the torus.
+CIRCLE_POINTS = 32
+CIRCLE_TOL = 2.0 ** -46
 
 
 @dataclass(frozen=True)
@@ -118,50 +137,113 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
     T[i, t] = sum_j e^{(2/h)(Psi(x_i, conj y_j) - phi(y_j))} a(x_i, conj y_j)
     w_j y_j^t for every monomial y^t of total degree <= ``degree``.  The
     kernels must share the weight and h, so they differ only in a: the
-    exponential factor is computed once per block of rows and multiplied by
-    each kernel's amplitude.  Kernels whose realized symbols are equal (orders
-    cut at the same k) get one table between them.  Each kernel stores
-    ({t: column of T}, T) in its ``tables`` under ``table_key``.
+    exponential factor is computed once per block of points and multiplied
+    by each kernel's amplitude.  Kernels whose realized symbols are equal
+    (orders cut at the same k) get one table between them.  Each kernel
+    stores ({t: column of T}, T) in its ``tables`` under ``table_key``.
+
+    T is holomorphic in x, so when the rows are many it is summed on an
+    M-point torus R_k e^{2 pi i a / M} around them (R_k the largest |x_ik|)
+    and read off the torus's FFT: b = fftn(T_torus) / M^n holds the Taylor
+    coefficients c_t R^t, and T_rows = (xd / R)^t @ b.  The two rows nearest
+    to and farthest from the origin are summed directly too, and a torus is
+    used only if its values are finite and both probe rows agree with their
+    reconstruction to within CIRCLE_TOL of the row's largest entry.
+    Otherwise M doubles, from CIRCLE_POINTS, while M^n + 2 stays under a
+    quarter of the rows, and when no torus passes the rows are summed
+    directly.  A table
+    that is not finite raises IllConditioned: h is too small for the
+    kernel's range in double precision.
     """
     K0 = kernels[0]
     if any(K.w != K0.w or K.h != K0.h for K in kernels):
         raise ConfigInvalid("kernels sharing a projection table build need one weight and one h")
-    monomials = _block_monomials(K0.n, degree)
+    n, rows = K0.n, xd.shape[0]
+    monomials = _block_monomials(n, degree)
     yd = np.conj(d.nodes)
+    # Points summed, one slice each: the rows, then the two probe rows and
+    # each torus the guard may try, so one set of factors serves them all.
+    R = np.abs(xd).max(axis=0, initial=0.0)
+    sizes = []
+    while R.all() and (CIRCLE_POINTS << len(sizes)) ** n + 2 < rows / 4:
+        sizes.append(CIRCLE_POINTS << len(sizes))
+    r2 = (np.abs(xd) ** 2).sum(axis=1)
+    probes = xd[[r2.argmin(), r2.argmax()]] if sizes else xd[:0]
+    tori = [R * np.exp(2j * np.pi / m * np.array(_torus(m, n))) for m in sizes]
+    pts = np.concatenate([xd, probes, *tori])
     # Node-side factors, once per grid: Psi = X @ P and a = Xa @ Pa.  Row 0
     # of P multiplies the constant monomial, so subtracting phi(y) there
     # makes the GEMM return Psi - phi(y), which stays bounded where the
     # two terms alone overflow and underflow at small h.
-    X, P = K0.w.series.bilinear_factors(xd, yd)
+    X, P = K0.w.series.bilinear_factors(pts, yd)
     P[0] -= K0.w.phi(d.nodes)
     symbols = list(dict.fromkeys(K.symbol.series for K in kernels))
-    amps = [a.bilinear_factors(xd, yd) for a in symbols]
+    amps = [a.bilinear_factors(pts, yd) for a in symbols]
     load = d.weights[:, None] * _monomial_table(d.nodes, monomials)
-    Ts = [np.empty((xd.shape[0], len(monomials)), dtype=complex) for _ in symbols]
     chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
     # One exponent and one product buffer serve every block and kernel.
-    shape = (min(chunk, xd.shape[0]), d.nodes.shape[0])
+    shape = (min(chunk, pts.shape[0]), d.nodes.shape[0])
     E_buf, M_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for lo in range(0, xd.shape[0], chunk):
-        blk = slice(lo, lo + chunk)
-        rows = min(chunk, xd.shape[0] - lo)
-        E, M = E_buf[:rows], M_buf[:rows]
-        np.matmul(X[blk], P, out=E)
-        # Keep this separate pass between the GEMM and exp; do not fold
-        # 2/h into P.  exp called straight on an OpenBLAS complex GEMM
-        # result measured 10-16x slower: upper AVX-512 register state
-        # left by the GEMM kernel slows the complex exp until another
-        # ufunc runs.
-        E *= 2.0 / K0.h
-        np.exp(E, out=E)
-        for (Xa, Pa), T in zip(amps, Ts):
-            np.matmul(Xa[blk], Pa, out=M)
-            # E first: the operand order fixes the rounding of the product.
-            np.multiply(E, M, out=M)
-            T[blk] = M @ load
+
+    def integrate(lo: int, hi: int) -> list[np.ndarray]:
+        """Every symbol's table at the points pts[lo:hi]."""
+        Ts = [np.empty((hi - lo, len(monomials)), dtype=complex) for _ in symbols]
+        for start in range(lo, hi, chunk):
+            blk = slice(start, min(start + chunk, hi))
+            E, M = E_buf[:blk.stop - start], M_buf[:blk.stop - start]
+            np.matmul(X[blk], P, out=E)
+            # Keep this separate pass between the GEMM and exp; do not fold
+            # 2/h into P.  exp called straight on an OpenBLAS complex GEMM
+            # result measured 10-16x slower: upper AVX-512 register state
+            # left by the GEMM kernel slows the complex exp until another
+            # ufunc runs.
+            E *= 2.0 / K0.h
+            np.exp(E, out=E)
+            for (Xa, Pa), T in zip(amps, Ts):
+                np.matmul(Xa[blk], Pa, out=M)
+                # E first: the operand order fixes the rounding of the product.
+                np.multiply(E, M, out=M)
+                T[blk.start - lo:blk.stop - lo] = M @ load
+        return Ts
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ts, at = None, rows + len(probes)
+        direct = integrate(rows, at)
+        for m in sizes:
+            Ts = _from_torus(integrate(at, at + m ** n), direct, xd / R, probes / R, m, n)
+            at += m ** n
+            if Ts is not None:
+                break
+        if Ts is None:
+            Ts = integrate(0, rows)
+    if not all(np.isfinite(T).all() for T in Ts):
+        raise IllConditioned(f"projection table at h = {K0.h} is not finite: "
+                             "e^((2/h)(Psi - phi)) leaves the double range on this grid")
     cols = {t: col for col, t in enumerate(monomials)}
     for K in kernels:
         K.tables[table_key(d, xd)] = cols, Ts[symbols.index(K.symbol.series)]
+
+
+def _torus(M: int, n: int) -> list[tuple[int, ...]]:
+    """Index vectors of an M-point torus in n variables, in fftn's order."""
+    return list(itertools.product(range(M), repeat=n))
+
+
+def _from_torus(sums, direct, xs, probes, M: int, n: int):
+    """Tables at the rows ``xs`` (scaled by 1/R) from each symbol's sums on
+    the M^n torus, or None if a torus is not finite or misses a probe row."""
+    exponents = _torus(M, n)
+    Ts = []
+    for S, D in zip(sums, direct):
+        if not np.isfinite(S).all():
+            return None
+        b = np.fft.fftn(S.reshape((M,) * n + S.shape[1:]), axes=range(n))
+        b = b.reshape(S.shape) / M ** n
+        miss = np.abs(_monomial_table(probes, exponents) @ b - D).max(axis=1)
+        if not np.all(miss <= CIRCLE_TOL * np.abs(D).max(axis=1)):
+            return None
+        Ts.append(_monomial_table(xs, exponents) @ b)
+    return Ts
 
 
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,

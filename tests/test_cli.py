@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -371,6 +372,24 @@ def test_sp_rows_equal_calls_that_rebuild_every_contour(monkeypatch):
 
 
 _ERR = {"error": {"type": "QuadratureUnderresolved", "message": ""}}
+
+
+def test_kernel_table_out_of_range_is_a_recorded_error(capsys):
+    # at h = 1e-4 the kernel's exponential leaves the double range on the
+    # quadratic weight's grids: the kernel stage records IllConditioned, the
+    # other stages still report and nothing warns on the way
+    path = os.path.join(ROOT, "configs", "quadratic-lambda.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["report", "--config", path, "--h-grid", "0.2,0.1,0.0001"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "error: the report records errors in kernel\n" in err
+    assert "Traceback" not in err
+    stages = json.loads(out)["stages"]
+    assert stages["kernel"]["error"]["type"] == "IllConditioned"
+    assert [name for name, stage in stages.items() if "error" in stage] == ["kernel"]
+    assert "error" not in stages["verify"]["gram"]
 
 
 @pytest.mark.parametrize("verify,code", [

@@ -1,12 +1,14 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from bergman.amplitude import solve_amplitude
-from bergman.cli import load_config
-from bergman.errors import ConfigInvalid, DegenerateFit
-from bergman.projector import (apply_projection, assemble_kernel, check_domain,
+from bergman.cli import RunState, load_config
+from bergman import projector
+from bergman.errors import ConfigInvalid, DegenerateFit, IllConditioned
+from bergman.projector import (KernelEvaluator, apply_projection, assemble_kernel, check_domain,
                                decay_fit, make_domain, projection_table,
                                reproducing_error, table_key, weighted_norm)
 from bergman.quadrature import disc_grid
@@ -365,3 +367,82 @@ def test_decay_fit_degenerate_inputs():
         decay_fit([(0.2, 1.0), (0.1, 1.0)])
     with pytest.raises(DegenerateFit):
         decay_fit([(0.2, 0.0), (0.1, 0.0), (0.05, 0.0)])
+
+
+def canonical(name):
+    return RunState(load_config(os.path.join(ROOT, "configs", f"{name}.json")))
+
+
+def row_summed(K, d, xd, degree):
+    # the table in row chunks too small for a torus, so every row is summed
+    parts = []
+    for lo in range(0, xd.shape[0], 128):
+        alone = KernelEvaluator(K.w, K.symbol, K.h)
+        projection_table([alone], d, xd[lo:lo + 128], degree)
+        parts.append(alone.tables[table_key(d, xd[lo:lo + 128])][1])
+    return np.concatenate(parts)
+
+
+def torus_outcomes(monkeypatch):
+    # (M, accepted) for every torus projection_table reads off
+    outcomes = []
+    read = projector._from_torus
+
+    def recorded(sums, direct, xs, probes, M, n):
+        Ts = read(sums, direct, xs, probes, M, n)
+        outcomes.append((M, Ts is not None))
+        return Ts
+    monkeypatch.setattr(projector, "_from_torus", recorded)
+    return outcomes
+
+
+@pytest.mark.parametrize("name", ["gaussian", "quadratic-lambda", "perturbed-quartic",
+                                  "nonradial-quartic"])
+def test_table_from_the_torus_matches_row_sums(monkeypatch, name):
+    # the inner grid's 1152 rows read off a 32-point circle at every
+    # canonical h agree with their direct sums to rounding
+    st = canonical(name)
+    d, xd = st.outer, st.inner.nodes
+    degree = max(sum(t) for t in st.cfg.test_functions)
+    picked = np.linspace(0, xd.shape[0] - 1, 20).astype(int)
+    outcomes = torus_outcomes(monkeypatch)
+    for h in st.cfg.h_grid:
+        K = assemble_kernel(st.w, st.amp, h)
+        projection_table([K], d, xd, degree)
+        cols, T = K.tables[table_key(d, xd)]
+        ref = row_summed(K, d, xd, degree)
+        assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref)), h
+        # u = 1 + y + ... + y^degree reads every column; the bound is
+        # relative to the peak, since near the origin the row sums
+        # themselves miss y^3's projection by 2e-10 relative
+        u = TruncatedSeries.from_triples([(t, 1.0, 0.0) for t in cols], 1, degree)
+        direct = direct_projection(K, u, st.w, d, xd[picked])
+        miss = np.abs(T[picked] @ np.ones(len(cols)) / h - direct)
+        assert np.all(miss <= 1e-12 * np.abs(direct).max()), h
+    assert outcomes == [(32, True)] * len(st.cfg.h_grid)
+
+
+@pytest.mark.parametrize("name, h", [("quadratic-lambda", 0.002), ("gaussian", 0.01),
+                                     ("product-2d", 0.1)])
+def test_declined_torus_leaves_the_row_sums(monkeypatch, name, h):
+    # no torus passes the guard (or none fits the rows): the table is the
+    # direct row sum, bit for bit
+    st = canonical(name)
+    d, xd = st.outer, st.inner.nodes
+    outcomes = torus_outcomes(monkeypatch)
+    K = assemble_kernel(st.w, st.amp, h)
+    projection_table([K], d, xd, 3)
+    assert np.array_equal(K.tables[table_key(d, xd)][1], row_summed(K, d, xd, 3))
+    assert all(not accepted for _, accepted in outcomes)
+    assert [M for M, _ in outcomes] == ([32, 64, 128, 256] if st.cfg.dimension == 1 else [])
+
+
+def test_table_out_of_the_double_range_raises():
+    # e^{(2/h)(Psi - phi)} overflows at this h: no torus and no row sum is finite
+    st = canonical("quadratic-lambda")
+    K = assemble_kernel(st.w, st.amp, 1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditioned):
+            projection_table([K], st.outer, st.inner.nodes, 3)
+    assert not K.tables
