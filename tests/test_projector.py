@@ -374,7 +374,7 @@ def canonical(name):
 
 
 def row_summed(K, d, xd, degree):
-    # the table in row chunks too small for a torus, so every row is summed
+    # the table in row chunks too small for a circle, so every row is summed
     parts = []
     for lo in range(0, xd.shape[0], 128):
         alone = KernelEvaluator(K.w, K.symbol, K.h)
@@ -383,29 +383,29 @@ def row_summed(K, d, xd, degree):
     return np.concatenate(parts)
 
 
-def torus_outcomes(monkeypatch):
-    # (M, accepted) for every torus projection_table reads off
+def circle_outcomes(monkeypatch):
+    # whether each circle projection_table reads off was accepted
     outcomes = []
-    read = projector._from_torus
+    read = projector._from_circle
 
-    def recorded(sums, direct, xs, probes, M, n):
-        Ts = read(sums, direct, xs, probes, M, n)
-        outcomes.append((M, Ts is not None))
+    def recorded(*args):
+        Ts = read(*args)
+        outcomes.append(Ts is not None)
         return Ts
-    monkeypatch.setattr(projector, "_from_torus", recorded)
+    monkeypatch.setattr(projector, "_from_circle", recorded)
     return outcomes
 
 
 @pytest.mark.parametrize("name", ["gaussian", "quadratic-lambda", "perturbed-quartic",
                                   "nonradial-quartic"])
-def test_table_from_the_torus_matches_row_sums(monkeypatch, name):
+def test_table_from_the_circle_matches_row_sums(monkeypatch, name):
     # the inner grid's 1152 rows read off a 32-point circle at every
     # canonical h agree with their direct sums to rounding
     st = canonical(name)
     d, xd = st.outer, st.inner.nodes
     degree = max(sum(t) for t in st.cfg.test_functions)
     picked = np.linspace(0, xd.shape[0] - 1, 20).astype(int)
-    outcomes = torus_outcomes(monkeypatch)
+    outcomes = circle_outcomes(monkeypatch)
     for h in st.cfg.h_grid:
         K = assemble_kernel(st.w, st.amp, h)
         projection_table([K], d, xd, degree)
@@ -419,26 +419,38 @@ def test_table_from_the_torus_matches_row_sums(monkeypatch, name):
         direct = direct_projection(K, u, st.w, d, xd[picked])
         miss = np.abs(T[picked] @ np.ones(len(cols)) / h - direct)
         assert np.all(miss <= 1e-12 * np.abs(direct).max()), h
-    assert outcomes == [(32, True)] * len(st.cfg.h_grid)
+    assert outcomes == [True] * len(st.cfg.h_grid)
 
 
 @pytest.mark.parametrize("name, h", [("quadratic-lambda", 0.002), ("gaussian", 0.01),
                                      ("product-2d", 0.1)])
-def test_declined_torus_leaves_the_row_sums(monkeypatch, name, h):
-    # no torus passes the guard (or none fits the rows): the table is the
-    # direct row sum, bit for bit
+def test_declined_circle_leaves_the_row_sums(monkeypatch, name, h):
+    # the circle fails the guard (or is not tried in two variables): the
+    # table is the direct row sum, bit for bit
     st = canonical(name)
     d, xd = st.outer, st.inner.nodes
-    outcomes = torus_outcomes(monkeypatch)
+    outcomes = circle_outcomes(monkeypatch)
     K = assemble_kernel(st.w, st.amp, h)
     projection_table([K], d, xd, 3)
     assert np.array_equal(K.tables[table_key(d, xd)][1], row_summed(K, d, xd, 3))
-    assert all(not accepted for _, accepted in outcomes)
-    assert [M for M, _ in outcomes] == ([32, 64, 128, 256] if st.cfg.dimension == 1 else [])
+    assert outcomes == ([False] if st.cfg.dimension == 1 else [])
+
+
+def test_no_circle_in_two_variables(monkeypatch):
+    # more rows than a 32 x 32 torus needs still sum every row in n = 2
+    w, amp = pipeline(PRODUCT, 1, maxdeg=8, trust=1.0, n=2)
+    dom = make_domain((0.7, 0.7), n_radial=2, n_angular=4)
+    rng = np.random.default_rng(5)
+    xd = 0.3 * (rng.standard_normal((4200, 2)) + 1j * rng.standard_normal((4200, 2)))
+    outcomes = circle_outcomes(monkeypatch)
+    K = assemble_kernel(w, amp, 0.1)
+    projection_table([K], dom, xd, 2)
+    assert outcomes == []
+    assert np.array_equal(K.tables[table_key(dom, xd)][1], row_summed(K, dom, xd, 2))
 
 
 def test_table_out_of_the_double_range_raises():
-    # e^{(2/h)(Psi - phi)} overflows at this h: no torus and no row sum is finite
+    # e^{(2/h)(Psi - phi)} overflows at this h: neither the circle nor a row sum is finite
     st = canonical("quadratic-lambda")
     K = assemble_kernel(st.w, st.amp, 1e-4)
     with warnings.catch_warnings():
