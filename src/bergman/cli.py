@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -393,9 +393,12 @@ def stage_verify(state: RunState) -> dict:
 
     def gram_section():
         x, y = near_diagonal_pairs(0.3 * cfg.radius_u)
+        # A copy of the outer grid with a memo of its own: the Gram table is
+        # built once for every h and freed with the section.
+        grid = replace(state.outer)
         per_h = []
         for h in cfg.h_grid:
-            gk = gram_bergman(w, state.outer, h, cfg.gram_degree)
+            gk = gram_bergman(w, grid, h, cfg.gram_degree)
             st = compare_kernels(assemble_kernel(w, amp, h), gk, x, y)
             per_h.append({"h": h, "max_rel": st.max_rel,
                           "median_rel": st.median_rel, "cond": gk.cond})
@@ -404,8 +407,9 @@ def stage_verify(state: RunState) -> dict:
 
     def fourier_section():
         res = {}
-        for t, u in zip(cfg.test_functions, state.monomials):
-            checks = fourier_inversion_check(w, u, np.zeros(n), cfg.radius_v, cfg.h_grid)
+        per_u = fourier_inversion_check(w, state.monomials, np.zeros(n), cfg.radius_v,
+                                        cfg.h_grid)
+        for t, checks in zip(cfg.test_functions, per_u):
             pairs = [(chk.h, chk.residual) for chk in checks]
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
                                  "fit": _fit_or_floor(pairs)}

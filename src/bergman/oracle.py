@@ -7,13 +7,22 @@ contour inequalities.  Everything here is built from plain quadrature and
 linear algebra.  What is shared with the pipeline is named: theta_pairs,
 its Jacobian, theta_pairing and theta_ratio from phase, the gap Weight.gap,
 formal_expansion (which sp_quadrature_check exists to check),
-weighted_norm / check_domain from projector, and the monomial enumerator
-_block_monomials from series, which lists the Gram basis.  The Gram power
+weighted_norm / check_domain and the grid's phi from projector, and from
+series the monomial enumerator _block_monomials, which lists the Gram
+basis, and eval_powers, eval_grid's sum over power rows.  The Gram power
 table, _monomial_table here, is the oracle's own.  Sample counts and grids
 are constants of the check that uses them; only the Sobol seed is an argument,
 and quadrature.sampled_ratio drops their near-coincident samples.
-sp_quadrature_check checks one (case, h) row on the contour of h (probe
-radius, disc, nodes and measure), which the phase keeps for the h in use.
+
+Work that depends on neither h nor the test function is done once where it
+lives.  A grid (DomainSpec.memo) keeps phi on its nodes per weight and the
+Gram table V and V^H per basis, so gram_bergman forms only the h-weighted
+Gram matrix.  sp_quadrature_check checks one (case, h) row on the contour
+of h (probe radius, disc, measure and the power rows of its nodes), which
+the phase keeps for the h in use; each symbol is a sum over those rows.
+fourier_inversion_check takes every test function at once: the disc, chi,
+the theta pairing and its Jacobian are built once per call and
+e^{(i/h)(x-y) theta} once per h.
 """
 
 from __future__ import annotations
@@ -81,10 +90,24 @@ class GramKernel:
 
     def project(self, u: TruncatedSeries, x) -> np.ndarray:
         """Quadrature projection of u through this kernel, at the points x."""
-        nodes = self.dom.nodes
-        damp = self.dom.weights * np.exp(-2.0 * self.w.phi(nodes) / self.h)
-        coef = self._orthonormal(nodes).conj().T @ (damp * u.eval_grid(nodes))
+        dom = self.dom
+        damp = dom.weights * np.exp(-2.0 * dom.phi(self.w) / self.h)
+        V = _gram_table(dom, self.basis)[0]
+        coef = (V @ self.onb).conj().T @ (damp * u.eval_grid(dom.nodes))
         return self._orthonormal(x) @ coef
+
+
+def _gram_table(dom: DomainSpec, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The basis on the grid's nodes, V = _monomial_table(dom.nodes, basis),
+    and V^H.  They depend on neither h nor the weight, so the grid's memo
+    keeps them per basis."""
+    key = ("gram", basis)
+    if key not in dom.memo:
+        V = _monomial_table(dom.nodes, basis)
+        VH = V.conj().T
+        V.flags.writeable = VH.flags.writeable = False
+        dom.memo[key] = V, VH
+    return dom.memo[key]
 
 
 def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
@@ -100,7 +123,11 @@ def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
 
 
 def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKernel:
-    """Brute-force reproducing kernel on monomials of total degree <= degree."""
+    """Brute-force reproducing kernel on monomials of total degree <= degree.
+
+    The monomial table and phi on the grid's nodes come from the grid's
+    memo, so a call builds only what depends on h: the weights and G.
+    """
     check_domain(dom, w)
     if h <= 0:
         raise ConfigInvalid(f"h must be positive, got {h}")
@@ -112,9 +139,9 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
             f"need at least {4 * degree}")
     basis = tuple(sorted(_block_monomials(w.n, degree), key=lambda a: (sum(a), a)))
     # G = V^H diag(weights e^{-2 phi/h}) V over the quadrature nodes.
-    V = _monomial_table(dom.nodes, basis)
-    wts = dom.weights * np.exp(-2.0 * w.phi(dom.nodes) / h)
-    G = V.conj().T @ (wts[:, None] * V)
+    V, VH = _gram_table(dom, basis)
+    wts = dom.weights * np.exp(-2.0 * dom.phi(w) / h)
+    G = VH @ (wts[:, None] * V)
     herm = np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300)
     if herm > GRAM_HERMITIAN_TOL:
         raise IllConditioned(f"gram matrix departs from Hermitian by {herm:.3e}")
@@ -175,20 +202,23 @@ class FourierCheck:
     h: float
 
 
-def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
-                            h_values) -> list[FourierCheck]:
+def fourier_inversion_check(w: Weight, us: list[TruncatedSeries], x, radius: float,
+                            h_values) -> list[list[FourierCheck]]:
     """Inversion integral (2 pi h)^{-n} int e^{(i/h)(x-y) theta} u chi dy dtheta.
 
     The contour is parametrized by y with theta = theta(x, y), contributing
     the Jacobian det(d theta / d conj y) and a factor (2i)^n from rewriting
-    d(conj y) wedge dy as Lebesgue measure.  Returns, for each h, the
-    residual against u(x), damped by e^{-phi(x)/h}.  The grid, theta, its
-    Jacobian and u(y) do not depend on h and are built once.
+    d(conj y) wedge dy as Lebesgue measure.  Returns, for each test
+    function u in ``us``, the list over h of the residual against u(x),
+    damped by e^{-phi(x)/h}.  The grid, chi, theta's pairing and Jacobian
+    depend on neither h nor u and are built once; e^{(i/h)(x-y) theta} is
+    built once per h and serves every u.
     """
     if w.n != 1:
         raise ConfigInvalid("fourier inversion quadrature is implemented for n = 1")
-    if u.nvars != w.n:
-        raise ConfigInvalid(f"u has {u.nvars} variables, expected {w.n}")
+    for u in us:
+        if u.nvars != w.n:
+            raise ConfigInvalid(f"u has {u.nvars} variables, expected {w.n}")
     xs = _as_points(x, w.n)
     plateau = FOURIER_PLATEAU_FRAC * radius
     support = FOURIER_SUPPORT_FRAC * radius
@@ -200,16 +230,18 @@ def fourier_inversion_check(w: Weight, u: TruncatedSeries, x, radius: float,
     chi = radial_bump(np.abs(nodes), plateau, support)
     jac = theta_jacobian_pairs(w, xs, y)
     pairing = theta_pairing(w, xs, y)
-    uy = u.eval_grid(y)
-    target = complex(u.eval_grid(xs)[0])
     phi_x = float(w.phi(xs)[0])
-    checks = []
+    uys = [u.eval_grid(y) for u in us]
+    targets = [complex(u.eval_grid(xs)[0]) for u in us]
+    checks = [[] for _ in us]
     for h in h_values:
-        vals = np.exp(1j * pairing / h) * uy * chi * jac
+        wave = np.exp(1j * pairing / h)
         const = CONTOUR_ORIENTATION * (2j) ** w.n / (2.0 * np.pi * h) ** w.n
-        value = complex(const * (wts * vals).sum())
-        residual = abs(value - target) * math.exp(-phi_x / h)
-        checks.append(FourierCheck(value=value, target=target, residual=residual, h=h))
+        for uy, target, out in zip(uys, targets, checks):
+            vals = wave * uy * chi * jac
+            value = complex(const * (wts * vals).sum())
+            residual = abs(value - target) * math.exp(-phi_x / h)
+            out.append(FourierCheck(value=value, target=target, residual=residual, h=h))
     return checks
 
 
@@ -232,7 +264,7 @@ def pointwise_bound_check(w: Weight, u: TruncatedSeries, inner: DomainSpec,
     check_domain(outer, w)
     ui = u.eval_grid(inner.nodes)
     uo = u.eval_grid(outer.nodes)
-    phi_i = w.phi(inner.nodes)
+    phi_i = inner.phi(w)
     ratios = []
     for h in h_values:
         sup = float((np.abs(ui) * np.exp(-phi_i / h)).max())
@@ -336,20 +368,42 @@ def _contour_radius(pd: PhaseData, h: float) -> tuple[float, float]:
     return best
 
 
-def _sp_contour(pd: PhaseData, h: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(g, (u, v) nodes, measure wts * e^{2 phi/h}) of the quadrature disc at h.
+def _sp_contour(pd: PhaseData, h: float) -> tuple[float, list, np.ndarray]:
+    """(g, power rows, measure wts * e^{2 phi/h}) of the quadrature disc at h.
 
-    They depend on (pd, h) alone, so the phase's memo keeps them for the
-    live h; a call at another h replaces them.
+    The power rows are, for each coordinate z of the nodes' (u, v), the
+    list z^0, z^1, ..., which grows as a series needs higher powers
+    (``_sp_symbol``); phi and every symbol are evaluated from them.  All of
+    it depends on (pd, h) alone, so the phase's memo keeps it for the live
+    h.  A call at another h drops it before building its own, except for
+    the arrays of the powers above z^1: the new nodes' powers are computed
+    into them, so the allocator does not return them to the system and
+    fault them in again at every h.
     """
     live = pd.memo.get("sp_contour")
     if live is None or live[0] != h:
+        reuse = [pw[2:] for pw in live[2]] if live is not None else []
+        live = pd.memo["sp_contour"] = None
         rho, g = _contour_radius(pd, h)
         nodes, wts = disc_grid(rho, SP_N_RADIAL, SP_N_ANGULAR)
         u, v = fast_uv(pd, nodes)
-        measure = wts * np.exp(2.0 * phase_on_contour(pd, u) / h)
-        live = pd.memo["sp_contour"] = (h, g, np.concatenate([u, v], axis=1), measure)
+        rows = [[np.ones(z.shape, dtype=complex), z] for z in (*u.T, *v.T)]
+        for pw, bufs in zip(rows, reuse):
+            for buf in bufs:
+                pw.append(np.multiply(pw[-1], pw[1], out=buf))
+        measure = wts * np.exp(2.0 * _sp_symbol(pd.phi0, rows) / h)
+        live = pd.memo["sp_contour"] = (h, g, rows, measure)
     return live[1:]
+
+
+def _sp_symbol(symbol: TruncatedSeries, rows: list) -> np.ndarray:
+    """A series in (u, v) at the contour's nodes, read off its power rows.
+    Rows short of the series' exponents first grow by z^k = z^(k-1) z, the
+    products eval_grid forms."""
+    for pw, k in zip(rows, symbol.exponent_bounds()):
+        while len(pw) <= k:
+            pw.append(pw[-1] * pw[1])
+    return symbol.eval_powers(rows)
 
 
 def _sp_expansion(pd: PhaseData, symbol: TruncatedSeries, hmax: int) -> np.ndarray:
@@ -371,8 +425,9 @@ def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
     contour through the origin is compared with the formal series: exact
     agreement when the phase has no remainder of (u, v)-degree >= 3 (the
     expansion terminates), next-term bound otherwise.  The contour of h is
-    the phase's live one (``_sp_contour``), and the expansion is formed once
-    per (symbol, hmax) and phase (``_sp_expansion``).
+    the phase's live one (``_sp_contour``), whose power rows give the
+    symbol on its nodes, and the expansion is formed once per (symbol,
+    hmax) and phase (``_sp_expansion``).
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
@@ -384,11 +439,11 @@ def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
     terminating = not pd.remainder
     vals = _sp_expansion(pd, case.symbol, hmax)
 
-    g, uv, measure = _sp_contour(pd, h)
+    g, rows, measure = _sp_contour(pd, h)
     # fv stays named: numpy would write measure * (unnamed temporary)
     # into the temporary, and that in-place complex product rounds
     # differently from the one into a fresh array
-    fv = case.symbol.eval_grid(uv)
+    fv = _sp_symbol(case.symbol, rows)
     quad = complex(np.conj(b) / h * (measure * fv).sum())
     tail = math.exp(-2.0 * g / h) * max(abs(quad), 1.0)
 

@@ -17,7 +17,9 @@ each distinct amplitude.  The table is built from Psi and a in factored
 form X @ B, with the node-side factors B shared by every block of points;
 phi(y) is folded into the constant row of Psi's node factor, so the
 combined exponent Psi - phi is formed inside the matrix product and the
-integrand never overflows inside the trust region.
+integrand never overflows inside the trust region.  phi(y) comes from the
+grid, which evaluates it once per weight (DomainSpec.phi) for every table
+build and every weighted_norm on it.
 
 The table is holomorphic in the evaluation point, because the amplitude is
 an analytic symbol, so Cauchy's formula gives the rows from one circle
@@ -61,17 +63,29 @@ CIRCLE_TOL = 2.0 ** -46
 class DomainSpec:
     """Quadrature domain: nodes and Lebesgue weights over a (poly)disc.
 
-    The grid is geometry only; it serves every h.
+    The grid is geometry only; it serves every h.  ``memo`` keeps what
+    depends on the nodes and not on h, as long as the grid lives: phi on
+    the nodes per weight (``phi``) and the Gram oracle's monomial table per
+    basis.
     """
 
     radii: tuple[float, ...]
     n_angular: int
     nodes: np.ndarray      # (m, n) complex
     weights: np.ndarray    # (m,) positive
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.nodes.shape[1]
+
+    def phi(self, w: Weight) -> np.ndarray:
+        """The weight on the nodes, w.phi(nodes), computed once per weight."""
+        key = ("phi", w)
+        if key not in self.memo:
+            phi = self.memo[key] = w.phi(self.nodes)
+            phi.flags.writeable = False
+        return self.memo[key]
 
 
 def make_domain(radii, n_radial: int = 64, n_angular: int = 128) -> DomainSpec:
@@ -177,7 +191,7 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
     # makes the GEMM return Psi - phi(y), which stays bounded where the
     # two terms alone overflow and underflow at small h.
     X, P = K0.w.series.bilinear_factors(pts, yd)
-    P[0] -= K0.w.phi(d.nodes)
+    P[0] -= d.phi(K0.w)
     symbols = list(dict.fromkeys(K.symbol.series for K in kernels))
     amps = [a.bilinear_factors(pts, yd) for a in symbols]
     load = d.weights[:, None] * _monomial_table(d.nodes, monomials)
@@ -273,7 +287,7 @@ def weighted_norm(w: Weight, values: np.ndarray, dom: DomainSpec, h: float) -> f
     The values are damped by exp(-phi / h) and scaled by their peak before
     squaring, so neither the square nor the damping overflows at small h.
     """
-    mag = np.abs(values * np.exp(-w.phi(dom.nodes) / h))
+    mag = np.abs(values * np.exp(-dom.phi(w) / h))
     peak = mag.max()
     if peak == 0.0:
         return 0.0

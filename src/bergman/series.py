@@ -297,22 +297,29 @@ class TruncatedSeries:
         if pts.shape[1] != self.nvars:
             raise VariableMismatch(
                 f"points have {pts.shape[1]} coordinates, ring has {self.nvars} variables")
-        m = pts.shape[0]
-        if not self.coeffs:
-            return np.zeros(m, dtype=complex)
         # Power tables per variable up to the largest exponent actually used.
+        return self.eval_powers([_powers(pts[:, i], k)
+                                 for i, k in enumerate(self.exponent_bounds())])
+
+    def exponent_bounds(self) -> list[int]:
+        """Each variable's largest exponent in the series (0 where it is absent)."""
         kmax = [0] * self.nvars
         for mi in self.coeffs:
             for i, k in enumerate(mi):
                 if k > kmax[i]:
                     kmax[i] = k
-        pw = [_powers(pts[:, i], kmax[i]) for i in range(self.nvars)]
-        acc = np.zeros(m, dtype=complex)
+        return kmax
+
+    def eval_powers(self, pw) -> np.ndarray:
+        """The series at points given by their power rows: pw[i][k] holds
+        z_i^k at every point, for k from 0 to at least exponent_bounds()[i].
+        eval_grid is this sum over ``_powers`` of the points' coordinates."""
+        acc = np.zeros(pw[0][0].shape[0], dtype=complex)
         for mi, c in self.coeffs.items():
             v = None
             for i, k in enumerate(mi):
                 if k:
-                    v = pw[i][k].copy() if v is None else v * pw[i][k]
+                    v = pw[i][k] if v is None else v * pw[i][k]
             acc += c if v is None else c * v
         return acc
 
@@ -359,9 +366,10 @@ def _block_monomials(k: int, degree: int) -> list[MultiIndex]:
 
 def _powers(z: np.ndarray, kmax: int) -> np.ndarray:
     """Rows z^0 .. z^kmax of the values z (m,), by repeated products."""
-    tab = np.ones((kmax + 1, z.shape[0]), dtype=complex)
+    tab = np.empty((kmax + 1, z.shape[0]), dtype=complex)
+    tab[0] = 1.0
     for k in range(1, kmax + 1):
-        tab[k] = tab[k - 1] * z
+        np.multiply(tab[k - 1], z, out=tab[k])
     return tab
 
 

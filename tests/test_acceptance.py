@@ -234,10 +234,9 @@ def test_criterion_6_contour_margins(gaussian_core, lambda1_core,
 def test_criterion_7_fourier_inversion(gaussian_core):
     w = gaussian_core[0]
     parts, ok = [], True
-    for k in range(4):
-        u = TruncatedSeries.from_triples([((k,), 1.0, 0.0)], 1, 3)
-        res = [chk.residual
-               for chk in fourier_inversion_check(w, u, [0.0], 1.0, H_GRID)]
+    us = [TruncatedSeries.from_triples([((k,), 1.0, 0.0)], 1, 3) for k in range(4)]
+    for k, checks in enumerate(fourier_inversion_check(w, us, [0.0], 1.0, H_GRID)):
+        res = [chk.residual for chk in checks]
         if max(res) < 1e-12:
             # already below any fit floor at every h; nothing left to decay
             parts.append(f"y^{k}: at machine floor ({max(res):.1e})")

@@ -115,6 +115,37 @@ def test_gram_ill_conditioned_anisotropic():
         gram_bergman(w, dom, 0.02, 35)
 
 
+def test_gram_builds_the_node_table_once_per_grid(monkeypatch):
+    # V depends on the nodes and the basis only, so five h on one grid read
+    # one table, and each kernel equals the one a fresh grid gives
+    w = make_weight(QUARTIC, trust=1.0)
+    hs = (0.2, 0.15, 0.1, 0.07, 0.05)
+    fresh = [gram_bergman(w, make_domain((0.7,)), h, 25) for h in hs]
+    dom = make_domain((0.7,))
+    node_tables = []
+    table = oracle._monomial_table
+    monkeypatch.setattr(oracle, "_monomial_table", lambda disp, basis: node_tables.append(
+        len(disp) == len(dom.nodes)) or table(disp, basis))
+    shared = [gram_bergman(w, dom, h, 25) for h in hs]
+    assert sum(node_tables) == 1
+    for a, b in zip(shared, fresh):
+        assert np.array_equal(a.gram, b.gram) and np.array_equal(a.onb, b.onb)
+        assert a.cond == b.cond
+
+
+def test_grid_memo_keys_phi_and_gram_on_the_weight():
+    # two weights on one grid: each gets its own phi and kernel, bit-equal
+    # to a fresh grid's, whichever comes first
+    dom = make_domain((0.7,))
+    quartic, gauss = make_weight(QUARTIC, trust=1.0), make_weight(GAUSS, trust=1.0)
+    for w in (quartic, gauss, quartic):
+        fresh = make_domain((0.7,))
+        a, b = gram_bergman(w, dom, 0.1, 20), gram_bergman(w, fresh, 0.1, 20)
+        assert np.array_equal(a.gram, b.gram) and np.array_equal(a.onb, b.onb)
+        assert np.array_equal(dom.phi(w), w.phi(dom.nodes))
+    assert not np.array_equal(dom.phi(quartic), dom.phi(gauss))
+
+
 WIDE_DISC = make_domain((2.5,), n_radial=160, n_angular=192)
 
 
@@ -197,8 +228,9 @@ def test_n1_pairs_on_n2_kernel_raise_package_error():
 def test_fourier_gaussian_constant():
     w = make_weight(GAUSS)
     residuals = []
-    for chk in fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0,
-                                       (0.2, 0.1, 0.05)):
+    checks, = fourier_inversion_check(w, [monomial(0, 2)], np.zeros(1), 1.0,
+                                      (0.2, 0.1, 0.05))
+    for chk in checks:
         assert abs(chk.target - 1.0) < 1e-15
         residuals.append(chk.residual)
     assert residuals[0] < 1e-1
@@ -208,7 +240,7 @@ def test_fourier_gaussian_constant():
 
 def test_fourier_odd_monomial_vanishes():
     w = make_weight(GAUSS)
-    chk, = fourier_inversion_check(w, monomial(1, 2), np.zeros(1), 1.0, [0.1])
+    (chk,), = fourier_inversion_check(w, [monomial(1, 2)], np.zeros(1), 1.0, [0.1])
     assert abs(chk.value) < 1e-14
     assert chk.residual < 1e-14
 
@@ -216,15 +248,30 @@ def test_fourier_odd_monomial_vanishes():
 def test_fourier_orientation_detector(monkeypatch):
     w = make_weight(GAUSS)
     monkeypatch.setattr(oracle, "CONTOUR_ORIENTATION", -1.0)
-    chk, = fourier_inversion_check(w, monomial(0, 2), np.zeros(1), 1.0, [0.1])
+    (chk,), = fourier_inversion_check(w, [monomial(0, 2)], np.zeros(1), 1.0, [0.1])
     assert abs(chk.value + 1.0) < 1e-2
     assert chk.residual > 1.9
+
+
+def test_fourier_builds_the_contour_once_for_every_test_function(monkeypatch):
+    # one call over four test functions equals four single calls bit for
+    # bit, and pairs x with theta on the disc once
+    w = make_weight(QUARTIC, trust=1.0)
+    us = [monomial(k, 3) for k in range(4)]
+    hs = (0.2, 0.1, 0.05)
+    single = [fourier_inversion_check(w, [u], np.zeros(1), 0.7, hs)[0] for u in us]
+    pairings = []
+    pairing = oracle.theta_pairing
+    monkeypatch.setattr(oracle, "theta_pairing",
+                        lambda *args: pairings.append(1) or pairing(*args))
+    assert fourier_inversion_check(w, us, np.zeros(1), 0.7, hs) == single
+    assert len(pairings) == 1
 
 
 def test_fourier_point_must_sit_on_plateau():
     w = make_weight(GAUSS)
     with pytest.raises(ConfigInvalid):
-        fourier_inversion_check(w, monomial(0, 2), np.array([0.7 + 0.0j]), 1.0, [0.1])
+        fourier_inversion_check(w, [monomial(0, 2)], np.array([0.7 + 0.0j]), 1.0, [0.1])
 
 
 # -- pointwise bound ----------------------------------------------------------
@@ -410,6 +457,26 @@ def test_sp_expands_each_case_once_per_phase(monkeypatch):
     pd = build_phase(w)
     assert [sp_quadrature_check(pd, c, h, hmax=k) for c, h, k in rows] == fresh
     assert sorted(expanded) == [3, 3, 4, 4]
+
+
+def test_sp_contour_reads_symbols_off_its_power_rows(monkeypatch):
+    # rows grown in any case order give eval_grid's values bit for bit; a
+    # new h drops the live contour before its own is built, and the powers
+    # it computes into the old arrays are its own nodes'
+    pd = build_phase(make_weight(CUBIC, maxdeg=26, trust=1.2))
+    symbols = [TruncatedSeries.from_triples([((a, b), 1.0, 0.0), ((1, 0), 0.5, 0.0)], 2, 24)
+               for a, b in ((3, 1), (0, 0), (1, 4), (2, 2))]
+    live = []
+    radius = oracle._contour_radius
+    monkeypatch.setattr(oracle, "_contour_radius",
+                        lambda pd, h: live.append(pd.memo.get("sp_contour")) or radius(pd, h))
+    for h in (0.1, 0.05):
+        _, rows, _ = oracle._sp_contour(pd, h)
+        uv = np.stack([pw[1] for pw in rows], axis=1)
+        for symbol in symbols:
+            assert np.array_equal(oracle._sp_symbol(symbol, rows), symbol.eval_grid(uv))
+        assert [len(pw) for pw in rows] == [4, 5]
+    assert live == [None, None]
 
 
 def test_sp_rejects_hmax_below_one():

@@ -155,6 +155,21 @@ def test_bilinear_factors_match_eval_grid(triples, k):
     assert np.allclose(grid.ravel(), f.eval_grid(pts), atol=1e-13)
 
 
+def test_eval_grid_is_eval_powers_over_repeated_products():
+    s = TruncatedSeries.from_triples([((3, 0), 0.5, 1.0), ((1, 2), -2.0, 0.0),
+                                      ((0, 0), 1.5, 0.0)], 2, 4)
+    pts = rand_points(2, m=7, seed=3)
+    pw = []
+    for z, kmax in zip(pts.T, s.exponent_bounds()):
+        rows = [np.ones(len(z), dtype=complex)]
+        for _ in range(kmax):
+            rows.append(rows[-1] * z)
+        pw.append(rows)
+    assert s.exponent_bounds() == [3, 2]
+    assert np.array_equal(s.eval_grid(pts), s.eval_powers(pw))
+    assert np.array_equal(TruncatedSeries.zero(2, 4).eval_grid(pts), np.zeros(7))
+
+
 def test_bilinear_factors_rejects_wrong_arity():
     f = TruncatedSeries.from_triples([((1, 0, 0), 1.0, 0.0)], 3, 3)
     with pytest.raises(VariableMismatch):
