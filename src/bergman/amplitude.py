@@ -20,6 +20,8 @@ known to fewer degrees than its inputs, and says so.
 Each phase has one set of operators, kept in its memo: det B^{-1} (c0 and
 B^{-1}; a_0 is det B scaled), the remainder powers and each T_j f are built
 once, so every solve_amplitude and formal_expansion on that phase shares them.
+A symbol is lifted once for every T_j of it a caller reads (precompute), and
+the lift is dropped when those are done.
 
 The two normalization constants are not free: they are calibrated once
 against the exact Gaussian contour integral (weight |x|^2/2, for which the
@@ -173,16 +175,24 @@ class ExpansionTermOps:
 
         Each (j, f) is computed once; series compare and hash by value.
         """
-        out = self._applied.get((j, f))
-        if out is None:
-            out = self._applied[j, f] = self._term(j, f)
-        return out
+        if (j, f) not in self._applied:
+            self.precompute(f, (j,))
+        return self._applied[j, f]
 
-    def _term(self, j: int, f: TruncatedSeries) -> TruncatedSeries:
-        f = f.truncate(self.slow_deg)
+    def precompute(self, f: TruncatedSeries, js) -> None:
+        """Compute T_j f for each j in js not yet known, all from one lift of f;
+        apply then reads them."""
+        todo = [j for j in js if (j, f) not in self._applied]
+        if todo:
+            slow = f.truncate(self.slow_deg)
+            lift = lift_blocks(slow, self.n) if any(todo) else None
+            for j in todo:
+                self._applied[j, f] = self._term(j, slow, lift)
+
+    def _term(self, j: int, f: TruncatedSeries, fc: dict) -> TruncatedSeries:
+        """T_j f for f already cut to slow_deg, with fc its lift (unused by T_0)."""
         if j == 0:
             return f
-        fc = lift_blocks(f, self.n)
         pmax = 3 * j if self._remainder else j
         deg = f.maxdeg - 2 * pmax
         if deg < 0:
@@ -226,6 +236,8 @@ def formal_expansion(pd: PhaseData, terms: list[TruncatedSeries],
         raise VariableMismatch(
             f"symbol terms must have {2 * pd.n} variables, as the phase expects")
     ops = _phase_ops(pd)
+    for k, t in enumerate(terms[:hmax + 1]):
+        ops.precompute(t, range(hmax - k + 1))
     out = []
     for m in range(hmax + 1):
         acc = TruncatedSeries.zero(2 * pd.n, ops.slow_deg)
@@ -246,6 +258,8 @@ def solve_amplitude(pd: PhaseData, order: int) -> Amplitude:
     ops = _phase_ops(pd)
     coeffs = [ops.a0]
     for m in range(1, order + 1):
+        # a_{m-1} is new: every T_j of it the solve reads, from one lift
+        ops.precompute(coeffs[m - 1], range(1, order - m + 2))
         acc = TruncatedSeries.zero(2 * pd.n, ops.slow_deg)
         for j in range(1, m + 1):
             acc = acc - ops.apply(j, coeffs[m - j])

@@ -63,10 +63,11 @@ CIRCLE_TOL = 2.0 ** -46
 class DomainSpec:
     """Quadrature domain: nodes and Lebesgue weights over a (poly)disc.
 
-    The grid is geometry only; it serves every h.  ``memo`` keeps what
-    depends on the nodes and not on h, as long as the grid lives: phi on
-    the nodes per weight (``phi``) and the Gram oracle's monomial table per
-    basis.
+    The grid is geometry only; it serves every h.  ``memo`` keeps, as long
+    as the grid lives, what its callers would otherwise recompute: phi on
+    the nodes per weight (``phi``), the Gram oracle's monomial table per
+    basis, and the weighted norm of each (weight, test function, h) that
+    reproducing_error divides by.
     """
 
     radii: tuple[float, ...]
@@ -302,8 +303,11 @@ def reproducing_error(K: KernelEvaluator, u: TruncatedSeries,
     proj = apply_projection(K, u, K.w, outer, inner.nodes)
     exact = u.eval_grid(inner.nodes)
     num = weighted_norm(K.w, proj - exact, inner, K.h)
-    den = weighted_norm(K.w, u.eval_grid(outer.nodes), outer, K.h)
-    return num / den
+    # ||u|| depends on (w, u, h) alone, not on the kernel's amplitude
+    key = ("norm", K.w, u, K.h)
+    if key not in outer.memo:
+        outer.memo[key] = weighted_norm(K.w, u.eval_grid(outer.nodes), outer, K.h)
+    return num / outer.memo[key]
 
 
 @dataclass(frozen=True)

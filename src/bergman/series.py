@@ -8,11 +8,20 @@ the result ring, so every operation is exact arithmetic on the retained jet.
 Series are value objects: operations return new instances and never mutate
 their operands.  Coefficient dicts are plain dicts for speed; treat them as
 frozen.
+
+The product packs each operand's exponent vectors, once per call, into one
+int each: the exponents are digits in base deg + 1, deg the result's degree
+bound, lowest variable in the lowest digit.  Every kept pair of terms has
+total degree <= deg, so no digit of a sum of two keys carries, and the sum
+is the packed key of the product monomial.  The inner loop adds ints instead
+of building and hashing a tuple per pair, and the result's keys are read
+back as tuples once, in the order the loop made them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -181,23 +190,27 @@ class TruncatedSeries:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        out: dict[MultiIndex, complex] = {}
-        bitems = [(mi, sum(mi), c) for mi, c in b.items() if sum(mi) <= deg]
-        for mia, ca in a.items():
-            da = sum(mia)
-            if da > deg:
-                continue
+        # Every kept pair has total degree <= deg, so exponents packed as
+        # base-(deg + 1) digits add without carry: the key of a product is
+        # the sum of its factors' keys.
+        base = deg + 1
+        place = [base ** i for i in range(self.nvars)]
+        aitems = _packed(a, place, deg)
+        bitems = _packed(b, place, deg)
+        out: dict[int, complex] = {}
+        get = out.get
+        for ka, da, ca in aitems:
             room = deg - da
-            for mib, db, cb in bitems:
-                if db > room:
-                    continue
-                mi = tuple(p + q for p, q in zip(mia, mib))
-                s = out.get(mi, 0.0) + ca * cb
-                if s == 0.0:
-                    out.pop(mi, None)
-                else:
-                    out[mi] = s
-        return TruncatedSeries(self.nvars, deg, out, _checked=True)
+            for kb, db, cb in bitems:
+                if db <= room:
+                    k = ka + kb
+                    s = get(k, 0.0) + ca * cb
+                    if s == 0.0:
+                        out.pop(k, None)
+                    else:
+                        out[k] = s
+        return TruncatedSeries(self.nvars, deg, _unpacked(out, self.nvars, base),
+                               _checked=True)
 
     __rmul__ = __mul__
 
@@ -356,6 +369,30 @@ class TruncatedSeries:
         """The series on the product grid, X @ B of bilinear_factors; shape (p, m)."""
         X, B = self.bilinear_factors(u_vals, v_vals)
         return X @ B
+
+
+def _packed(coeffs: dict[MultiIndex, complex], place: list[int],
+            deg: int) -> list[tuple[int, int, complex]]:
+    """(packed key, total degree, coefficient) of each term of degree <= deg."""
+    out = []
+    for mi, c in coeffs.items():
+        d = sum(mi)
+        if d <= deg:
+            out.append((sum(map(operator.mul, mi, place)), d, c))
+    return out
+
+
+def _unpacked(coeffs: dict[int, complex], nvars: int,
+              base: int) -> dict[MultiIndex, complex]:
+    """The packed keys read back as exponent tuples, lowest variable first."""
+    out: dict[MultiIndex, complex] = {}
+    for k, c in coeffs.items():
+        mi = []
+        for _ in range(nvars):
+            k, e = divmod(k, base)
+            mi.append(e)
+        out[tuple(mi)] = c
+    return out
 
 
 def _block_monomials(k: int, degree: int) -> list[MultiIndex]:

@@ -242,3 +242,26 @@ def test_one_inversion_per_phase(monkeypatch, triples, n, maxdeg, order):
     assert len(calls) == 1
     want = (2.0 / np.pi) ** n * np.linalg.det(w.levi)
     assert abs(amp.coeffs[0].constant_term - want) <= 1e-15
+
+
+def test_each_symbol_is_lifted_once(monkeypatch):
+    # order 4 reads T_1..T_4 a_0, T_1..T_3 a_1, T_1, T_2 a_2 and T_1 a_3: ten
+    # terms from four lifts; formal_expansion lifts each of its terms once
+    import bergman.amplitude
+    pd = make_phase(QUARTIC, maxdeg=26)
+    lifted = []
+    lift = bergman.amplitude.lift_blocks
+    monkeypatch.setattr(bergman.amplitude, "lift_blocks",
+                        lambda f, n: lifted.append(f) or lift(f, n))
+    amp = solve_amplitude(pd, 4)
+    assert len(lifted) == 4
+    assert lifted == [a.truncate(pd.slow_deg) for a in amp.coeffs[:4]]
+    lifted.clear()
+    terms = [TruncatedSeries.constant(c, 2, 24) for c in (1.0, 0.5, 0.25)]
+    e = formal_expansion(pd, terms, 3)
+    assert len(lifted) == 3
+    lifted.clear()
+    # a second call on the phase reads the memo and lifts nothing
+    assert formal_expansion(pd, terms, 3) == e
+    assert solve_amplitude(pd, 4).coeffs == amp.coeffs
+    assert lifted == []

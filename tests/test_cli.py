@@ -289,7 +289,7 @@ def test_run_computes_each_shared_piece_once(monkeypatch):
     monkeypatch.setattr(ExpansionTermOps, "__init__",
                         lambda self, pd: built.append(pd) or init(self, pd))
     monkeypatch.setattr(ExpansionTermOps, "_term",
-                        lambda self, j, f: computed.append(j) or term(self, j, f))
+                        lambda self, j, *args: computed.append(j) or term(self, j, *args))
     solve = bergman.cli.solve_amplitude
 
     def counted_solve(pd, order):

@@ -306,6 +306,32 @@ def test_reproducing_error_weights_by_the_kernel_weight():
         reproducing_error(K, u, other, inner, outer)
 
 
+def test_reproducing_error_norms_each_test_function_once_per_h(monkeypatch):
+    # ||u|| over the outer grid depends on (w, u, h), not on the amplitude:
+    # the grid keeps it, so two orders' kernels at one h compute it once
+    w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
+    lower = solve_amplitude(build_phase(w), 3)
+    inner = make_domain((0.35,), n_radial=16, n_angular=32)
+    outer = make_domain((0.7,), n_radial=48, n_angular=96)
+    normed = []
+    norm = projector.weighted_norm
+
+    def counted(w, values, dom, h):
+        if dom is outer:
+            normed.append(h)
+        return norm(w, values, dom, h)
+    monkeypatch.setattr(projector, "weighted_norm", counted)
+    for h in (0.2, 0.1):
+        for a in (amp, lower):
+            K = assemble_kernel(w, a, h)
+            for u in (monomial(1), monomial(2), monomial(1)):
+                proj = apply_projection(K, u, w, outer, inner.nodes)
+                want = (norm(w, proj - u.eval_grid(inner.nodes), inner, h)
+                        / norm(w, u.eval_grid(outer.nodes), outer, h))
+                assert reproducing_error(K, u, inner, outer) == want
+    assert normed == [0.2, 0.2, 0.1, 0.1]
+
+
 def test_reproducing_error_decreases_with_h():
     w, amp = pipeline(QUARTIC, 4, maxdeg=26, trust=1.0)
     inner = make_domain((0.35,), n_radial=16, n_angular=32)

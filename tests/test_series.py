@@ -184,3 +184,79 @@ def test_ring_mismatch_raises():
     with pytest.raises(VariableMismatch):
         _ = a * b
 
+
+def tuple_key_product(f, g):
+    """The product as a loop over exponent tuples: the sparser operand
+    outermost, a tuple built and hashed per pair, exact zeros dropped."""
+    deg = min(f.maxdeg, g.maxdeg)
+    a, b = f.coeffs, g.coeffs
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    bitems = [(mi, sum(mi), c) for mi, c in b.items() if sum(mi) <= deg]
+    for mia, ca in a.items():
+        da = sum(mia)
+        if da > deg:
+            continue
+        for mib, db, cb in bitems:
+            if db > deg - da:
+                continue
+            mi = tuple(p + q for p, q in zip(mia, mib))
+            s = out.get(mi, 0.0) + ca * cb
+            if s == 0.0:
+                out.pop(mi, None)
+            else:
+                out[mi] = s
+    return out
+
+
+@st.composite
+def product_operands(draw):
+    # few small exponents and coefficients ±1, ±2, ±1j make many pairs land
+    # on one monomial and many partial sums cancel exactly
+    nvars = draw(st.integers(1, 4))
+    coeff = st.sampled_from([1.0, -1.0, 2.0, -2.0, 1j, -1j, 0.5 - 0.25j])
+
+    def operand():
+        maxdeg = draw(st.integers(0, 7))
+        mi = st.tuples(*([st.integers(0, 3)] * nvars))
+        terms = draw(st.lists(st.tuples(mi, coeff), max_size=8))
+        return TruncatedSeries(nvars, maxdeg, dict(terms))
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_packed_product_is_the_tuple_key_product(ops):
+    for f, g in (ops, ops[::-1]):
+        want = tuple_key_product(f, g)
+        got = f * g
+        assert got.maxdeg == min(f.maxdeg, g.maxdeg)
+        assert got.coeffs == want
+        assert list(got.coeffs) == list(want)
+
+
+def test_packed_product_keeps_the_order_of_a_cancelled_sum():
+    # the xy sum reads 1, then 0 (dropped), then 5: it is re-inserted last
+    x, y = (TruncatedSeries.variable(i, 2, 4) for i in range(2))
+    f = x + y + 1.0
+    g = y - x + 5.0 * x * y
+    prod = f * g
+    assert prod.coeffs == tuple_key_product(f, g)
+    assert list(prod.coeffs) == list(tuple_key_product(f, g))
+    assert list(prod.coeffs)[-1] == (1, 1) and prod.coeff((1, 1)) == 5.0
+
+
+@pytest.mark.parametrize("deg", [1, 2, 6, 9, 10])
+def test_packed_product_does_not_carry_at_the_degree_bound(deg):
+    # x_i^a x_j^b with a + b = deg puts the largest digit, deg, in one place
+    # (i = j) or fills two places up to deg: no digit may spill into the next
+    for i in range(4):
+        for j in range(4):
+            for a in range(deg + 1):
+                ea = tuple(a if k == i else 0 for k in range(4))
+                eb = tuple(deg - a if k == j else 0 for k in range(4))
+                f = TruncatedSeries(4, deg, {ea: 2.0})
+                g = TruncatedSeries(4, deg + 3, {eb: -1.5j})
+                want = tuple(p + q for p, q in zip(ea, eb))
+                assert (f * g).coeffs == {want: -3j}
