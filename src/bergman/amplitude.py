@@ -12,10 +12,14 @@ diagrams with p pairings and q remainder insertions carry h^(p-q); full
 contraction forces 2p >= 3q, so the order h^j is a finite sum whose deepest
 diagram has p = 3j pairings.  Only the u^alpha v^beta parts with
 |alpha| = |beta| = p survive p pairings, so the engine holds the lifted
-symbol and R^q as blocks of slow series in (y, xt) (see ``phase``), forms
-only those (p, p) blocks of their product, and contracts them block by
-block with B^{-1}.  A pairing takes two derivatives, so each series here is
-known to fewer degrees than its inputs, and says so.
+symbol and R^q as blocks of slow series in (y, xt) (see ``phase``) and
+forms only those (p, p) blocks G_q of their product.  Pairing with B^{-1}
+is linear, so the h^j order is one nested sweep: one running block dict
+starts as the deepest q's weighted G_q and, for each shallower q, is
+paired once and takes that q's weighted G_q; the j pairings every
+diagram ends in then run once (3j pairings per T_j, not 2j(2j + 1)).  A
+pairing takes two derivatives, so each series here is known to fewer
+degrees than its inputs, and says so.
 
 Each phase has one set of operators, kept in its memo: det B^{-1} (c0 and
 B^{-1}; a_0 is det B scaled), the remainder powers and each T_j f are built
@@ -197,22 +201,19 @@ class ExpansionTermOps:
         deg = f.maxdeg - 2 * pmax
         if deg < 0:
             raise InsufficientDegree(f"T_{j} needs degree {2 * pmax}, its input has {f.maxdeg}")
-        total = TruncatedSeries.zero(2 * self.n, deg)
-        for q in range(0, 2 * j + 1):
+        # Pairing is linear, so sum_q c_q P^(j+q) G_q is one Horner chain,
+        # P^j (c_0 G_0 + P (c_1 G_1 + P (...))), swept from the deepest q.
+        g: dict = {}
+        for q in range(2 * j if self._remainder else 0, -1, -1):
             p = j + q
-            rq = self._remainder_power(q)
-            if not rq:
-                break
+            coef = (2.0 ** q) * (PAIRING_H ** p) / (math.factorial(q) * math.factorial(p))
             # Only fully contractible terms survive: u- and v-degree both p,
             # each block to the degree deg that p pairings leave.
-            g = _block_product(fc, rq, deg + 2 * p, p)
-            for _ in range(p):
+            for key, s in _block_product(fc, self._remainder_power(q), deg + 2 * p, p).items():
+                g[key] = g[key] + s * coef if key in g else s * coef
+            for _ in range(j if q == 0 else 1):
                 g = self._pair_once(g)
-            if g:
-                coef = (2.0 ** q) * (PAIRING_H ** p) / (
-                    math.factorial(q) * math.factorial(p))
-                total = total + g[self._origin] * coef
-        return total
+        return g.get(self._origin, TruncatedSeries.zero(2 * self.n, deg))
 
 
 def _phase_ops(pd: PhaseData) -> ExpansionTermOps:

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from bergman.amplitude import (ExpansionTermOps, _block_product, _phase_ops,
+from bergman.amplitude import (PAIRING_H, ExpansionTermOps, _block_product, _phase_ops,
                                estimate_growth, formal_expansion, realize,
                                solve_amplitude)
 from bergman.errors import InsufficientDegree, VariableMismatch
 from bergman.series import TruncatedSeries
 from bergman.weight import validate_weight
-from bergman.phase import build_phase
+from bergman.phase import build_phase, lift_blocks
 
 GAUSS = [((1, 1), 0.5, 0.0)]
 QUARTIC = [((1, 1), 0.5, 0.0), ((2, 2), 0.1, 0.0)]
@@ -265,3 +267,56 @@ def test_each_symbol_is_lifted_once(monkeypatch):
     assert formal_expansion(pd, terms, 3) == e
     assert solve_amplitude(pd, 4).coeffs == amp.coeffs
     assert lifted == []
+
+
+def chains_term(ops, j, f, fc):
+    """T_j f as 2j + 1 separate contraction chains, one per remainder power
+    q, each paired j + q times: the engine's sum before its Horner form."""
+    pmax = 3 * j if ops._remainder else j
+    deg = f.maxdeg - 2 * pmax
+    total = TruncatedSeries.zero(2 * ops.n, deg)
+    for q in range(0, 2 * j + 1):
+        p = j + q
+        rq = ops._remainder_power(q)
+        if not rq:
+            break
+        g = _block_product(fc, rq, deg + 2 * p, p)
+        for _ in range(p):
+            g = ops._pair_once(g)
+        if g:
+            coef = (2.0 ** q) * (PAIRING_H ** p) / (math.factorial(q) * math.factorial(p))
+            total = total + g[ops._origin] * coef
+    return total
+
+
+NONRADIAL = QUARTIC + [((3, 1), 0.025, 0.0), ((1, 3), 0.025, 0.0)]
+
+
+@pytest.mark.parametrize("triples, n, maxdeg", [
+    pytest.param(QUARTIC, 1, 26, id="perturbed-quartic"),
+    pytest.param(NONRADIAL, 1, 26, id="nonradial-quartic"),
+    pytest.param(dense_weight_triples(3), 1, 26, id="dense"),
+    pytest.param(NONSEPARABLE, 2, 26, id="nonseparable"),
+    pytest.param(GAUSS, 1, 12, id="no-remainder"),
+])
+def test_one_pairing_chain_matches_a_chain_per_remainder_power(monkeypatch, triples, n, maxdeg):
+    # T_j f pairs one running block dict 3j times (j without a remainder)
+    # and agrees with the 2j + 1 chains of 2j(2j + 1) pairings to rounding
+    pd = make_phase(triples, n=n, maxdeg=maxdeg)
+    ops = ExpansionTermOps(pd)
+    s = TruncatedSeries.from_triples(triples, 2 * n, pd.slow_deg)
+    f = (s + s * s).truncate(pd.slow_deg)
+    fc = lift_blocks(f, n)
+    pairings = []
+    pair = ExpansionTermOps._pair_once
+    monkeypatch.setattr(ExpansionTermOps, "_pair_once",
+                        lambda self, g: pairings.append(g) or pair(self, g))
+    for j in range(1, 5):
+        pairings.clear()
+        got = ops._term(j, f, fc)
+        assert len(pairings) == (3 * j if pd.remainder else j)
+        pairings.clear()
+        want = chains_term(ops, j, f, fc)
+        assert len(pairings) == (2 * j * (2 * j + 1) if pd.remainder else j)
+        assert got.maxdeg == want.maxdeg
+        assert (got - want).max_abs() <= 1e-13 * want.max_abs(), j

@@ -462,6 +462,27 @@ def test_declined_circle_leaves_the_row_sums(monkeypatch, name, h):
     assert outcomes == ([False] if st.cfg.dimension == 1 else [])
 
 
+@pytest.mark.parametrize("name, h, circle", [
+    pytest.param("perturbed-quartic", 0.05, [True] * 3, id="circle"),
+    pytest.param("gaussian", 0.01, [False] * 3, id="declined-circle"),
+    pytest.param("product-2d", 0.1, [], id="two-variables"),
+])
+def test_tables_do_not_depend_on_the_block_size(monkeypatch, name, h, circle):
+    # on the circle, with the circle declined, and on the rows of two
+    # variables, each block size gives the same table, bit for bit
+    st = canonical(name)
+    d, xd = st.outer, st.inner.nodes
+    outcomes = circle_outcomes(monkeypatch)
+    tables = []
+    for block in (2 ** 16, 2 ** 17, 2 ** 18):
+        monkeypatch.setattr(projector, "BLOCK_ELEMENTS", block)
+        K = assemble_kernel(st.w, st.amp, h)
+        projection_table([K], d, xd, 3)
+        tables.append(K.tables[table_key(d, xd)][1])
+    assert all(np.array_equal(T, tables[0]) for T in tables[1:])
+    assert outcomes == circle
+
+
 def test_no_circle_in_two_variables(monkeypatch):
     # more rows than a 32 x 32 torus needs still sum every row in n = 2
     w, amp = pipeline(PRODUCT, 1, maxdeg=8, trust=1.0, n=2)
