@@ -301,7 +301,7 @@ def realize(amp: Amplitude, h: float) -> RealizedSymbol:
         cutoff = amp.order
     total: dict = {}
     for k in range(cutoff + 1):
-        for mi, c in amp.coeffs[k].coeffs.items():
+        for mi, c in amp.coeffs[k].terms():
             total[mi] = total.get(mi, 0.0) + c * h ** k
     series = TruncatedSeries(2 * amp.n, amp.coeffs[0].maxdeg, total)
     return RealizedSymbol(series=series, cutoff=cutoff)

@@ -32,7 +32,7 @@ from .phase import PhaseData, build_phase, inversion_margin, verify_contour
 from .projector import (FIT_FLOOR, DomainSpec, assemble_kernel, decay_fit, make_domain,
                         projection_table, reproducing_error)
 from .quadrature import SOBOL_DIMS
-from .series import TruncatedSeries
+from .series import MAX_DEGREE, TruncatedSeries
 from .weight import Weight, quadratic_gap_estimate, validate_weight
 
 SCHEMA_TAG = "bergman-report/1"
@@ -122,6 +122,9 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     def exponents(t):
         if len(t) != n or any(not isinstance(k, int) or k < 0 for k in t):
             raise ConfigInvalid(f"test function exponents {t!r} must be {n} nonnegative ints")
+        if sum(t) > MAX_DEGREE:
+            raise ConfigInvalid(
+                f"test_functions: {t!r} has degree {sum(t)}, above the series ring's {MAX_DEGREE}")
         return tuple(t)
 
     coeffs = read("coefficients", lambda cs: tuple(coefficient(c) for c in cs))
@@ -129,6 +132,9 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     maxdeg, order = read("maxdeg", int), read("order", int)
     if order < 0:
         raise ConfigInvalid("order must be nonnegative")
+    if maxdeg > MAX_DEGREE:
+        raise ConfigInvalid(
+            f"maxdeg ({maxdeg}) must be at most {MAX_DEGREE}, the series ring's degree bound")
     if maxdeg < 6 * order + 2:
         raise ConfigInvalid(
             f"degree budget violated: maxdeg ({maxdeg}) must be at least "

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadContour, DegenerateHessian
 from .quadrature import sampled_ratio, sobol_ball
-from .series import TruncatedSeries
+from .series import TruncatedSeries, monomial_key
 from .weight import Weight, _pair_points, polarize
 
 HESS_FLOOR = 1e-10
@@ -120,13 +119,16 @@ def lift_blocks(f: TruncatedSeries, n: int) -> dict:
     is kept to degree f.maxdeg - |alpha| - |beta|, so the blocks hold the
     lift to total degree f.maxdeg.
     """
-    parts: dict = {}
-    for mi, c in f.coeffs.items():
+    parts: dict = {}      # k -> (key of x^k, the slow series' coefficients)
+    for mi, c in f.terms():
+        key = monomial_key(mi)
         for k in itertools.product(*(range(e + 1) for e in mi)):
-            slow = tuple(map(operator.sub, mi, k))
-            parts.setdefault(k, {})[slow] = c * math.prod(map(math.comb, mi, k))
-    return {(k[:n], k[n:]): TruncatedSeries(f.nvars, f.maxdeg - sum(k), p, _checked=True)
-            for k, p in parts.items()}
+            if k not in parts:
+                parts[k] = monomial_key(k), {}
+            kk, slow = parts[k]
+            slow[key - kk] = c * math.prod(map(math.comb, mi, k))
+    return {(k[:n], k[n:]): TruncatedSeries(f.nvars, f.maxdeg - sum(k), slow, _checked=True)
+            for k, (_, slow) in parts.items()}
 
 
 def build_phase(w: Weight) -> PhaseData:

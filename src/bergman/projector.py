@@ -275,14 +275,14 @@ def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,
     check_domain(dom, w)
 
     xd = _as_points(eval_pts, K.n)
-    degree = max((sum(t) for t in u.coeffs), default=0)
-
+    terms = u.terms()
     key = table_key(dom, xd)
-    if not K.tables.get(key, ({}, None))[0].keys() >= u.coeffs.keys():
-        projection_table([K], dom, xd, degree)
+    stored = K.tables.get(key, ({}, None))[0]
+    if not all(t in stored for t, _ in terms):
+        projection_table([K], dom, xd, max((sum(t) for t, _ in terms), default=0))
     cols, T = K.tables[key]
     c = np.zeros(len(cols), dtype=complex)
-    for t, coef in u.coeffs.items():
+    for t, coef in terms:
         c[cols[t]] = coef
     return (T @ c) * K.h ** (-K.n)
 

@@ -1,6 +1,6 @@
 """Truncated multivariate power series over complex coefficients.
 
-A series is a finite dict mapping exponent tuples to complex coefficients,
+A series is a finite dict mapping monomial keys to complex coefficients,
 truncated at a fixed total degree ``maxdeg``.  All arithmetic stays inside
 the truncation: products drop terms whose total degree exceeds the bound of
 the result ring, so every operation is exact arithmetic on the retained jet.
@@ -9,19 +9,20 @@ Series are value objects: operations return new instances and never mutate
 their operands.  Coefficient dicts are plain dicts for speed; treat them as
 frozen.
 
-The product packs each operand's exponent vectors, once per call, into one
-int each: the exponents are digits in base deg + 1, deg the result's degree
-bound, lowest variable in the lowest digit.  Every kept pair of terms has
-total degree <= deg, so no digit of a sum of two keys carries, and the sum
-is the packed key of the product monomial.  The inner loop adds ints instead
-of building and hashing a tuple per pair, and the result's keys are read
-back as tuples once, in the order the loop made them.
+A monomial's key is one int, kept for the coefficient's lifetime: exponent
+i sits in bits [DIGIT i, DIGIT (i + 1)), and the total degree in the field
+above them, so x^e has key sum(e_i << DIGIT i) + (sum(e) << DIGIT nvars).
+Every series has maxdeg <= MAX_DEGREE = 2^DIGIT - 1, and every kept
+product has total degree <= maxdeg, so no field of a sum of two keys
+carries: the sum is the key of the product monomial.  "Degree <= d" is one
+comparison, key < (d + 1) << DIGIT nvars.  Exponent tuples appear only at
+the edges: the unchecked constructor, ``from_triples``, ``coeff``,
+``to_triples``, ``terms`` and the repr.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,17 +38,34 @@ from .errors import (
 # An exponent vector: one nonnegative integer per ambient variable.
 MultiIndex = tuple[int, ...]
 
+# Bits per field of a monomial key, and the largest degree a series keeps.
+DIGIT = 8
+MAX_DEGREE = (1 << DIGIT) - 1
+
+
+def monomial_key(mi: MultiIndex) -> int:
+    """The key of an exponent vector of total degree <= MAX_DEGREE."""
+    return sum(e << DIGIT * i for i, e in enumerate(mi)) + (sum(mi) << DIGIT * len(mi))
+
+
+def _exponents(key: int, nvars: int) -> MultiIndex:
+    """The exponent vector a key holds, lowest variable first."""
+    return tuple((key >> DIGIT * i) & MAX_DEGREE for i in range(nvars))
+
 
 class TruncatedSeries:
+    """``coeffs`` maps monomial keys to coefficients.  The constructor reads
+    exponent tuples; with ``_checked`` it takes a dict keyed by monomial
+    keys of degree <= maxdeg as it is."""
+
     __slots__ = ("nvars", "maxdeg", "coeffs")
 
-    def __init__(self, nvars: int, maxdeg: int,
-                 coeffs: dict[MultiIndex, complex] | None = None,
+    def __init__(self, nvars: int, maxdeg: int, coeffs: dict | None = None,
                  _checked: bool = False):
         if nvars < 1:
             raise BadVariable(f"need at least one variable, got {nvars}")
-        if maxdeg < 0:
-            raise ConfigInvalid(f"maxdeg must be nonnegative, got {maxdeg}")
+        if not 0 <= maxdeg <= MAX_DEGREE:
+            raise ConfigInvalid(f"maxdeg must lie in 0..{MAX_DEGREE}, got {maxdeg}")
         self.nvars = nvars
         self.maxdeg = maxdeg
         if coeffs is None:
@@ -55,7 +73,7 @@ class TruncatedSeries:
         elif _checked:
             self.coeffs = coeffs
         else:
-            clean: dict[MultiIndex, complex] = {}
+            clean: dict[int, complex] = {}
             for mi, c in coeffs.items():
                 mi = tuple(int(k) for k in mi)
                 if len(mi) != nvars:
@@ -65,7 +83,8 @@ class TruncatedSeries:
                     raise BadVariable(f"negative exponent in {mi}")
                 c = complex(c)
                 if sum(mi) <= maxdeg and c != 0.0:
-                    clean[mi] = clean.get(mi, 0.0) + c
+                    key = monomial_key(mi)
+                    clean[key] = clean.get(key, 0.0) + c
             self.coeffs = clean
 
     # -- constructors ---------------------------------------------------------
@@ -79,7 +98,7 @@ class TruncatedSeries:
         value = complex(value)
         if value == 0.0:
             return cls.zero(nvars, maxdeg)
-        return cls(nvars, maxdeg, {(0,) * nvars: value}, _checked=True)
+        return cls(nvars, maxdeg, {0: value}, _checked=True)
 
     @classmethod
     def variable(cls, index: int, nvars: int, maxdeg: int) -> "TruncatedSeries":
@@ -87,8 +106,8 @@ class TruncatedSeries:
             raise BadVariable(f"variable index {index} outside ring of {nvars} variables")
         if maxdeg < 1:
             return cls.zero(nvars, maxdeg)
-        mi = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, maxdeg, {mi: 1.0 + 0.0j}, _checked=True)
+        key = (1 << DIGIT * index) + (1 << DIGIT * nvars)
+        return cls(nvars, maxdeg, {key: 1.0 + 0.0j}, _checked=True)
 
     @classmethod
     def from_triples(cls, triples: Iterable[Sequence], nvars: int, maxdeg: int) -> "TruncatedSeries":
@@ -101,20 +120,23 @@ class TruncatedSeries:
 
     def to_triples(self) -> list[list]:
         """Portable text form, canonically ordered for byte-stable output."""
-        out = []
-        for mi in sorted(self.coeffs):
-            c = self.coeffs[mi]
-            out.append([list(mi), c.real, c.imag])
-        return out
+        return [[list(mi), c.real, c.imag] for mi, c in sorted(self.terms())]
 
     # -- inspection -------------------------------------------------------------
 
+    def terms(self) -> list[tuple[MultiIndex, complex]]:
+        """(exponent vector, coefficient) of each term, in the series' order."""
+        return [(_exponents(k, self.nvars), c) for k, c in self.coeffs.items()]
+
     def coeff(self, mi: Sequence[int]) -> complex:
-        return self.coeffs.get(tuple(mi), 0.0 + 0.0j)
+        mi = tuple(mi)
+        if len(mi) != self.nvars or min(mi) < 0 or sum(mi) > self.maxdeg:
+            return 0.0 + 0.0j
+        return self.coeffs.get(monomial_key(mi), 0.0 + 0.0j)
 
     @property
     def constant_term(self) -> complex:
-        return self.coeffs.get((0,) * self.nvars, 0.0 + 0.0j)
+        return self.coeffs.get(0, 0.0 + 0.0j)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -136,7 +158,7 @@ class TruncatedSeries:
         return hash((self.nvars, self.maxdeg, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{mi}:{c:.3g}" for mi, c in sorted(self.coeffs.items())[:4])
+        head = ", ".join(f"{mi}:{c:.3g}" for mi, c in sorted(self.terms())[:4])
         tail = ", ..." if len(self.coeffs) > 4 else ""
         return f"TruncatedSeries(nvars={self.nvars}, maxdeg={self.maxdeg}, {{{head}{tail}}})"
 
@@ -152,21 +174,22 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(other, self.nvars, self.maxdeg)
         self._require_same_ring(other)
         deg = min(self.maxdeg, other.maxdeg)
-        out = {mi: c for mi, c in self.coeffs.items() if sum(mi) <= deg}
-        for mi, c in other.coeffs.items():
-            if sum(mi) <= deg:
-                s = out.get(mi, 0.0) + c
+        lim = (deg + 1) << DIGIT * self.nvars
+        out = {k: c for k, c in self.coeffs.items() if k < lim}
+        for k, c in other.coeffs.items():
+            if k < lim:
+                s = out.get(k, 0.0) + c
                 if s == 0.0:
-                    out.pop(mi, None)
+                    out.pop(k, None)
                 else:
-                    out[mi] = s
+                    out[k] = s
         return TruncatedSeries(self.nvars, deg, out, _checked=True)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries(self.nvars, self.maxdeg,
-                               {mi: -c for mi, c in self.coeffs.items()}, _checked=True)
+                               {k: -c for k, c in self.coeffs.items()}, _checked=True)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -182,35 +205,31 @@ class TruncatedSeries:
             if other == 0.0:
                 return TruncatedSeries.zero(self.nvars, self.maxdeg)
             return TruncatedSeries(self.nvars, self.maxdeg,
-                                   {mi: c * other for mi, c in self.coeffs.items()},
+                                   {k: c * other for k, c in self.coeffs.items()},
                                    _checked=True)
         self._require_same_ring(other)
         deg = min(self.maxdeg, other.maxdeg)
         # Iterate the sparser operand outermost.
-        a, b = self.coeffs, other.coeffs
+        a, b = self, other
         if len(a) > len(b):
             a, b = b, a
-        # Every kept pair has total degree <= deg, so exponents packed as
-        # base-(deg + 1) digits add without carry: the key of a product is
-        # the sum of its factors' keys.
-        base = deg + 1
-        place = [base ** i for i in range(self.nvars)]
-        aitems = _packed(a, place, deg)
-        bitems = _packed(b, place, deg)
+        # ka + kb < lim exactly when the pair's total degree is <= deg, and
+        # then ka + kb is the key of the product monomial.
+        lim = (deg + 1) << DIGIT * self.nvars
+        bitems = b.truncate(deg).coeffs.items()
         out: dict[int, complex] = {}
         get = out.get
-        for ka, da, ca in aitems:
-            room = deg - da
-            for kb, db, cb in bitems:
-                if db <= room:
+        for ka, ca in a.truncate(deg).coeffs.items():
+            room = lim - ka
+            for kb, cb in bitems:
+                if kb < room:
                     k = ka + kb
                     s = get(k, 0.0) + ca * cb
                     if s == 0.0:
                         out.pop(k, None)
                     else:
                         out[k] = s
-        return TruncatedSeries(self.nvars, deg, _unpacked(out, self.nvars, base),
-                               _checked=True)
+        return TruncatedSeries(self.nvars, deg, out, _checked=True)
 
     __rmul__ = __mul__
 
@@ -218,11 +237,12 @@ class TruncatedSeries:
         """Restrict to total degree <= maxdeg; a higher bound keeps self.maxdeg."""
         if maxdeg >= self.maxdeg:
             return self
-        out = {mi: c for mi, c in self.coeffs.items() if sum(mi) <= maxdeg}
+        lim = (maxdeg + 1) << DIGIT * self.nvars
+        out = {k: c for k, c in self.coeffs.items() if k < lim}
         return TruncatedSeries(self.nvars, maxdeg, out, _checked=True)
 
     def filter(self, keep: Callable[[MultiIndex], bool]) -> "TruncatedSeries":
-        out = {mi: c for mi, c in self.coeffs.items() if keep(mi)}
+        out = {k: c for k, c in self.coeffs.items() if keep(_exponents(k, self.nvars))}
         return TruncatedSeries(self.nvars, self.maxdeg, out, _checked=True)
 
     # -- calculus -------------------------------------------------------------------
@@ -231,16 +251,16 @@ class TruncatedSeries:
         """Partial derivative; the truncation degree drops by one."""
         if not 0 <= var < self.nvars:
             raise BadVariable(f"variable index {var} outside ring of {self.nvars} variables")
-        deg = max(self.maxdeg - 1, 0)
-        out: dict[MultiIndex, complex] = {}
-        for mi, c in self.coeffs.items():
-            k = mi[var]
-            if k == 0:
-                continue
-            dmi = mi[:var] + (k - 1,) + mi[var + 1:]
-            if sum(dmi) <= deg:
-                out[dmi] = c * k
-        return TruncatedSeries(self.nvars, deg, out, _checked=True)
+        # x_var^e -> e x_var^(e - 1): the key drops by x_var's key, and e
+        # is the field at shift.  Every term keeps degree <= maxdeg - 1.
+        shift = DIGIT * var
+        unit = (1 << shift) + (1 << DIGIT * self.nvars)
+        out = {}
+        for k, c in self.coeffs.items():
+            e = (k >> shift) & MAX_DEGREE
+            if e:
+                out[k - unit] = c * e
+        return TruncatedSeries(self.nvars, max(self.maxdeg - 1, 0), out, _checked=True)
 
     # Kept only because the benchmark tracer (perfbench/tracer.py) resolves it;
     # tests build reference lifts with it.
@@ -266,9 +286,8 @@ class TruncatedSeries:
         # Memoize powers of each substituted series.
         pows: list[list[TruncatedSeries]] = [[one] for _ in range(self.nvars)]
         # One dict for the sum: adding series would copy it once per term.
-        out: dict[MultiIndex, complex] = {}
-        for mi in sorted(self.coeffs, key=sum):
-            c = self.coeffs[mi]
+        out: dict[int, complex] = {}
+        for mi, c in sorted(self.terms(), key=lambda t: sum(t[0])):
             term = None
             for i, k in enumerate(mi):
                 if k == 0:
@@ -277,7 +296,7 @@ class TruncatedSeries:
                     pows[i].append(pows[i][-1] * subs[i].truncate(deg))
                 pk = pows[i][k]
                 term = pk if term is None else term * pk
-            terms = [((0,) * nv, c)] if term is None else (
+            terms = [(0, c)] if term is None else (
                 (key, v * c) for key, v in term.coeffs.items())
             for key, v in terms:
                 acc = out.get(key, 0.0) + v
@@ -316,19 +335,15 @@ class TruncatedSeries:
 
     def exponent_bounds(self) -> list[int]:
         """Each variable's largest exponent in the series (0 where it is absent)."""
-        kmax = [0] * self.nvars
-        for mi in self.coeffs:
-            for i, k in enumerate(mi):
-                if k > kmax[i]:
-                    kmax[i] = k
-        return kmax
+        return [max(((k >> DIGIT * i) & MAX_DEGREE for k in self.coeffs), default=0)
+                for i in range(self.nvars)]
 
     def eval_powers(self, pw) -> np.ndarray:
         """The series at points given by their power rows: pw[i][k] holds
         z_i^k at every point, for k from 0 to at least exponent_bounds()[i].
         eval_grid is this sum over ``_powers`` of the points' coordinates."""
         acc = np.zeros(pw[0][0].shape[0], dtype=complex)
-        for mi, c in self.coeffs.items():
+        for mi, c in self.terms():
             v = None
             for i, k in enumerate(mi):
                 if k:
@@ -354,12 +369,13 @@ class TruncatedSeries:
         k = self.nvars // 2
         u = np.asarray(u_vals, dtype=complex).reshape(-1, k)
         v = np.asarray(v_vals, dtype=complex).reshape(-1, k)
-        xmon = _block_monomials(k, max((sum(mi[:k]) for mi in self.coeffs), default=0))
-        ymon = _block_monomials(k, max((sum(mi[k:]) for mi in self.coeffs), default=0))
+        terms = self.terms()
+        xmon = _block_monomials(k, max((sum(mi[:k]) for mi, _ in terms), default=0))
+        ymon = _block_monomials(k, max((sum(mi[k:]) for mi, _ in terms), default=0))
         xcol = {mi: i for i, mi in enumerate(xmon)}
         ycol = {mi: i for i, mi in enumerate(ymon)}
         A = np.zeros((len(xmon), len(ymon)), dtype=complex)
-        for mi, c in self.coeffs.items():
+        for mi, c in terms:
             A[xcol[mi[:k]], ycol[mi[k:]]] = c
         return _monomial_table(u, xmon), A @ _monomial_table(v, ymon).T
 
@@ -369,30 +385,6 @@ class TruncatedSeries:
         """The series on the product grid, X @ B of bilinear_factors; shape (p, m)."""
         X, B = self.bilinear_factors(u_vals, v_vals)
         return X @ B
-
-
-def _packed(coeffs: dict[MultiIndex, complex], place: list[int],
-            deg: int) -> list[tuple[int, int, complex]]:
-    """(packed key, total degree, coefficient) of each term of degree <= deg."""
-    out = []
-    for mi, c in coeffs.items():
-        d = sum(mi)
-        if d <= deg:
-            out.append((sum(map(operator.mul, mi, place)), d, c))
-    return out
-
-
-def _unpacked(coeffs: dict[int, complex], nvars: int,
-              base: int) -> dict[MultiIndex, complex]:
-    """The packed keys read back as exponent tuples, lowest variable first."""
-    out: dict[MultiIndex, complex] = {}
-    for k, c in coeffs.items():
-        mi = []
-        for _ in range(nvars):
-            k, e = divmod(k, base)
-            mi.append(e)
-        out[tuple(mi)] = c
-    return out
 
 
 def _block_monomials(k: int, degree: int) -> list[MultiIndex]:

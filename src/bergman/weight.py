@@ -105,9 +105,9 @@ def validate_weight(series: TruncatedSeries, trust_radius: float) -> Weight:
 
     scale = max(series.max_abs(), 1.0)
     sym: dict[tuple, complex] = {}
-    for mi, c in series.coeffs.items():
+    for mi, c in series.terms():
         partner = mi[n:] + mi[:n]
-        cp = series.coeffs.get(partner, 0.0 + 0.0j)
+        cp = series.coeff(partner)
         if abs(c - np.conj(cp)) > HERMITIAN_TOL * scale:
             raise NotRealValued(
                 f"coefficient at {mi} is {c}, partner at {partner} is {cp}; "

@@ -161,7 +161,7 @@ def test_expansion_balance_prunes_to_diagonal_orders():
     u = TruncatedSeries.constant(1.0, 2, 18)
     terms = formal_expansion(pd, [u], 3)
     for j in range(4):
-        for mi, c in terms[j].coeffs.items():
+        for mi, c in terms[j].terms():
             if abs(c) > 1e-14:
                 assert mi[0] == mi[1], (j, mi)
 

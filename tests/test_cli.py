@@ -51,6 +51,12 @@ def test_budget_rule_named():
         cfg_with(coefficients=quartic, order=4, maxdeg=20)
 
 
+def test_maxdeg_bounded_by_the_series_ring():
+    assert cfg_with(maxdeg=255).maxdeg == 255
+    with pytest.raises(ConfigInvalid, match="maxdeg \\(256\\) must be at most 255"):
+        cfg_with(maxdeg=256)
+
+
 def test_radius_ordering_enforced():
     with pytest.raises(ConfigInvalid):
         cfg_with(radius_u=1.0, radius_v=0.5)
@@ -109,6 +115,7 @@ def test_exponent_arity_checked():
     ("hmax", 0), ("trust_radius", float("inf")),
     ("radius_u", float("nan")), ("radius_v", float("nan")),
     ("h_grid", [0.2, float("nan")]), ("h_grid", [float("inf")]),
+    ("test_functions", [[0], [256]]),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
@@ -130,6 +137,7 @@ def test_main_rejects_zero_angular_nodes(tmp_path, capsys):
     ("base", [[0.3, 0.1]], "unknown config fields: ['base']"),
     ("delta", 0.2, "unknown config fields: ['delta']"),
     ("hmax", 0, "hmax must be at least 1"),
+    ("maxdeg", 256, "maxdeg (256) must be at most 255"),
 ])
 def test_main_rejects_fields_that_cannot_run(tmp_path, capsys, field, value, message):
     cfg_path = tmp_path / "c.json"

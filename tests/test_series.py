@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.errors import VariableMismatch
-from bergman.series import TruncatedSeries
+from bergman.errors import ConfigInvalid, VariableMismatch
+from bergman.series import MAX_DEGREE, TruncatedSeries
 
 
 def close(a, b, tol=1e-12):
@@ -189,7 +189,7 @@ def tuple_key_product(f, g):
     """The product as a loop over exponent tuples: the sparser operand
     outermost, a tuple built and hashed per pair, exact zeros dropped."""
     deg = min(f.maxdeg, g.maxdeg)
-    a, b = f.coeffs, g.coeffs
+    a, b = dict(f.terms()), dict(g.terms())
     if len(a) > len(b):
         a, b = b, a
     out = {}
@@ -232,8 +232,8 @@ def test_packed_product_is_the_tuple_key_product(ops):
         want = tuple_key_product(f, g)
         got = f * g
         assert got.maxdeg == min(f.maxdeg, g.maxdeg)
-        assert got.coeffs == want
-        assert list(got.coeffs) == list(want)
+        assert dict(got.terms()) == want
+        assert [mi for mi, _ in got.terms()] == list(want)
 
 
 def test_packed_product_keeps_the_order_of_a_cancelled_sum():
@@ -242,21 +242,64 @@ def test_packed_product_keeps_the_order_of_a_cancelled_sum():
     f = x + y + 1.0
     g = y - x + 5.0 * x * y
     prod = f * g
-    assert prod.coeffs == tuple_key_product(f, g)
-    assert list(prod.coeffs) == list(tuple_key_product(f, g))
-    assert list(prod.coeffs)[-1] == (1, 1) and prod.coeff((1, 1)) == 5.0
+    assert dict(prod.terms()) == tuple_key_product(f, g)
+    assert [mi for mi, _ in prod.terms()] == list(tuple_key_product(f, g))
+    assert prod.terms()[-1][0] == (1, 1) and prod.coeff((1, 1)) == 5.0
 
 
-@pytest.mark.parametrize("deg", [1, 2, 6, 9, 10])
+@pytest.mark.parametrize("deg", [1, 2, 6, 9, 10, 254, 255])
 def test_packed_product_does_not_carry_at_the_degree_bound(deg):
-    # x_i^a x_j^b with a + b = deg puts the largest digit, deg, in one place
-    # (i = j) or fills two places up to deg: no digit may spill into the next
+    # x_i^a x_j^b with a + b = deg puts the largest exponent, deg, in one
+    # field (i = j) or fills two fields up to deg: none may spill into the
+    # next, nor into the degree field
     for i in range(4):
         for j in range(4):
             for a in range(deg + 1):
                 ea = tuple(a if k == i else 0 for k in range(4))
                 eb = tuple(deg - a if k == j else 0 for k in range(4))
                 f = TruncatedSeries(4, deg, {ea: 2.0})
-                g = TruncatedSeries(4, deg + 3, {eb: -1.5j})
+                g = TruncatedSeries(4, min(deg + 3, MAX_DEGREE), {eb: -1.5j})
                 want = tuple(p + q for p, q in zip(ea, eb))
-                assert (f * g).coeffs == {want: -3j}
+                assert (f * g).terms() == [(want, -3j)]
+
+
+def test_maxdeg_bounded_by_the_key():
+    assert TruncatedSeries.constant(1.0, 2, MAX_DEGREE).maxdeg == 255
+    for bad in (-1, 256):
+        with pytest.raises(ConfigInvalid, match="maxdeg"):
+            TruncatedSeries(2, bad)
+
+
+@st.composite
+def top_range_series(draw):
+    # 1-4 variables, exponent sums up to MAX_DEGREE, each monomial's total
+    # degree split into its exponents at sorted cut points
+    nvars = draw(st.integers(1, 4))
+    maxdeg = draw(st.integers(0, MAX_DEGREE))
+
+    def monomial():
+        d = draw(st.integers(0, maxdeg))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=nvars - 1,
+                                    max_size=nvars - 1)))
+        return tuple(q - p for p, q in zip([0] + cuts, cuts + [d]))
+    coeff = st.sampled_from([1.0, -2.0, 0.5j, 3.0 - 1.0j])
+    terms = {monomial(): draw(coeff) for _ in range(draw(st.integers(0, 6)))}
+    return TruncatedSeries(nvars, maxdeg, terms), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(top_range_series())
+def test_tuple_edges_round_trip_at_the_top_of_the_key_range(case):
+    f, terms = case
+    assert f.terms() == list(terms.items())
+    assert all(f.coeff(mi) == c for mi, c in terms.items())
+    triples = f.to_triples()
+    assert triples == [[list(mi), c.real, c.imag] for mi, c in sorted(terms.items())]
+    assert TruncatedSeries.from_triples(triples, f.nvars, f.maxdeg) == f
+    for i in range(f.nvars):
+        # d/dx_i x^e = e_i x^(e - unit_i), one degree lower
+        want = {mi[:i] + (mi[i] - 1,) + mi[i + 1:]: c * mi[i]
+                for mi, c in terms.items() if mi[i]}
+        d = f.diff(i)
+        assert d.maxdeg == max(f.maxdeg - 1, 0)
+        assert d.terms() == list(want.items())
