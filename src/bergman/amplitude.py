@@ -12,14 +12,17 @@ diagrams with p pairings and q remainder insertions carry h^(p-q); full
 contraction forces 2p >= 3q, so the order h^j is a finite sum whose deepest
 diagram has p = 3j pairings.  Only the u^alpha v^beta parts with
 |alpha| = |beta| = p survive p pairings, so the engine holds the lifted
-symbol and R^q as blocks of slow series in (y, xt) (see ``phase``) and
-forms only those (p, p) blocks G_q of their product.  Pairing with B^{-1}
-is linear, so the h^j order is one nested sweep: one running block dict
-starts as the deepest q's weighted G_q and, for each shallower q, is
-paired once and takes that q's weighted G_q; the j pairings every
-diagram ends in then run once (3j pairings per T_j, not 2j(2j + 1)).  A
-pairing takes two derivatives, so each series here is known to fewer
-degrees than its inputs, and says so.
+symbol and R^q as blocks of slow series in (y, xt), keyed by the monomial
+key of u^alpha v^beta (see ``phase``), and forms only those (p, p) blocks
+G_q of their product.  Each block's bidegree is read off its key once, when
+the lift, the remainder or R^q is built, into a row (|alpha|, |beta|, key,
+series); a block product adds keys, and a pairing subtracts the key of
+u_k v_j.  Pairing with B^{-1} is linear, so the h^j order is one nested
+sweep: one running block dict starts as the deepest q's weighted G_q and,
+for each shallower q, is paired once and takes that q's weighted G_q; the
+j pairings every diagram ends in then run once (3j pairings per T_j, not
+2j(2j + 1)).  A pairing takes two derivatives, so each series here is
+known to fewer degrees than its inputs, and says so.
 
 Each phase has one set of operators, kept in its memo: det B^{-1} (c0 and
 B^{-1}; a_0 is det B scaled), the remainder powers and each T_j f are built
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import InsufficientDegree, VariableMismatch
 from .phase import PhaseData, lift_blocks
 from .quadrature import sobol_ball
-from .series import TruncatedSeries
+from .series import TruncatedSeries, bidegree, exponents, monomial_key
 
 # Coefficient of h <d_u, B^{-T} d_v> in the pairing exponent, and the
 # order-zero factor c0 = LEADING_NUM^n / det B.  Calibrated on the Gaussian
@@ -64,8 +66,7 @@ def _series_det(mat: list[list[TruncatedSeries]]) -> TruncatedSeries:
     for k in range(n):
         minor = [[mat[i][j] for j in range(n) if j != k] for i in range(1, n)]
         term = mat[0][k] * _series_det(minor)
-        if k % 2 == 1:
-            term = -term
+        term = -term if k % 2 else term
         acc = term if acc is None else acc + term
     return acc
 
@@ -82,26 +83,27 @@ def _series_matrix_inverse(mat: list[list[TruncatedSeries]],
             minor = [[mat[r][c] for c in range(n) if c != i]
                      for r in range(n) if r != j]
             cof = _series_det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[i][j] = cof * det_inv
+            out[i][j] = (-cof if (i + j) % 2 else cof) * det_inv
     return out
 
 
-def _block_product(f: dict, g: dict, maxdeg: int, p: int | None = None,
+def _rows(blocks: dict, n: int) -> list:
+    """Each block as (|alpha|, |beta|, key, series), in the dict's order."""
+    return [(*bidegree(key, n), key, s) for key, s in blocks.items()]
+
+
+def _block_product(f: list, g, maxdeg: int, p: int | None = None,
                    cap: int | None = None) -> dict:
-    """The blocks of f * g, each to degree maxdeg - |alpha| - |beta|; with p,
-    only those of bidegree (p, p), with cap, those of bidegree <= (cap, cap)."""
-    by_bidegree: dict = {}
-    for key, t in g.items():
-        by_bidegree.setdefault((sum(key[0]), sum(key[1])), []).append((key, t))
+    """The blocks of f * g from their rows (``_rows``), each to degree
+    maxdeg - |alpha| - |beta|; with p, only those of bidegree (p, p), g then
+    given as its rows grouped by bidegree; with cap, those of bidegree
+    <= (cap, cap)."""
     out: dict = {}
-    for (a, b), s in f.items():
-        pairs = g.items() if p is None else by_bidegree.get((p - sum(a), p - sum(b)), ())
-        for (c, d), t in pairs:
-            key = (tuple(map(operator.add, a, c)), tuple(map(operator.add, b, d)))
-            deg = maxdeg - sum(key[0]) - sum(key[1])
-            if deg >= 0 and (cap is None or max(map(sum, key)) <= cap):
+    for a, b, ka, s in f:
+        for c, d, kc, t in (g if p is None else g.get((p - a, p - b), ())):
+            deg = maxdeg - a - b - c - d
+            if deg >= 0 and (cap is None or max(a + c, b + d) <= cap):
+                key = ka + kc
                 prod = s.truncate(deg) * t
                 out[key] = out[key] + prod if key in out else prod
     return out
@@ -145,31 +147,40 @@ class ExpansionTermOps:
         self.binv = _series_matrix_inverse(pd.quad_B, det_inv)
 
         self._maxdeg = pd.maxdeg
-        self._remainder = pd.remainder
-        self._origin = ((0,) * n, (0,) * n)
-        self._rpow: list[dict] = [
-            {self._origin: TruncatedSeries.constant(1.0, 2 * n, pd.maxdeg)}]
+        self._remainder = _rows(pd.remainder, n)
+        # R^q's rows, and the same rows grouped by bidegree
+        self._rpow: list[list] = [[(0, 0, 0, TruncatedSeries.constant(1.0, 2 * n, pd.maxdeg))]]
+        self._rgroups: list[dict] = [{(0, 0): self._rpow[0]}]
+        # (j, k, key of u_k v_j) for each entry Binv_jk of a pairing
+        self._units = [(j, k, monomial_key(tuple(int(i in (k, n + j)) for i in range(2 * n))))
+                       for j, k in itertools.product(range(n), repeat=2)]
         self._applied: dict = {}     # (j, f) -> T_j f
 
     # -- helpers -------------------------------------------------------------
 
     def _remainder_power(self, q: int) -> dict:
+        """R^q's rows grouped by bidegree."""
         # T_j (j <= slow_deg // 6) reads R^q at bidegree <= j + q, and R's
         # blocks have |alpha|, |beta| >= 1, so a block beyond that feeds none
         while len(self._rpow) <= q:
-            self._rpow.append(_block_product(self._rpow[-1], self._remainder, self._maxdeg,
-                                             cap=len(self._rpow) + self.slow_deg // 6))
-        return self._rpow[q]
+            rows = _rows(_block_product(self._rpow[-1], self._remainder, self._maxdeg,
+                                        cap=len(self._rpow) + self.slow_deg // 6), self.n)
+            self._rpow.append(rows)
+            self._rgroups.append({})
+            for row in rows:
+                self._rgroups[-1].setdefault(row[:2], []).append(row)
+        return self._rgroups[q]
 
     def _pair_once(self, blocks: dict) -> dict:
         """u^a v^b -> a_k b_j Binv_jk u^(a - e_k) v^(b - e_j), summed over j, k."""
         out: dict = {}
-        for (a, b), s in blocks.items():
-            for j, k in itertools.product(range(self.n), repeat=2):
-                if a[k] and b[j]:
-                    key = (a[:k] + (a[k] - 1,) + a[k + 1:], b[:j] + (b[j] - 1,) + b[j + 1:])
-                    term = self.binv[j][k] * s * (a[k] * b[j])
-                    out[key] = out[key] + term if key in out else term
+        for key, s in blocks.items():
+            e = exponents(key, 2 * self.n)
+            for j, k, unit in self._units:
+                if e[k] and e[self.n + j]:
+                    term = self.binv[j][k] * s * (e[k] * e[self.n + j])
+                    low = key - unit
+                    out[low] = out[low] + term if low in out else term
         return out
 
     # -- the operators ---------------------------------------------------------
@@ -189,12 +200,12 @@ class ExpansionTermOps:
         todo = [j for j in js if (j, f) not in self._applied]
         if todo:
             slow = f.truncate(self.slow_deg)
-            lift = lift_blocks(slow, self.n) if any(todo) else None
+            lift = _rows(lift_blocks(slow), self.n) if any(todo) else None
             for j in todo:
                 self._applied[j, f] = self._term(j, slow, lift)
 
-    def _term(self, j: int, f: TruncatedSeries, fc: dict) -> TruncatedSeries:
-        """T_j f for f already cut to slow_deg, with fc its lift (unused by T_0)."""
+    def _term(self, j: int, f: TruncatedSeries, fc: list) -> TruncatedSeries:
+        """T_j f for f already cut to slow_deg, with fc its lift's rows (unused by T_0)."""
         if j == 0:
             return f
         pmax = 3 * j if self._remainder else j
@@ -203,6 +214,8 @@ class ExpansionTermOps:
             raise InsufficientDegree(f"T_{j} needs degree {2 * pmax}, its input has {f.maxdeg}")
         # Pairing is linear, so sum_q c_q P^(j+q) G_q is one Horner chain,
         # P^j (c_0 G_0 + P (c_1 G_1 + P (...))), swept from the deepest q.
+        # A (p, p) block, p <= pmax, reads no lift row beyond (pmax, pmax).
+        fc = [row for row in fc if max(row[0], row[1]) <= pmax]
         g: dict = {}
         for q in range(2 * j if self._remainder else 0, -1, -1):
             p = j + q
@@ -213,7 +226,7 @@ class ExpansionTermOps:
                 g[key] = g[key] + s * coef if key in g else s * coef
             for _ in range(j if q == 0 else 1):
                 g = self._pair_once(g)
-        return g.get(self._origin, TruncatedSeries.zero(2 * self.n, deg))
+        return g.get(0, TruncatedSeries.zero(2 * self.n, deg))
 
 
 def _phase_ops(pd: PhaseData) -> ExpansionTermOps:
@@ -295,8 +308,7 @@ def realize(amp: Amplitude, h: float) -> RealizedSymbol:
     resolves; the ring's ``+`` would cut the sum to the last a_k's degree.
     """
     if amp.growth_C and amp.growth_C > 0.0:
-        cutoff = int(math.floor(1.0 / (amp.growth_C * math.e * h)))
-        cutoff = min(amp.order, max(cutoff, 0))
+        cutoff = min(amp.order, max(int(math.floor(1.0 / (amp.growth_C * math.e * h))), 0))
     else:
         cutoff = amp.order
     total: dict = {}

@@ -6,9 +6,11 @@ From the polarization Psi of a weight the phase
 
 is written in the fast displacements (u, v) = (x - y, yt - xt) over the
 slow variables (y, xt), in the weight's table coordinates.  A series in
-(y, xt, u, v) is held as a dict of blocks: the key is the pair (alpha,
-beta) of (u, v) exponents, and the value is the slow series of the
-u^alpha v^beta part, kept to degree maxdeg - |alpha| - |beta|.
+(y, xt, u, v) is held as a dict of blocks: the key is the series ring's
+monomial key of u^alpha v^beta over the 2n fast variables, so a product of
+blocks adds keys and the origin block is key 0, and the value is the slow
+series of the u^alpha v^beta part, kept to degree maxdeg - |alpha| - |beta|.
+``series.bidegree`` reads (|alpha|, |beta|) off a key.
 ``lift_blocks`` expands f(y + u, xt + v) that way.  With S = Psi(y + u,
 xt + v), the last three terms of phi are S at v = 0, at u = 0 and at
 u = v = 0, so phi is exactly the blocks of S with |alpha| >= 1 and
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import BadContour, DegenerateHessian
 from .quadrature import sampled_ratio, sobol_ball
-from .series import TruncatedSeries, monomial_key
+from .series import TruncatedSeries, bidegree, monomial_key
 from .weight import Weight, _pair_points, polarize
 
 HESS_FLOOR = 1e-10
@@ -112,8 +114,8 @@ def theta_ratio(w: Weight, x: np.ndarray, y: np.ndarray, radius: float) -> np.nd
                          (np.abs(x - y) ** 2).sum(axis=1), radius)
 
 
-def lift_blocks(f: TruncatedSeries, n: int) -> dict:
-    """f(x, xt) -> f(y + u, xt + v) as blocks {(alpha, beta): slow series}.
+def lift_blocks(f: TruncatedSeries) -> dict:
+    """f(x, xt) -> f(y + u, xt + v) as blocks {key of u^alpha v^beta: slow series}.
 
     Each monomial expands by the binomial theorem; the u^alpha v^beta block
     is kept to degree f.maxdeg - |alpha| - |beta|, so the blocks hold the
@@ -127,8 +129,8 @@ def lift_blocks(f: TruncatedSeries, n: int) -> dict:
                 parts[k] = monomial_key(k), {}
             kk, slow = parts[k]
             slow[key - kk] = c * math.prod(map(math.comb, mi, k))
-    return {(k[:n], k[n:]): TruncatedSeries(f.nvars, f.maxdeg - sum(k), slow, _checked=True)
-            for k, (_, slow) in parts.items()}
+    return {kk: TruncatedSeries(f.nvars, f.maxdeg - sum(k), slow, _checked=True)
+            for k, (kk, slow) in parts.items()}
 
 
 def build_phase(w: Weight) -> PhaseData:
@@ -139,12 +141,12 @@ def build_phase(w: Weight) -> PhaseData:
     if np.linalg.svd(b0, compute_uv=False).min() <= HESS_FLOOR:
         raise DegenerateHessian(f"mixed block singular at the origin: {b0}")
 
-    blocks = lift_blocks(psi, n)
-    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    blocks = lift_blocks(psi)
     no_term = TruncatedSeries.zero(2 * n, psi.maxdeg - 2)
-    quad_B = [[blocks.get((unit[j], unit[k]), no_term) for k in range(n)] for j in range(n)]
-    remainder = {(a, b): s for (a, b), s in blocks.items()
-                 if any(a) and any(b) and sum(a) + sum(b) >= 3}
+    quad_B = [[blocks.get(monomial_key(tuple(int(i in (j, n + k)) for i in range(2 * n))),
+                          no_term) for k in range(n)] for j in range(n)]
+    remainder = {key: s for key, s in blocks.items()
+                 if min(ab := bidegree(key, n)) >= 1 and sum(ab) >= 3}
     phi0 = psi.filter(lambda mi: any(mi[:n]) and any(mi[n:]))
     return PhaseData(n=n, maxdeg=psi.maxdeg, phi0=phi0, quad_B=quad_B, b0=b0,
                      hess_det=complex(np.linalg.det(b0) ** 2), remainder=remainder)

@@ -17,7 +17,10 @@ product has total degree <= maxdeg, so no field of a sum of two keys
 carries: the sum is the key of the product monomial.  "Degree <= d" is one
 comparison, key < (d + 1) << DIGIT nvars.  Exponent tuples appear only at
 the edges: the unchecked constructor, ``from_triples``, ``coeff``,
-``to_triples``, ``terms`` and the repr.
+``to_triples``, ``terms`` and the repr.  The expansion engine keys its
+blocks of u^alpha v^beta by the same key over the 2n fast variables, and
+reads them through ``exponents`` and ``bidegree``: no other module decodes
+a key.
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ def monomial_key(mi: MultiIndex) -> int:
     return sum(e << DIGIT * i for i, e in enumerate(mi)) + (sum(mi) << DIGIT * len(mi))
 
 
-def _exponents(key: int, nvars: int) -> MultiIndex:
-    """The exponent vector a key holds, lowest variable first."""
+def exponents(key: int, nvars: int) -> MultiIndex:
+    """The exponents of the first nvars variables a key holds, lowest first."""
     return tuple((key >> DIGIT * i) & MAX_DEGREE for i in range(nvars))
+
+
+def bidegree(key: int, n: int) -> tuple[int, int]:
+    """(|alpha|, |beta|) of the key of x^alpha y^beta, alpha and beta n-vectors."""
+    return sum(exponents(key, n)), sum(exponents(key >> DIGIT * n, n))
 
 
 class TruncatedSeries:
@@ -126,7 +134,7 @@ class TruncatedSeries:
 
     def terms(self) -> list[tuple[MultiIndex, complex]]:
         """(exponent vector, coefficient) of each term, in the series' order."""
-        return [(_exponents(k, self.nvars), c) for k, c in self.coeffs.items()]
+        return [(exponents(k, self.nvars), c) for k, c in self.coeffs.items()]
 
     def coeff(self, mi: Sequence[int]) -> complex:
         mi = tuple(mi)
@@ -143,9 +151,7 @@ class TruncatedSeries:
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (0.0 for the zero series)."""
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -242,7 +248,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.nvars, maxdeg, out, _checked=True)
 
     def filter(self, keep: Callable[[MultiIndex], bool]) -> "TruncatedSeries":
-        out = {k: c for k, c in self.coeffs.items() if keep(_exponents(k, self.nvars))}
+        out = {k: c for k, c in self.coeffs.items() if keep(exponents(k, self.nvars))}
         return TruncatedSeries(self.nvars, self.maxdeg, out, _checked=True)
 
     # -- calculus -------------------------------------------------------------------

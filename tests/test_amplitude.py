@@ -1,13 +1,16 @@
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from bergman.amplitude import (PAIRING_H, ExpansionTermOps, _block_product, _phase_ops,
+import bergman.amplitude
+from bergman.amplitude import (PAIRING_H, ExpansionTermOps, _block_product, _phase_ops, _rows,
                                estimate_growth, formal_expansion, realize,
                                solve_amplitude)
 from bergman.errors import InsufficientDegree, VariableMismatch
-from bergman.series import TruncatedSeries
+from bergman.series import TruncatedSeries, bidegree, exponents
 from bergman.weight import validate_weight
 from bergman.phase import build_phase, lift_blocks
 
@@ -108,7 +111,8 @@ def dense_weight_triples(seed=0):
     pytest.param(dense_weight_triples(), 3, 20, id="dense"),
     pytest.param(QUARTIC, 4, 26, id="quartic"),
 ])
-def test_remainder_powers_hold_only_the_blocks_the_terms_read(triples, order, maxdeg):
+def test_remainder_powers_hold_only_the_blocks_the_terms_read(monkeypatch, triples, order,
+                                                              maxdeg):
     # T_j (j <= slow_deg // 6) reads R^q at bidegree <= j + q, so R^q keeps
     # no block beyond q + slow_deg // 6, and the solve equals, bit for bit,
     # one whose powers hold every block
@@ -117,14 +121,15 @@ def test_remainder_powers_hold_only_the_blocks_the_terms_read(triples, order, ma
     rpow = _phase_ops(pd)._rpow
     assert len(rpow) == 2 * order + 1
     for q, power in enumerate(rpow):
-        assert all(max(sum(a), sum(b)) <= q + pd.slow_deg // 6 for a, b in power), q
+        assert all(max(bidegree(key, 1)) <= q + pd.slow_deg // 6 for _, _, key, _ in power), q
 
+    # the same solve with R^q's products uncapped
+    monkeypatch.setattr(bergman.amplitude, "_block_product",
+                        lambda f, g, maxdeg, p=None, cap=None: _block_product(f, g, maxdeg, p))
     full_pd = make_phase(triples, maxdeg=maxdeg)
-    full = full_pd.memo["ops"] = ExpansionTermOps(full_pd)
-    for _ in range(2 * order):
-        full._rpow.append(_block_product(full._rpow[-1], full_pd.remainder, full_pd.maxdeg))
-    assert sum(map(len, full._rpow)) > sum(map(len, rpow))
-    assert solve_amplitude(full_pd, order).coeffs == amp.coeffs
+    full_coeffs = solve_amplitude(full_pd, order).coeffs
+    assert sum(map(len, _phase_ops(full_pd)._rpow)) > sum(map(len, rpow))
+    assert full_coeffs == amp.coeffs
 
 
 def test_pluriharmonic_gauge_invariance():
@@ -249,12 +254,11 @@ def test_one_inversion_per_phase(monkeypatch, triples, n, maxdeg, order):
 def test_each_symbol_is_lifted_once(monkeypatch):
     # order 4 reads T_1..T_4 a_0, T_1..T_3 a_1, T_1, T_2 a_2 and T_1 a_3: ten
     # terms from four lifts; formal_expansion lifts each of its terms once
-    import bergman.amplitude
     pd = make_phase(QUARTIC, maxdeg=26)
     lifted = []
     lift = bergman.amplitude.lift_blocks
     monkeypatch.setattr(bergman.amplitude, "lift_blocks",
-                        lambda f, n: lifted.append(f) or lift(f, n))
+                        lambda f: lifted.append(f) or lift(f))
     amp = solve_amplitude(pd, 4)
     assert len(lifted) == 4
     assert lifted == [a.truncate(pd.slow_deg) for a in amp.coeffs[:4]]
@@ -285,20 +289,21 @@ def chains_term(ops, j, f, fc):
             g = ops._pair_once(g)
         if g:
             coef = (2.0 ** q) * (PAIRING_H ** p) / (math.factorial(q) * math.factorial(p))
-            total = total + g[ops._origin] * coef
+            total = total + g[0] * coef
     return total
 
 
 NONRADIAL = QUARTIC + [((3, 1), 0.025, 0.0), ((1, 3), 0.025, 0.0)]
-
-
-@pytest.mark.parametrize("triples, n, maxdeg", [
+ENGINE_WEIGHTS = [
     pytest.param(QUARTIC, 1, 26, id="perturbed-quartic"),
     pytest.param(NONRADIAL, 1, 26, id="nonradial-quartic"),
     pytest.param(dense_weight_triples(3), 1, 26, id="dense"),
     pytest.param(NONSEPARABLE, 2, 26, id="nonseparable"),
     pytest.param(GAUSS, 1, 12, id="no-remainder"),
-])
+]
+
+
+@pytest.mark.parametrize("triples, n, maxdeg", ENGINE_WEIGHTS)
 def test_one_pairing_chain_matches_a_chain_per_remainder_power(monkeypatch, triples, n, maxdeg):
     # T_j f pairs one running block dict 3j times (j without a remainder)
     # and agrees with the 2j + 1 chains of 2j(2j + 1) pairings to rounding
@@ -306,7 +311,7 @@ def test_one_pairing_chain_matches_a_chain_per_remainder_power(monkeypatch, trip
     ops = ExpansionTermOps(pd)
     s = TruncatedSeries.from_triples(triples, 2 * n, pd.slow_deg)
     f = (s + s * s).truncate(pd.slow_deg)
-    fc = lift_blocks(f, n)
+    fc = _rows(lift_blocks(f), n)
     pairings = []
     pair = ExpansionTermOps._pair_once
     monkeypatch.setattr(ExpansionTermOps, "_pair_once",
@@ -320,3 +325,89 @@ def test_one_pairing_chain_matches_a_chain_per_remainder_power(monkeypatch, trip
         assert len(pairings) == (2 * j * (2 * j + 1) if pd.remainder else j)
         assert got.maxdeg == want.maxdeg
         assert (got - want).max_abs() <= 1e-13 * want.max_abs(), j
+
+
+def tuple_block_product(f, g, maxdeg, p=None, cap=None):
+    """The engine's block product on blocks keyed by (alpha, beta) exponent
+    tuples, as it was before blocks were keyed by monomial keys."""
+    by_bidegree: dict = {}
+    for key, t in g.items():
+        by_bidegree.setdefault((sum(key[0]), sum(key[1])), []).append((key, t))
+    out: dict = {}
+    for (a, b), s in f.items():
+        pairs = g.items() if p is None else by_bidegree.get((p - sum(a), p - sum(b)), ())
+        for (c, d), t in pairs:
+            key = (tuple(map(operator.add, a, c)), tuple(map(operator.add, b, d)))
+            deg = maxdeg - sum(key[0]) - sum(key[1])
+            if deg >= 0 and (cap is None or max(map(sum, key)) <= cap):
+                prod = s.truncate(deg) * t
+                out[key] = out[key] + prod if key in out else prod
+    return out
+
+
+def tuple_pair_once(binv, n, blocks):
+    """The engine's pairing on (alpha, beta)-keyed blocks, as it was."""
+    out: dict = {}
+    for (a, b), s in blocks.items():
+        for j, k in itertools.product(range(n), repeat=2):
+            if a[k] and b[j]:
+                key = (a[:k] + (a[k] - 1,) + a[k + 1:], b[:j] + (b[j] - 1,) + b[j + 1:])
+                term = binv[j][k] * s * (a[k] * b[j])
+                out[key] = out[key] + term if key in out else term
+    return out
+
+
+def tuple_blocks(blocks, n):
+    """Blocks keyed by (alpha, beta) exponent tuples, in the dict's order."""
+    return {(e[:n], e[n:]): s for e, s in
+            ((exponents(key, 2 * n), s) for key, s in blocks.items())}
+
+
+def tuple_key_engine(pd, binv, f, jmax):
+    """T_1..T_jmax f and the remainder powers they read, by the Horner sweep
+    on tuple-keyed blocks: the engine before its blocks took monomial keys."""
+    n, slow_deg = pd.n, pd.slow_deg
+    remainder = tuple_blocks(pd.remainder, n)
+    rpow = [{((0,) * n, (0,) * n): TruncatedSeries.constant(1.0, 2 * n, pd.maxdeg)}]
+    fc = tuple_blocks(lift_blocks(f), n)
+    terms = []
+    for j in range(1, jmax + 1):
+        pmax = 3 * j if remainder else j
+        deg = f.maxdeg - 2 * pmax
+        g: dict = {}
+        for q in range(2 * j if remainder else 0, -1, -1):
+            while len(rpow) <= q:
+                rpow.append(tuple_block_product(rpow[-1], remainder, pd.maxdeg,
+                                                cap=len(rpow) + slow_deg // 6))
+            p = j + q
+            coef = (2.0 ** q) * (PAIRING_H ** p) / (math.factorial(q) * math.factorial(p))
+            for key, s in tuple_block_product(fc, rpow[q], deg + 2 * p, p).items():
+                g[key] = g[key] + s * coef if key in g else s * coef
+            for _ in range(j if q == 0 else 1):
+                g = tuple_pair_once(binv, n, g)
+        terms.append(g.get(((0,) * n, (0,) * n), TruncatedSeries.zero(2 * n, deg)))
+    return terms, rpow
+
+
+@pytest.mark.parametrize("triples, n, maxdeg", ENGINE_WEIGHTS)
+def test_int_block_keys_match_the_tuple_key_engine(triples, n, maxdeg):
+    # blocks keyed by one monomial key give T_1..T_4 and every R^q bit for
+    # bit as the (alpha, beta)-tuple engine, in the same order of terms
+    pd = make_phase(triples, n=n, maxdeg=maxdeg)
+    ops = ExpansionTermOps(pd)
+    s = TruncatedSeries.from_triples(triples, 2 * n, pd.slow_deg)
+    f = (s + s * s).truncate(pd.slow_deg)
+    want, want_rpow = tuple_key_engine(pd, ops.binv, f, 4)
+    fc = _rows(lift_blocks(f), n)
+    for j, ref in enumerate(want, start=1):
+        got = ops._term(j, f, fc)
+        assert got.maxdeg == ref.maxdeg and got.coeffs == ref.coeffs, j
+        assert got.terms() == ref.terms(), j
+    # each R^q row: its key, its bidegree and its block, in the same order
+    assert len(ops._rpow) == len(want_rpow)
+    for q, ref in enumerate(want_rpow):
+        rows = ops._rpow[q]
+        assert [(exponents(key, 2 * n), a, b) for a, b, key, _ in rows] == [
+            (alpha + beta, sum(alpha), sum(beta)) for alpha, beta in ref], q
+        assert all(t.maxdeg == r.maxdeg and t.terms() == r.terms()
+                   for (_, _, _, t), r in zip(rows, ref.values())), q

@@ -6,7 +6,7 @@ import pytest
 from bergman.errors import BadContour, DegenerateHessian
 from bergman.phase import (build_phase, inversion_margin, lift_blocks, phase_on_contour,
                            theta_jacobian_pairs, theta_pairs, theta_ratio, verify_contour)
-from bergman.series import TruncatedSeries
+from bergman.series import TruncatedSeries, bidegree, exponents, monomial_key
 from bergman.weight import Weight, validate_weight
 
 GAUSS = [((1, 1), 0.5, 0.0)]
@@ -33,7 +33,8 @@ def test_four_point_phase_telescopes():
     # phase vanishes identically when only one of (u, v) moves
     pd = make_phase(QUARTIC, maxdeg=10)
     assert pd.remainder
-    for ((a,), (b,)), s in pd.remainder.items():
+    for key, s in pd.remainder.items():
+        a, b = bidegree(key, 1)
         assert a >= 1 and b >= 1 and a + b >= 3, (a, b)
         assert not s.is_zero()
     assert not pd.quad_B[0][0].is_zero()
@@ -63,12 +64,13 @@ def phase_by_definition(w):
 
 
 def reassemble(blocks, n, maxdeg):
-    """The blocks {(alpha, beta): slow series} as one series in (y, xt, u, v)."""
+    """The blocks {key of u^alpha v^beta: slow series} as one series in (y, xt, u, v)."""
     out = {}
-    for (a, b), s in blocks.items():
-        assert s.maxdeg == maxdeg - sum(a) - sum(b), (a, b)
+    for key, s in blocks.items():
+        ab = exponents(key, 2 * n)
+        assert s.maxdeg == maxdeg - sum(ab), ab
         for mi, c in s.terms():
-            out[mi + a + b] = c
+            out[mi + ab] = c
     return TruncatedSeries(4 * n, maxdeg, out)
 
 
@@ -82,9 +84,8 @@ def test_lift_blocks_matches_substitute(n):
         for mi in np.ndindex(*(maxdeg + 1,) * (2 * n)) if sum(mi) <= maxdeg})
     var = [TruncatedSeries.variable(i, 4 * n, maxdeg) for i in range(4 * n)]
     want = f.substitute([var[j] + var[2 * n + j] for j in range(2 * n)])
-    blocks = lift_blocks(f, n)
-    zero = (0,) * n
-    assert (zero, zero) in blocks and ((maxdeg,) + zero[1:], zero) in blocks
+    blocks = lift_blocks(f)
+    assert 0 in blocks and monomial_key((maxdeg,) + (0,) * (2 * n - 1)) in blocks
     got = reassemble(blocks, n, maxdeg)
     assert {mi for mi, _ in got.terms()} == {mi for mi, _ in want.terms()}
     assert (got - want).max_abs() <= 1e-14 * want.max_abs()
@@ -98,15 +99,15 @@ def test_phase_matches_its_definition(triples, n, maxdeg):
     w = make_weight(triples, n, maxdeg)
     pd = build_phase(w)
     want = phase_by_definition(w)
-    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    quad = {(unit[j], unit[k]): pd.quad_B[j][k] for j in range(n) for k in range(n)}
+    quad = {monomial_key(tuple(int(i in (j, n + k)) for i in range(2 * n))): pd.quad_B[j][k]
+            for j in range(n) for k in range(n)}
     assert not quad.keys() & pd.remainder.keys()
     got = reassemble({**quad, **pd.remainder}, n, pd.maxdeg)
     assert got.maxdeg == want.maxdeg
     assert (got - want).max_abs() < 1e-14
     # over the origin, the blocks' constant terms are phi0
-    at_origin = {a + b: s.constant_term for (a, b), s in {**quad, **pd.remainder}.items()
-                 if s.constant_term != 0.0}
+    at_origin = {exponents(key, 2 * n): s.constant_term
+                 for key, s in {**quad, **pd.remainder}.items() if s.constant_term != 0.0}
     assert dict(pd.phi0.terms()) == at_origin
 
 

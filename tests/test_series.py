@@ -1,9 +1,13 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bergman
 from bergman.errors import ConfigInvalid, VariableMismatch
-from bergman.series import MAX_DEGREE, TruncatedSeries
+from bergman.series import MAX_DEGREE, TruncatedSeries, bidegree, monomial_key
 
 
 def close(a, b, tol=1e-12):
@@ -303,3 +307,28 @@ def test_tuple_edges_round_trip_at_the_top_of_the_key_range(case):
         d = f.diff(i)
         assert d.maxdeg == max(f.maxdeg - 1, 0)
         assert d.terms() == list(want.items())
+    if f.nvars % 2 == 0:
+        # a block key's bidegree: the first half's exponent sum, then the rest's
+        n = f.nvars // 2
+        assert [bidegree(monomial_key(mi), n) for mi in terms] == [
+            (sum(mi[:n]), sum(mi[n:])) for mi in terms]
+
+
+def test_only_series_decodes_monomial_keys():
+    # series lays out a key's fields: no other module names DIGIT or shifts
+    # an int, but the Sobol' engine's bit arithmetic on its direction
+    # numbers, and that module reads nothing from series
+    for path in sorted(pathlib.Path(bergman.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                 for node in nodes}
+        assert "DIGIT" not in names, path.name
+        shifts = [node for node in nodes
+                  if isinstance(getattr(node, "op", None), (ast.LShift, ast.RShift))]
+        if path.name == "quadrature.py":
+            assert shifts and not any(isinstance(node, ast.ImportFrom) and node.module == "series"
+                                      for node in nodes)
+        else:
+            assert not shifts, (path.name, [node.lineno for node in shifts])
