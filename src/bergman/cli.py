@@ -88,14 +88,6 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     if missing:
         raise ConfigInvalid(f"missing config fields: {missing}")
 
-    n = data["dimension"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigInvalid("dimension must be a positive integer")
-    if 4 * n > SOBOL_DIMS:
-        raise ConfigInvalid(
-            f"dimension {n}: the sampled gap draws 4n = {4 * n} Sobol' dimensions, "
-            f"the embedded table has {SOBOL_DIMS}, so dimension <= {SOBOL_DIMS // 4}")
-
     def read(key: str, convert, default=None):
         """convert(value of key, else of ``default``, else of RunConfig's
         default); a value of the wrong type names its field."""
@@ -112,15 +104,28 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
             raise ValueError("not a finite number")
         return x
 
+    def integer(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError("not a JSON integer")  # int() would round 4.7 and parse "26"
+        return value
+
+    n = read("dimension", integer)
+    if n < 1:
+        raise ConfigInvalid("dimension must be a positive integer")
+    if 4 * n > SOBOL_DIMS:
+        raise ConfigInvalid(
+            f"dimension {n}: the sampled gap draws 4n = {4 * n} Sobol' dimensions, "
+            f"the embedded table has {SOBOL_DIMS}, so dimension <= {SOBOL_DIMS // 4}")
+
     def coefficient(entry):
         e = entry["exponents"]
-        if len(e) != 2 * n or any(not isinstance(k, int) or k < 0 for k in e):
+        if len(e) != 2 * n or any(integer(k) < 0 for k in e):
             raise ConfigInvalid(
                 f"coefficient exponents {e!r} must be {2 * n} nonnegative integers")
         return tuple(e), finite(entry["re"]), finite(entry.get("im", 0.0))
 
     def exponents(t):
-        if len(t) != n or any(not isinstance(k, int) or k < 0 for k in t):
+        if len(t) != n or any(integer(k) < 0 for k in t):
             raise ConfigInvalid(f"test function exponents {t!r} must be {n} nonnegative ints")
         if sum(t) > MAX_DEGREE:
             raise ConfigInvalid(
@@ -129,7 +134,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
 
     coeffs = read("coefficients", lambda cs: tuple(coefficient(c) for c in cs))
 
-    maxdeg, order = read("maxdeg", int), read("order", int)
+    maxdeg, order = read("maxdeg", integer), read("order", integer)
     if order < 0:
         raise ConfigInvalid("order must be nonnegative")
     if maxdeg > MAX_DEGREE:
@@ -160,12 +165,12 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     if not tfs:
         raise ConfigInvalid("test_functions must be a nonempty list")
 
-    nodes = {k: read(k, int)
+    nodes = {k: read(k, integer)
              for k in ("n_radial", "n_angular", "err_n_radial", "err_n_angular")}
     small = {k: v for k, v in nodes.items() if v < 1}
     if small:
         raise ConfigInvalid(f"quadrature node counts must be at least 1, got {small}")
-    hmax, seed = read("hmax", int), read("seed", int)
+    hmax, seed = read("hmax", integer), read("seed", integer)
     if hmax < 1:
         raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
     if seed < 0:
@@ -176,7 +181,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         coefficients=coeffs, trust_radius=trust, maxdeg=maxdeg,
         order=order, radius_u=ru, radius_v=rv,
         hmax=hmax, h_grid=h_grid,
-        gram_degree=read("gram_degree", int),
+        gram_degree=read("gram_degree", integer),
         seed=seed, suites=suites, test_functions=tfs, **nodes)
 
 
@@ -413,8 +418,7 @@ def stage_verify(state: RunState) -> dict:
 
     def fourier_section():
         res = {}
-        per_u = fourier_inversion_check(w, state.monomials, np.zeros(n), cfg.radius_v,
-                                        cfg.h_grid)
+        per_u = fourier_inversion_check(w, state.monomials, cfg.radius_v, cfg.h_grid)
         for t, checks in zip(cfg.test_functions, per_u):
             pairs = [(chk.h, chk.residual) for chk in checks]
             res[str(list(t))] = {"residuals": [[h, r] for h, r in pairs],
@@ -433,9 +437,7 @@ def stage_verify(state: RunState) -> dict:
 
     def localized_section():
         h = cfg.h_grid[len(cfg.h_grid) // 2]
-        one = TruncatedSeries.constant(1.0, n, 0)
-        elem = localized_element(one, np.zeros(n), w, h, delta=state.delta,
-                                 seed=cfg.seed)
+        elem = localized_element(w, h, delta=state.delta, seed=cfg.seed)
         return {"h": h, "margin": elem.margin, "delta": elem.delta,
                 "domination_C": elem.domination_C}
 

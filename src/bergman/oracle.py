@@ -22,7 +22,12 @@ of h (probe radius, disc, measure and the power rows of its nodes), which
 the phase keeps for the h in use; each symbol is a sum over those rows.
 fourier_inversion_check takes every test function at once: the disc, chi,
 the theta pairing and its Jacobian are built once per call and
-e^{(i/h)(x-y) theta} once per h.
+e^{-(i/h) y theta} once per h.
+
+The Fourier check and the localized element sit at the table's origin, the
+package's one expansion point, and the localized element is that of the
+symbol 1.  A check at another point would be the same check on the weight
+re-centered there, so these oracles take no point and no symbol.
 """
 
 from __future__ import annotations
@@ -73,8 +78,6 @@ class GramKernel:
     """Reproducing kernel of the monomial span under the weighted pairing."""
 
     w: Weight
-    dom: DomainSpec
-    h: float
     basis: tuple                 # multi-indices, degree-sorted
     gram: np.ndarray             # raw Hermitian Gram matrix
     onb: np.ndarray              # columns: an orthonormal basis of the span, in the monomials
@@ -87,14 +90,6 @@ class GramKernel:
     def eval(self, x, y) -> np.ndarray:
         """K_exact(x_i, conj(y_i)) = sum_k e_k(x_i) conj(e_k(y_i)); either side may broadcast."""
         return (self._orthonormal(x) * self._orthonormal(y).conj()).sum(axis=1)
-
-    def project(self, u: TruncatedSeries, x) -> np.ndarray:
-        """Quadrature projection of u through this kernel, at the points x."""
-        dom = self.dom
-        damp = dom.weights * np.exp(-2.0 * dom.phi(self.w) / self.h)
-        V = _gram_table(dom, self.basis)[0]
-        coef = (V @ self.onb).conj().T @ (damp * u.eval_grid(dom.nodes))
-        return self._orthonormal(x) @ coef
 
 
 def _gram_table(dom: DomainSpec, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +157,7 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
         raise IllConditioned(f"gram factorization failed: {exc}") from exc
     # G = diag(1/scale) L L^H diag(1/scale), so diag(scale) L^{-H} is orthonormal
     onb = scale[:, None] * np.linalg.inv(chol).conj().T
-    return GramKernel(w=w, dom=dom, h=float(h), basis=basis, gram=G, onb=onb, cond=cond)
+    return GramKernel(w=w, basis=basis, gram=G, onb=onb, cond=cond)
 
 
 @dataclass(frozen=True)
@@ -202,16 +197,17 @@ class FourierCheck:
     h: float
 
 
-def fourier_inversion_check(w: Weight, us: list[TruncatedSeries], x, radius: float,
+def fourier_inversion_check(w: Weight, us: list[TruncatedSeries], radius: float,
                             h_values) -> list[list[FourierCheck]]:
-    """Inversion integral (2 pi h)^{-n} int e^{(i/h)(x-y) theta} u chi dy dtheta.
+    """Inversion integral (2 pi h)^{-n} int e^{-(i/h) y theta} u chi dy dtheta
+    at the origin.
 
-    The contour is parametrized by y with theta = theta(x, y), contributing
+    The contour is parametrized by y with theta = theta(0, y), contributing
     the Jacobian det(d theta / d conj y) and a factor (2i)^n from rewriting
     d(conj y) wedge dy as Lebesgue measure.  Returns, for each test
-    function u in ``us``, the list over h of the residual against u(x),
-    damped by e^{-phi(x)/h}.  The grid, chi, theta's pairing and Jacobian
-    depend on neither h nor u and are built once; e^{(i/h)(x-y) theta} is
+    function u in ``us``, the list over h of the residual against u(0),
+    damped by e^{-phi(0)/h}.  The grid, chi, theta's pairing and Jacobian
+    depend on neither h nor u and are built once; e^{-(i/h) y theta} is
     built once per h and serves every u.
     """
     if w.n != 1:
@@ -219,20 +215,18 @@ def fourier_inversion_check(w: Weight, us: list[TruncatedSeries], x, radius: flo
     for u in us:
         if u.nvars != w.n:
             raise ConfigInvalid(f"u has {u.nvars} variables, expected {w.n}")
-    xs = _as_points(x, w.n)
+    origin = np.zeros((1, w.n), dtype=complex)
     plateau = FOURIER_PLATEAU_FRAC * radius
     support = FOURIER_SUPPORT_FRAC * radius
-    if float(np.abs(xs).max()) >= plateau:
-        raise ConfigInvalid("evaluation point lies outside the cutoff plateau")
 
     nodes, wts = disc_grid(support, FOURIER_N_RADIAL, FOURIER_N_ANGULAR, (plateau,))
     y = nodes[:, None]
     chi = radial_bump(np.abs(nodes), plateau, support)
-    jac = theta_jacobian_pairs(w, xs, y)
-    pairing = theta_pairing(w, xs, y)
-    phi_x = float(w.phi(xs)[0])
+    jac = theta_jacobian_pairs(w, origin, y)
+    pairing = theta_pairing(w, origin, y)
+    phi0 = float(w.phi(origin)[0])
     uys = [u.eval_grid(y) for u in us]
-    targets = [complex(u.eval_grid(xs)[0]) for u in us]
+    targets = [complex(u.constant_term) for u in us]
     checks = [[] for _ in us]
     for h in h_values:
         wave = np.exp(1j * pairing / h)
@@ -240,7 +234,7 @@ def fourier_inversion_check(w: Weight, us: list[TruncatedSeries], x, radius: flo
         for uy, target, out in zip(uys, targets, checks):
             vals = wave * uy * chi * jac
             value = complex(const * (wts * vals).sum())
-            residual = abs(value - target) * math.exp(-phi_x / h)
+            residual = abs(value - target) * math.exp(-phi0 / h)
             out.append(FourierCheck(value=value, target=target, residual=residual, h=h))
     return checks
 
@@ -485,60 +479,44 @@ def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
 
 @dataclass(frozen=True)
 class LocalizedElement:
-    """v_z(x) = (2 pi h)^{-n} e^{(i/h)(x-z) theta(x,z)} v(z) chi(z) det(d_zbar theta)."""
+    """The localized element of the symbol 1 at the origin,
+    v_0(x) = (2 pi h)^{-n} e^{(i/h) x theta(x,0)} det(d_zbar theta(x,0))."""
 
     w: Weight
-    z: np.ndarray
     h: float
     delta: float
-    v_value: complex
-    chi_value: float
     margin: float
     domination_C: float
 
     def eval(self, x) -> np.ndarray:
         xs = _as_points(x, self.w.n)
-        jac = theta_jacobian_pairs(self.w, xs, self.z[None, :])
-        pairing = theta_pairing(self.w, xs, self.z[None, :])
-        pref = self.v_value * self.chi_value / (2.0 * np.pi * self.h) ** self.w.n
+        origin = np.zeros((1, self.w.n), dtype=complex)
+        jac = theta_jacobian_pairs(self.w, xs, origin)
+        pairing = theta_pairing(self.w, xs, origin)
+        pref = 1.0 / (2.0 * np.pi * self.h) ** self.w.n
         return pref * np.exp(1j * pairing / self.h) * jac
 
 
-def localized_element(v: TruncatedSeries, z, w: Weight, h: float, delta: float,
-                      seed: int = 0) -> LocalizedElement:
-    """Construct the localized element at z and assert its domination bound.
+def localized_element(w: Weight, h: float, delta: float, seed: int = 0) -> LocalizedElement:
+    """Construct the localized element at the origin and assert its domination bound.
 
-    The cutoff is 1 up to 0.6 and 0 from 0.9 times the trust radius.  The
-    bound phi(x) - phi(z) + Im((x-z) theta(x,z)) >= delta |x-z|^2 is sampled
-    at LOCALIZED_SAMPLES points of that support; its minimum margin must be
-    positive.
+    The cutoff is 1 up to 0.6 and 0 from 0.9 times the trust radius, so it
+    is 1 at the origin.  The bound phi(x) - phi(0) + Im(x theta(x,0)) >=
+    delta |x|^2 is sampled at LOCALIZED_SAMPLES points of that support; its
+    minimum margin must be positive.
     """
-    z = np.asarray(z, dtype=complex).reshape(w.n)
-    if v.nvars != w.n:
-        raise ConfigInvalid(f"v has {v.nvars} variables, expected {w.n}")
-    plateau, support = 0.6 * w.trust_radius, 0.9 * w.trust_radius
-    zdist = float(np.abs(z).max())
-    if zdist >= w.trust_radius:
-        raise ConfigInvalid("z lies outside the trust region")
-    if zdist > plateau:
-        raise ConfigInvalid("cutoff plateau does not cover z")
-
+    support = 0.9 * w.trust_radius
+    origin = np.zeros((1, w.n), dtype=complex)
     x = sobol_ball(w.n, support, LOCALIZED_SAMPLES, seed=seed)
-    margin = float(theta_ratio(w, x, z[None, :], support).min()) - delta
+    margin = float(theta_ratio(w, x, origin, support).min()) - delta
     if margin <= 0.0:
         raise BadContour(
-            f"localized element at {z} violates domination: margin {margin:.3e}")
+            f"localized element at the origin violates domination: margin {margin:.3e}")
 
-    chi_value = float(radial_bump(np.array([zdist]), plateau, support)[0])
-    v_value = complex(v.eval_grid(z[None, :])[0])
-    elem = LocalizedElement(w=w, z=z, h=float(h), delta=float(delta),
-                            v_value=v_value, chi_value=chi_value, margin=margin,
+    elem = LocalizedElement(w=w, h=float(h), delta=float(delta), margin=margin,
                             domination_C=0.0)
-    if v_value != 0:
-        vals = np.abs(elem.eval(x)) * np.exp(-w.phi(x) / h)
-        sep2 = (np.abs(x - z[None, :]) ** 2).sum(axis=1)
-        ref = (abs(v_value) * chi_value * h ** (-w.n)
-               * math.exp(-float(w.phi(z[None, :])[0]) / h)
-               * np.exp(-delta * sep2 / h))
-        elem = replace(elem, domination_C=float((vals / ref).max()))
-    return elem
+    vals = np.abs(elem.eval(x)) * np.exp(-w.phi(x) / h)
+    sep2 = (np.abs(x) ** 2).sum(axis=1)
+    ref = (h ** (-w.n) * math.exp(-float(w.phi(origin)[0]) / h)
+           * np.exp(-delta * sep2 / h))
+    return replace(elem, domination_C=float((vals / ref).max()))

@@ -235,7 +235,7 @@ def test_criterion_7_fourier_inversion(gaussian_core):
     w = gaussian_core[0]
     parts, ok = [], True
     us = [TruncatedSeries.from_triples([((k,), 1.0, 0.0)], 1, 3) for k in range(4)]
-    for k, checks in enumerate(fourier_inversion_check(w, us, [0.0], 1.0, H_GRID)):
+    for k, checks in enumerate(fourier_inversion_check(w, us, 1.0, H_GRID)):
         res = [chk.residual for chk in checks]
         if max(res) < 1e-12:
             # already below any fit floor at every h; nothing left to decay

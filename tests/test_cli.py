@@ -116,6 +116,15 @@ def test_exponent_arity_checked():
     ("radius_u", float("nan")), ("radius_v", float("nan")),
     ("h_grid", [0.2, float("nan")]), ("h_grid", [float("inf")]),
     ("test_functions", [[0], [256]]),
+    # integer fields and exponents take JSON integers only: no bool, string
+    # or float, which int() would have rounded or parsed
+    ("order", 4.7), ("maxdeg", "26"), ("seed", 1.5), ("dimension", True),
+    ("dimension", 1.0), ("hmax", True), ("gram_degree", 25.0), ("n_radial", "64"),
+    ("n_angular", 128.0), ("err_n_radial", False), ("err_n_angular", "48"),
+    ("maxdeg", 26.0), ("order", "4"), ("seed", True),
+    ("coefficients", [{"exponents": [True, True], "re": 0.5}]),
+    ("coefficients", [{"exponents": [1.0, 1], "re": 0.5}]),
+    ("test_functions", [[True]]), ("test_functions", [["1"]]),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
