@@ -1,12 +1,16 @@
 """Configuration-driven pipeline and report emission.
 
 A single JSON config names the weight, truncation orders, h-grid, domains,
-and oracle settings.  ``run`` executes the selected suites in dependency
+and oracle settings.  ``config_from_dict`` reads each field through the
+reader of its JSON type (integer, finite number, list or string), checks
+the bounds, and builds a ``RunConfig``, the one home of the fields and
+their defaults.  ``run`` executes the selected suites in dependency
 order, recording per-suite failures without aborting the rest; the
 stages share one ``RunState``, which builds the weight, phase, order-N
 amplitude and sampled gap once, on first read.  ``emit`` writes the report
-as JSON or CSV tables.  All randomness is seeded from the config, so
-reports are byte-deterministic.
+as JSON (``report_json``: plain ``json.dumps``, numpy scalars as Python
+values, a non-finite value an ``IoError`` naming its path) or CSV tables.
+All randomness is seeded from the config, so reports are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 
@@ -69,74 +73,78 @@ class RunConfig:
         return out
 
 
-_REQUIRED = ("name", "dimension", "coefficients", "trust_radius", "maxdeg",
-             "order", "radius_u", "radius_v")
-_DEFAULTS = {k: f.default for k, f in RunConfig.__dataclass_fields__.items()}
+_FIELDS = RunConfig.__dataclass_fields__
+_DEFAULTS = {k: f.default for k, f in _FIELDS.items()}
+_REQUIRED = [k for k, v in _DEFAULTS.items() if v is MISSING]
+# The least value of each bounded integer field; maxdeg is bounded by the
+# degree budget and the series ring, below.
+_LEAST = {"dimension": 1, "order": 0, "hmax": 1, "n_radial": 1, "n_angular": 1,
+          "err_n_radial": 1, "err_n_angular": 1, "seed": 0}
+
+
+def _typed(value, types, kind: str):
+    """value if it is a JSON ``kind``; int() or float() would round 4.7, parse
+    "26" and read true as 1, and tuple() would read an object's keys."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"not a JSON {kind}")
+    return value
+
+
+def _integer(value) -> int:
+    return _typed(value, int, "integer")
+
+
+def _number(value) -> float:
+    x = float(_typed(value, (int, float), "number"))
+    if not math.isfinite(x):  # json parses NaN and Infinity; no stage can use them
+        raise ValueError("not a finite number")
+    return x
+
+
+def _list(value) -> tuple:
+    return tuple(_typed(value, (list, tuple), "list"))
+
+
+def _string(value) -> str:
+    return _typed(value, str, "string")
+
+
+# The reader of each scalar field, by its annotation in RunConfig (a string,
+# as every annotation of this module is).
+_SCALAR = {"int": _integer, "float": _number, "str": _string}
 
 
 def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a raw config dictionary (plus CLI overrides) into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
-    data = dict(raw)
-    if overrides:
-        data.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(data) - _DEFAULTS.keys()
+    data = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    unknown = set(data) - _FIELDS.keys()
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
     missing = [k for k in _REQUIRED if k not in data]
     if missing:
         raise ConfigInvalid(f"missing config fields: {missing}")
 
-    def read(key: str, convert, default=None):
-        """convert(value of key, else of ``default``, else of RunConfig's
-        default); a value of the wrong type names its field."""
-        value = data.get(key, _DEFAULTS[key] if default is None else default)
+    def read(key: str, convert):
+        """convert(value of key, else of RunConfig's default); a value of the
+        wrong type names its field."""
+        value = data.get(key, _DEFAULTS[key])
         try:
             return convert(value)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(
                 f"{key}: cannot read {value!r} ({type(exc).__name__}: {exc})") from exc
 
-    def finite(value) -> float:
-        x = float(value)  # json parses NaN and Infinity; no stage can use them
-        if not math.isfinite(x):
-            raise ValueError("not a finite number")
-        return x
-
-    def integer(value) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError("not a JSON integer")  # int() would round 4.7 and parse "26"
-        return value
-
-    n = read("dimension", integer)
-    if n < 1:
-        raise ConfigInvalid("dimension must be a positive integer")
+    fields = {k: read(k, _SCALAR[f.type]) for k, f in _FIELDS.items() if f.type in _SCALAR}
+    for key, least in _LEAST.items():
+        if fields[key] < least:
+            raise ConfigInvalid(f"{key} must be at least {least}, got {fields[key]}")
+    n, maxdeg, order = fields["dimension"], fields["maxdeg"], fields["order"]
     if 4 * n > SOBOL_DIMS:
         raise ConfigInvalid(
             f"dimension {n}: the sampled gap draws 4n = {4 * n} Sobol' dimensions, "
             f"the embedded table has {SOBOL_DIMS}, so dimension <= {SOBOL_DIMS // 4}")
-
-    def coefficient(entry):
-        e = entry["exponents"]
-        if len(e) != 2 * n or any(integer(k) < 0 for k in e):
-            raise ConfigInvalid(
-                f"coefficient exponents {e!r} must be {2 * n} nonnegative integers")
-        return tuple(e), finite(entry["re"]), finite(entry.get("im", 0.0))
-
-    def exponents(t):
-        if len(t) != n or any(integer(k) < 0 for k in t):
-            raise ConfigInvalid(f"test function exponents {t!r} must be {n} nonnegative ints")
-        if sum(t) > MAX_DEGREE:
-            raise ConfigInvalid(
-                f"test_functions: {t!r} has degree {sum(t)}, above the series ring's {MAX_DEGREE}")
-        return tuple(t)
-
-    coeffs = read("coefficients", lambda cs: tuple(coefficient(c) for c in cs))
-
-    maxdeg, order = read("maxdeg", integer), read("order", integer)
-    if order < 0:
-        raise ConfigInvalid("order must be nonnegative")
     if maxdeg > MAX_DEGREE:
         raise ConfigInvalid(
             f"maxdeg ({maxdeg}) must be at most {MAX_DEGREE}, the series ring's degree bound")
@@ -144,45 +152,36 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid(
             f"degree budget violated: maxdeg ({maxdeg}) must be at least "
             f"6N+2 = {6 * order + 2} for amplitude order N = {order}")
-
-    trust = read("trust_radius", finite)
-    ru, rv = read("radius_u", finite), read("radius_v", finite)
+    ru, rv, trust = fields["radius_u"], fields["radius_v"], fields["trust_radius"]
     if not (0.0 < ru < rv < trust):
         raise ConfigInvalid(
             f"need 0 < radius_u ({ru}) < radius_v ({rv}) < trust_radius ({trust})")
 
-    h_grid = read("h_grid", lambda g: tuple(finite(h) for h in g))
-    if not h_grid or any(h <= 0 for h in h_grid):
+    def exponents(e, k: int, top=math.inf) -> tuple:
+        """k nonnegative integers of total degree at most top."""
+        e = _list(e)
+        if len(e) != k or any(_integer(i) < 0 for i in e):
+            raise ValueError(f"exponents {e} must be {k} nonnegative integers")
+        if sum(e) > top:
+            raise ValueError(f"{e} has degree {sum(e)}, above the series ring's {top}")
+        return e
+
+    def coefficient(c):
+        return exponents(c["exponents"], 2 * n), _number(c["re"]), _number(c.get("im", 0.0))
+
+    if n > 1:
+        data.setdefault("test_functions", [[0] * n])
+    for key, item in (("coefficients", coefficient), ("h_grid", _number), ("suites", _string),
+                      ("test_functions", lambda t: exponents(t, n, MAX_DEGREE))):
+        fields[key] = read(key, lambda v: tuple(map(item, _list(v))))
+    if not fields["h_grid"] or min(fields["h_grid"]) <= 0:
         raise ConfigInvalid("h_grid must be a nonempty list of positive values")
-
-    suites = read("suites", tuple)
-    bad = [s for s in suites if s not in SUITES]
-    if bad or not suites:
+    bad = [s for s in fields["suites"] if s not in SUITES]
+    if bad or not fields["suites"]:
         raise ConfigInvalid(f"suites must be a nonempty subset of {SUITES}, got {bad}")
-
-    tfs = read("test_functions", lambda ts: tuple(exponents(t) for t in ts),
-               [[0], [1], [2]] if n == 1 else [[0] * n])
-    if not tfs:
+    if not fields["test_functions"]:
         raise ConfigInvalid("test_functions must be a nonempty list")
-
-    nodes = {k: read(k, integer)
-             for k in ("n_radial", "n_angular", "err_n_radial", "err_n_angular")}
-    small = {k: v for k, v in nodes.items() if v < 1}
-    if small:
-        raise ConfigInvalid(f"quadrature node counts must be at least 1, got {small}")
-    hmax, seed = read("hmax", integer), read("seed", integer)
-    if hmax < 1:
-        raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
-    if seed < 0:
-        raise ConfigInvalid(f"seed must be nonnegative, got {seed}")
-
-    return RunConfig(
-        name=str(data["name"]), dimension=n,
-        coefficients=coeffs, trust_radius=trust, maxdeg=maxdeg,
-        order=order, radius_u=ru, radius_v=rv,
-        hmax=hmax, h_grid=h_grid,
-        gram_degree=read("gram_degree", integer),
-        seed=seed, suites=suites, test_functions=tfs, **nodes)
+    return RunConfig(**fields)
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -497,34 +496,27 @@ def run(cfg: RunConfig) -> dict:
 # Emission
 
 
-def _sanitize(obj, path="report"):
-    if obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+def _plain(obj):
+    """The Python value of a numpy scalar; json.dumps calls it for any type it lacks."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise IoError(f"cannot serialize {type(obj).__name__} in a report")
+
+
+def _nonfinite(obj, path="report"):
+    """The path of the first NaN or infinity in obj, or None."""
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v, f"{path}.{k}") for k, v in obj.items()}
+        return next(filter(None, (_nonfinite(v, f"{path}.{k}") for k, v in obj.items())), None)
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v, f"{path}[{i}]") for i, v in enumerate(obj)]
-    if isinstance(obj, (np.floating, float)):
-        val = float(obj)
-        if not math.isfinite(val):
-            raise IoError(f"non-finite value at {path}")
-        return val
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        z = complex(obj)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise IoError(f"non-finite value at {path}")
-        return [z.real, z.imag]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist(), path)
-    raise IoError(f"cannot serialize {type(obj).__name__} at {path}")
+        return next(filter(None, (_nonfinite(v, f"{path}[{i}]") for i, v in enumerate(obj))), None)
+    return path if isinstance(obj, (float, np.floating)) and not math.isfinite(obj) else None
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
+    except ValueError as exc:  # allow_nan=False does not say where the value sits
+        raise IoError(f"non-finite value at {_nonfinite(report)}") from exc
 
 
 def report_csv(report: dict) -> str:
@@ -596,13 +588,13 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     suites = SUITES if args.command == "report" else (args.command,)
-    overrides: dict = {"suites": list(suites)}
-    if args.h_grid:
-        # config_from_dict reads and checks each token like any h_grid entry
-        overrides["h_grid"] = [tok for tok in args.h_grid.split(",") if tok]
-    if args.order is not None:
-        overrides["order"] = args.order
+    overrides: dict = {"suites": list(suites), "order": args.order}
     try:
+        if args.h_grid:
+            try:  # config_from_dict checks each value like any h_grid entry
+                overrides["h_grid"] = [float(tok) for tok in args.h_grid.split(",") if tok]
+            except ValueError as exc:
+                raise ConfigInvalid(f"h_grid: cannot read {args.h_grid!r} ({exc})") from exc
         cfg = load_config(args.config, overrides)
         report = run(cfg)
         if args.out:

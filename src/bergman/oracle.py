@@ -412,7 +412,7 @@ def _sp_expansion(pd: PhaseData, symbol: TruncatedSeries, hmax: int) -> np.ndarr
 
 
 def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
-                        hmax: int = 6) -> QuadratureResult:
+                        hmax: int) -> QuadratureResult:
     """Direct quadrature of the fast contour integral against the expansion.
 
     The integral h^{-n} conj(b0) int e^{(2/h) phi} f L(du) over the good

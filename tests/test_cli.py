@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import bergman
@@ -125,6 +127,13 @@ def test_exponent_arity_checked():
     ("coefficients", [{"exponents": [True, True], "re": 0.5}]),
     ("coefficients", [{"exponents": [1.0, 1], "re": 0.5}]),
     ("test_functions", [[True]]), ("test_functions", [["1"]]),
+    # float fields take JSON numbers only: no string or bool, which float()
+    # would have parsed; list fields take JSON lists, not an object's keys
+    ("radius_u", "0.5"), ("radius_v", True), ("trust_radius", "1.2"),
+    ("h_grid", ["0.2"]), ("h_grid", [True]), ("h_grid", {"0.2": 1}),
+    ("coefficients", [{"exponents": [1, 1], "re": "0.5"}]),
+    ("coefficients", [{"exponents": [1, 1], "re": 0.5, "im": False}]),
+    ("suites", {"validate": 1}), ("name", {"a": 1}),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
@@ -247,6 +256,27 @@ def test_config_echo_round_trips():
 def test_report_json_deterministic():
     cfg = cfg_with(suites=["validate", "amplitude"])
     assert report_json(run(cfg)) == report_json(run(cfg))
+
+
+def test_report_json_guards(monkeypatch, capsys):
+    # a NaN or an infinity is an IoError that names its path, numpy scalars
+    # are written as the Python values they hold, and a type JSON lacks is
+    # an IoError that names it
+    for bad in (float("nan"), float("inf")):
+        rep = {"stages": {"kernel": {"rows": [{"err_U": 0.1}, {"err_U": bad}]}}}
+        with pytest.raises(IoError, match=re.escape(
+                "non-finite value at report.stages.kernel.rows[1].err_U")):
+            report_json(rep)
+    text = report_json({"f": np.float32(0.5), "i": np.int64(3), "b": np.bool_(True)})
+    assert '"f": 0.5,' in text and '"i": 3' in text and '"b": true,' in text
+    with pytest.raises(IoError, match="complex"):
+        report_json({"z": 1 + 2j})
+    # main reports the writer's error like any other: exit 2, no traceback
+    monkeypatch.setitem(bergman.cli._STAGES, "validate", lambda state: {"x": float("nan")})
+    assert main(["validate", "--config", os.path.join(ROOT, "configs", "gaussian.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value at report.stages.validate.x")
+    assert "Traceback" not in err
 
 
 def test_invalid_weight_recorded_per_suite():

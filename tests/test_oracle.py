@@ -519,7 +519,7 @@ def test_sp_gaussian_constant_is_pi():
     w = make_weight(GAUSS)
     pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, 14))
-    r = sp_quadrature_check(pd, case, 0.1)
+    r = sp_quadrature_check(pd, case, 0.1, hmax=6)
     assert r.ok
     assert abs(r.quad - np.pi) < 1e-10
     assert abs(r.partial - np.pi) < 1e-12
@@ -532,7 +532,7 @@ def test_sp_single_pairing_value():
     pd = build_phase(w)
     case = QuadratureCase("xyt", TruncatedSeries.from_triples([((1, 1), 1.0, 0.0)], 2, 14))
     for h in (0.2, 0.1):
-        r = sp_quadrature_check(pd, case, h)
+        r = sp_quadrature_check(pd, case, h, hmax=6)
         assert r.ok
         assert abs(r.quad - (-np.pi * h)) < 1e-9
         assert abs(r.partial - (-np.pi * h)) < 1e-11
@@ -599,7 +599,7 @@ def test_sp_rejects_higher_dimension():
     pd = build_phase(w)
     case = QuadratureCase("one", TruncatedSeries.constant(1.0, 4, 0))
     with pytest.raises(ConfigInvalid):
-        sp_quadrature_check(pd, case, 0.1)
+        sp_quadrature_check(pd, case, 0.1, hmax=6)
 
 
 # -- localized elements -------------------------------------------------------
