@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
@@ -80,6 +80,10 @@ _REQUIRED = [k for k, v in _DEFAULTS.items() if v is MISSING]
 # degree budget and the series ring, below.
 _LEAST = {"dimension": 1, "order": 0, "hmax": 1, "n_radial": 1, "n_angular": 1,
           "err_n_radial": 1, "err_n_angular": 1, "seed": 0}
+# The most nodes either grid may have, (radial x angular nodes)^dimension.
+# Canonical grids have at most 8192; a count far above this bound would
+# end in a MemoryError while the grid is built, not in an exit 2.
+MAX_GRID_NODES = 2 ** 20
 
 
 def _typed(value, types, kind: str):
@@ -145,6 +149,11 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid(
             f"dimension {n}: the sampled gap draws 4n = {4 * n} Sobol' dimensions, "
             f"the embedded table has {SOBOL_DIMS}, so dimension <= {SOBOL_DIMS // 4}")
+    for pre in ("", "err_"):
+        nodes = (fields[pre + "n_radial"] * fields[pre + "n_angular"]) ** n
+        if nodes > MAX_GRID_NODES:
+            raise ConfigInvalid(f"{pre}n_radial x {pre}n_angular gives a grid of {nodes} "
+                                f"nodes in dimension {n}, above {MAX_GRID_NODES}")
     if maxdeg > MAX_DEGREE:
         raise ConfigInvalid(
             f"maxdeg ({maxdeg}) must be at most {MAX_DEGREE}, the series ring's degree bound")
@@ -403,12 +412,9 @@ def stage_verify(state: RunState) -> dict:
 
     def gram_section():
         x, y = near_diagonal_pairs(0.3 * cfg.radius_u)
-        # A copy of the outer grid with a memo of its own: the Gram table is
-        # built once for every h and freed with the section.
-        grid = replace(state.outer)
         per_h = []
         for h in cfg.h_grid:
-            gk = gram_bergman(w, grid, h, cfg.gram_degree)
+            gk = gram_bergman(w, state.outer, h, cfg.gram_degree)
             st = compare_kernels(assemble_kernel(w, amp, h), gk, x, y)
             per_h.append({"h": h, "max_rel": st.max_rel,
                           "median_rel": st.median_rel, "cond": gk.cond})

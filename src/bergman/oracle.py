@@ -9,20 +9,24 @@ its Jacobian, theta_pairing and theta_ratio from phase, the gap Weight.gap,
 formal_expansion (which sp_quadrature_check exists to check),
 weighted_norm / check_domain and the grid's phi from projector, and from
 series the monomial enumerator _block_monomials, which lists the Gram
-basis, and eval_powers, eval_grid's sum over power rows.  The Gram power
-table, _monomial_table here, is the oracle's own.  Sample counts and grids
+basis.  The Gram kernel's evaluation table, _monomial_table here, and
+quadrature.polar_moments are the oracles' own.  Sample counts and grids
 are constants of the check that uses them; only the Sobol seed is an argument,
 and quadrature.sampled_ratio drops their near-coincident samples.
 
 Work that depends on neither h nor the test function is done once where it
-lives.  A grid (DomainSpec.memo) keeps phi on its nodes per weight and the
-Gram table V and V^H per basis, so gram_bergman forms only the h-weighted
-Gram matrix.  sp_quadrature_check checks one (case, h) row on the contour
-of h (probe radius, disc, measure and the power rows of its nodes), which
-the phase keeps for the h in use; each symbol is a sum over those rows.
-fourier_inversion_check takes every test function at once: the disc, chi,
-the theta pairing and its Jacobian are built once per call and
-e^{-(i/h) y theta} once per h.
+lives.  Both the Gram matrix and the contour quadrature integrate
+monomials r^p e^{ik theta} against a measure on a polar grid, so they read
+every integral off the measure's polar moments H (quadrature.polar_moments:
+one angular FFT per radius) and build no node-by-monomial table.  A grid
+(DomainSpec.memo) keeps phi on its nodes per weight, so gram_bergman forms
+the h-weighted measure and reads G[s, t] = H[s + t, t - s].
+sp_quadrature_check checks one (case, h) row on the contour of h (probe
+radius and the moments of the disc's measure to the slow degree), which the
+phase keeps for the h in use; each symbol's integral is a sum over its
+terms of coefficient times moment.  fourier_inversion_check takes every
+test function at once: the disc, chi, the theta pairing and its Jacobian
+are built once per call and e^{-(i/h) y theta} once per h.
 
 The Fourier check and the localized element sit at the table's origin, the
 package's one expansion point, and the localized element is that of the
@@ -38,11 +42,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadContour, ConfigInvalid, IllConditioned, QuadratureUnderresolved
-from .phase import (MARGIN_SAMPLES, PhaseData, fast_uv, phase_on_contour,
+from .phase import (MARGIN_SAMPLES, PhaseData, phase_on_contour,
                     theta_jacobian_pairs, theta_pairing, theta_ratio)
 from .amplitude import formal_expansion
 from .projector import DomainSpec, KernelEvaluator, check_domain, weighted_norm
-from .quadrature import disc_grid, radial_bump, sampled_ratio, sobol_ball
+from .quadrature import (disc_grid, polar_moments, radial_bump, radial_nodes,
+                         sampled_ratio, sobol_ball)
 from .series import TruncatedSeries, _block_monomials
 from .weight import Weight, _as_points
 
@@ -92,19 +97,6 @@ class GramKernel:
         return (self._orthonormal(x) * self._orthonormal(y).conj()).sum(axis=1)
 
 
-def _gram_table(dom: DomainSpec, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The basis on the grid's nodes, V = _monomial_table(dom.nodes, basis),
-    and V^H.  They depend on neither h nor the weight, so the grid's memo
-    keeps them per basis."""
-    key = ("gram", basis)
-    if key not in dom.memo:
-        V = _monomial_table(dom.nodes, basis)
-        VH = V.conj().T
-        V.flags.writeable = VH.flags.writeable = False
-        dom.memo[key] = V, VH
-    return dom.memo[key]
-
-
 def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
     """Columns disp^alpha for alpha in the basis, rows of disp (m, n)."""
     out = np.empty((disp.shape[0], len(basis)), dtype=complex)
@@ -120,8 +112,10 @@ def _monomial_table(disp: np.ndarray, basis: tuple) -> np.ndarray:
 def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKernel:
     """Brute-force reproducing kernel on monomials of total degree <= degree.
 
-    The monomial table and phi on the grid's nodes come from the grid's
-    memo, so a call builds only what depends on h: the weights and G.
+    G[s, t] = sum_nodes weights e^{-2 phi/h} conj(y^s) y^t is read off the
+    polar moments of the weighted measure, G[s, t] = H[s + t, t - s]: one
+    angular FFT per radius, and no node-by-basis table.  phi on the nodes
+    comes from the grid's memo.
     """
     check_domain(dom, w)
     if h <= 0:
@@ -133,10 +127,11 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
             f"{dom.n_angular} angular nodes cannot resolve frequency {degree}; "
             f"need at least {4 * degree}")
     basis = tuple(sorted(_block_monomials(w.n, degree), key=lambda a: (sum(a), a)))
-    # G = V^H diag(weights e^{-2 phi/h}) V over the quadrature nodes.
-    V, VH = _gram_table(dom, basis)
     wts = dom.weights * np.exp(-2.0 * dom.phi(w) / h)
-    G = VH @ (wts[:, None] * V)
+    H = polar_moments(wts, dom.radii, dom.n_radial, dom.n_angular, degree)
+    S = np.array(basis)
+    G = H[tuple(i for j in range(w.n) for i in (S[:, None, j] + S[None, :, j],
+                                                  S[None, :, j] - S[:, None, j]))]
     herm = np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300)
     if herm > GRAM_HERMITIAN_TOL:
         raise IllConditioned(f"gram matrix departs from Hermitian by {herm:.3e}")
@@ -182,7 +177,14 @@ def compare_kernels(K_asym: KernelEvaluator, K_exact: GramKernel,
     a = K_asym.eval(x, y)
     g = K_exact.eval(x, y)
     rel = np.abs(a - g) / np.abs(g)
-    return CompareStats(max_rel=float(rel.max()), median_rel=float(np.median(rel)))
+    return CompareStats(max_rel=float(rel.max()), median_rel=_median(rel))
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-d array, bit for bit, by one sort: np.median's first
+    call imports numpy.ma."""
+    s, mid = np.sort(x), x.size // 2
+    return float(s[mid] if x.size % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,42 +364,30 @@ def _contour_radius(pd: PhaseData, h: float) -> tuple[float, float]:
     return best
 
 
-def _sp_contour(pd: PhaseData, h: float) -> tuple[float, list, np.ndarray]:
-    """(g, power rows, measure wts * e^{2 phi/h}) of the quadrature disc at h.
+def _sp_contour(pd: PhaseData, h: float) -> tuple[float, np.ndarray]:
+    """(g, H) of the quadrature disc at h: H = polar_moments of the measure
+    wts * e^{2 phi/h} to the phase's slow degree, from which every symbol's
+    integral is read.  Both depend on (pd, h) alone, so the phase's memo
+    keeps them for the live h; a call at another h replaces them.
 
-    The power rows are, for each coordinate z of the nodes' (u, v), the
-    list z^0, z^1, ..., which grows as a series needs higher powers
-    (``_sp_symbol``); phi and every symbol are evaluated from them.  All of
-    it depends on (pd, h) alone, so the phase's memo keeps it for the live
-    h.  A call at another h drops it before building its own, except for
-    the arrays of the powers above z^1: the new nodes' powers are computed
-    into them, so the allocator does not return them to the system and
-    fault them in again at every h.
+    phi on the disc's radii x angles grid is summed term by term in polar
+    form, u^a v^b = (-conj b0)^b r^(a+b) e^{i(a-b) theta}, one outer product
+    per term: no array larger than the grid is formed, where the nodes'
+    power tables would each be several grids in size.
     """
     live = pd.memo.get("sp_contour")
     if live is None or live[0] != h:
-        reuse = [pw[2:] for pw in live[2]] if live is not None else []
-        live = pd.memo["sp_contour"] = None
         rho, g = _contour_radius(pd, h)
-        nodes, wts = disc_grid(rho, SP_N_RADIAL, SP_N_ANGULAR)
-        u, v = fast_uv(pd, nodes)
-        rows = [[np.ones(z.shape, dtype=complex), z] for z in (*u.T, *v.T)]
-        for pw, bufs in zip(rows, reuse):
-            for buf in bufs:
-                pw.append(np.multiply(pw[-1], pw[1], out=buf))
-        measure = wts * np.exp(2.0 * _sp_symbol(pd.phi0, rows) / h)
-        live = pd.memo["sp_contour"] = (h, g, rows, measure)
+        r, wr = radial_nodes(rho, SP_N_RADIAL)
+        wave = np.exp(2j * np.pi * np.arange(SP_N_ANGULAR) / SP_N_ANGULAR)
+        vb = -np.conj(pd.b0[0, 0])
+        phi = sum(c * vb ** be * np.outer(r ** (al + be), wave ** (al - be))
+                  for (al, be), c in pd.phi0.terms())
+        # disc_grid's weights, one row per radius
+        measure = (wr * r * (2.0 * np.pi / SP_N_ANGULAR))[:, None] * np.exp(2.0 * phi / h)
+        H = polar_moments(measure, (rho,), SP_N_RADIAL, SP_N_ANGULAR, pd.slow_deg)
+        live = pd.memo["sp_contour"] = (h, g, H)
     return live[1:]
-
-
-def _sp_symbol(symbol: TruncatedSeries, rows: list) -> np.ndarray:
-    """A series in (u, v) at the contour's nodes, read off its power rows.
-    Rows short of the series' exponents first grow by z^k = z^(k-1) z, the
-    products eval_grid forms."""
-    for pw, k in zip(rows, symbol.exponent_bounds()):
-        while len(pw) <= k:
-            pw.append(pw[-1] * pw[1])
-    return symbol.eval_powers(rows)
 
 
 def _sp_expansion(pd: PhaseData, symbol: TruncatedSeries, hmax: int) -> np.ndarray:
@@ -418,10 +408,12 @@ def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
     The integral h^{-n} conj(b0) int e^{(2/h) phi} f L(du) over the good
     contour through the origin is compared with the formal series: exact
     agreement when the phase has no remainder of (u, v)-degree >= 3 (the
-    expansion terminates), next-term bound otherwise.  The contour of h is
-    the phase's live one (``_sp_contour``), whose power rows give the
-    symbol on its nodes, and the expansion is formed once per (symbol,
-    hmax) and phase (``_sp_expansion``).
+    expansion terminates), next-term bound otherwise.  On the contour
+    v = -conj(b0) conj(u), so with u = r e^{i theta} a term u^a v^b is
+    (-conj b0)^b r^(a+b) e^{i(a-b) theta}, and the integral is read off the
+    moments H of the phase's live contour of h (``_sp_contour``).  The
+    expansion is formed once per (symbol, hmax) and phase
+    (``_sp_expansion``).
     """
     if pd.n != 1:
         raise ConfigInvalid("contour quadrature oracle is implemented for n = 1")
@@ -429,16 +421,17 @@ def sp_quadrature_check(pd: PhaseData, case: QuadratureCase, h: float,
         raise ConfigInvalid(f"hmax must be at least 1, got {hmax}")
     if case.symbol.nvars != 2 * pd.n:
         raise ConfigInvalid(f"case {case.name}: symbol must have {2 * pd.n} variables")
+    if case.symbol.maxdeg > pd.slow_deg:
+        raise ConfigInvalid(f"case {case.name}: symbol degree {case.symbol.maxdeg} "
+                            f"exceeds the phase's slow degree {pd.slow_deg}")
     b = complex(pd.b0[0, 0])
     terminating = not pd.remainder
     vals = _sp_expansion(pd, case.symbol, hmax)
 
-    g, rows, measure = _sp_contour(pd, h)
-    # fv stays named: numpy would write measure * (unnamed temporary)
-    # into the temporary, and that in-place complex product rounds
-    # differently from the one into a fresh array
-    fv = _sp_symbol(case.symbol, rows)
-    quad = complex(np.conj(b) / h * (measure * fv).sum())
+    g, H = _sp_contour(pd, h)
+    vb = -np.conj(b)       # v = vb conj(u) on the contour
+    quad = complex(np.conj(b) / h * sum(c * vb ** be * H[al + be, al - be]
+                                        for (al, be), c in case.symbol.terms()))
     tail = math.exp(-2.0 * g / h) * max(abs(quad), 1.0)
 
     if terminating or not (np.abs(vals) > 0).any():

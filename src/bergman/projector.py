@@ -68,14 +68,16 @@ CIRCLE_TOL = 2.0 ** -46
 class DomainSpec:
     """Quadrature domain: nodes and Lebesgue weights over a (poly)disc.
 
-    The grid is geometry only; it serves every h.  ``memo`` keeps, as long
-    as the grid lives, what its callers would otherwise recompute: phi on
-    the nodes per weight (``phi``), the Gram oracle's monomial table per
-    basis, and the weighted norm of each (weight, test function, h) that
-    reproducing_error divides by.
+    The grid is geometry only; it serves every h.  Its nodes are
+    ``polydisc_grid(radii, n_radial, n_angular)``: n_radial and n_angular
+    state the polar structure that quadrature.polar_moments reads.  ``memo``
+    keeps, as long as the grid lives, what its callers would otherwise
+    recompute: phi on the nodes per weight (``phi``) and the weighted norm
+    of each (weight, test function, h) that reproducing_error divides by.
     """
 
     radii: tuple[float, ...]
+    n_radial: int
     n_angular: int
     nodes: np.ndarray      # (m, n) complex
     weights: np.ndarray    # (m,) positive
@@ -102,7 +104,7 @@ def make_domain(radii, n_radial: int = 64, n_angular: int = 128) -> DomainSpec:
     if any(r <= 0 for r in radii):
         raise ConfigInvalid(f"domain radii must be positive, got {radii}")
     nodes, weights = polydisc_grid(radii, n_radial, n_angular)
-    return DomainSpec(radii=radii, n_angular=n_angular, nodes=nodes, weights=weights)
+    return DomainSpec(radii, n_radial, n_angular, nodes, weights)
 
 
 def check_domain(dom: DomainSpec, w: Weight) -> None:

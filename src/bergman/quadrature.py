@@ -89,6 +89,31 @@ def polydisc_grid(radii: tuple[float, ...], n_radial: int, n_angular: int,
     return nodes, weights
 
 
+def polar_moments(f: np.ndarray, radii: tuple[float, ...], n_radial: int,
+                  n_angular: int, degree: int) -> np.ndarray:
+    """Moments of f on the tensor polar grid of ``polydisc_grid(radii,
+    n_radial, n_angular)`` (``disc_grid`` for one radius): the sums
+    H[p_1, k_1, ..., p_n, k_n] = sum over the nodes of f prod_j r_j^p_j
+    e^{i k_j theta_j}, for 0 <= p_j <= 2 degree and |k_j| <= degree, with
+    a negative k_j read at its negative index.  So sum_nodes f conj(y^s) y^t
+    = H[s_1 + t_1, t_1 - s_1, ...] for exponents s_j, t_j <= degree.
+
+    The grid stores its radii outermost, so f is one (radii x angles) block
+    per variable.  The angle sums are one inverse FFT over each angular
+    axis (unscaled, e^{+i k theta}), the radius sums one contraction with
+    the radial powers per variable: the node sums, only reordered.
+    """
+    rs = [radial_nodes(radius, n_radial)[0] for radius in radii]
+    H = f.reshape([d for r in rs for d in (r.size, n_angular)])
+    H = np.fft.ifftn(H, axes=range(1, 2 * len(rs), 2), norm="forward")
+    ks = np.r_[0:degree + 1, -degree:0] % n_angular
+    for j, r in enumerate(rs):
+        H = np.take(H, ks, axis=2 * j + 1)
+        powers = r ** np.arange(2 * degree + 1)[:, None]
+        H = np.moveaxis(np.tensordot(powers, H, axes=(1, 2 * j)), 0, 2 * j)
+    return H
+
+
 def _direction_numbers(d: int) -> np.ndarray:
     """Unscrambled direction numbers v[i, j] of the first d dimensions, bit
     j of the point index, as 30-bit integers (Bratley & Fox, ACM TOMS 14,

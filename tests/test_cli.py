@@ -85,13 +85,18 @@ def test_bad_grid_and_suites():
 
 
 def test_dimension_capped_by_the_embedded_sobol_table(tmp_path, capsys):
-    # the sampled gap draws 4n Sobol' dimensions; the package embeds 8
-    def gaussian(n):
+    # the sampled gap draws 4n Sobol' dimensions; the package embeds 8.
+    # Grids of product-2d's size: the default 64 x 128 per variable is 2^26
+    # nodes in two variables, above MAX_GRID_NODES
+    def gaussian(n, **grids):
         return dict(BASE, dimension=n, test_functions=[[0] * n], coefficients=[
             {"exponents": [int(k % n == j) for k in range(2 * n)], "re": 0.5}
-            for j in range(n)])
+            for j in range(n)], **grids)
 
-    assert config_from_dict(gaussian(2)).dimension == 2
+    small = {"n_radial": 6, "n_angular": 12, "err_n_radial": 4, "err_n_angular": 8}
+    assert config_from_dict(gaussian(2, **small)).dimension == 2
+    with pytest.raises(ConfigInvalid, match="n_radial"):
+        config_from_dict(gaussian(2))
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(gaussian(3)))
     assert main(["validate", "--config", str(cfg_path)]) == 2
@@ -134,6 +139,9 @@ def test_exponent_arity_checked():
     ("coefficients", [{"exponents": [1, 1], "re": "0.5"}]),
     ("coefficients", [{"exponents": [1, 1], "re": 0.5, "im": False}]),
     ("suites", {"validate": 1}), ("name", {"a": 1}),
+    # a grid above MAX_GRID_NODES nodes would end in a MemoryError
+    ("n_radial", 10 ** 12), ("n_angular", 2 ** 15), ("err_n_radial", 2 ** 16),
+    ("err_n_angular", 10 ** 12),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
@@ -156,6 +164,7 @@ def test_main_rejects_zero_angular_nodes(tmp_path, capsys):
     ("delta", 0.2, "unknown config fields: ['delta']"),
     ("hmax", 0, "hmax must be at least 1"),
     ("maxdeg", 256, "maxdeg (256) must be at most 255"),
+    ("n_radial", 10 ** 12, "n_radial x n_angular gives a grid of 128000000000000 nodes"),
 ])
 def test_main_rejects_fields_that_cannot_run(tmp_path, capsys, field, value, message):
     cfg_path = tmp_path / "c.json"
@@ -391,15 +400,15 @@ def test_sp_rows_equal_calls_that_rebuild_every_contour(monkeypatch):
     # contour every time.  The run builds it once per h.
     from bergman import oracle
     probes, discs = [], []
-    radius, disc = oracle._contour_radius, oracle.disc_grid
+    radius, disc = oracle._contour_radius, oracle.radial_nodes
     monkeypatch.setattr(oracle, "_contour_radius",
                         lambda pd, h: probes.append(h) or radius(pd, h))
 
     def counted_disc(*args):
-        if args[1:] == (oracle.SP_N_RADIAL, oracle.SP_N_ANGULAR):
+        if args[1:] == (oracle.SP_N_RADIAL,):
             discs.append(args)
         return disc(*args)
-    monkeypatch.setattr(oracle, "disc_grid", counted_disc)
+    monkeypatch.setattr(oracle, "radial_nodes", counted_disc)
     cfg, rows = _verify_sp("perturbed-quartic")
     assert probes == list(cfg.h_grid) and len(discs) == len(cfg.h_grid)
 

@@ -19,7 +19,7 @@ from bergman.oracle import (SP_MAX_RADIUS, SP_PROBE_ANGLES, SP_PROBE_RADII,
 from bergman.projector import assemble_kernel, make_domain
 from bergman.series import TruncatedSeries
 from bergman.weight import Weight, validate_weight
-from bergman.phase import build_phase, phase_on_contour
+from bergman.phase import build_phase, fast_uv, phase_on_contour
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -122,22 +122,54 @@ def test_gram_ill_conditioned_anisotropic():
         gram_bergman(w, dom, 0.02, 35)
 
 
-def test_gram_builds_the_node_table_once_per_grid(monkeypatch):
-    # V depends on the nodes and the basis only, so five h on one grid read
-    # one table, and each kernel equals the one a fresh grid gives
+def test_gram_builds_no_node_table_and_shares_the_grid(monkeypatch):
+    # G is read off the weighted measure's polar moments, so no node x basis
+    # table is built and the grid's memo holds phi alone; five h on one grid
+    # equal the kernels of fresh grids bit for bit
     w = make_weight(QUARTIC, trust=1.0)
     hs = (0.2, 0.15, 0.1, 0.07, 0.05)
     fresh = [gram_bergman(w, make_domain((0.7,)), h, 25) for h in hs]
     dom = make_domain((0.7,))
-    node_tables = []
+    tables = []
     table = oracle._monomial_table
-    monkeypatch.setattr(oracle, "_monomial_table", lambda disp, basis: node_tables.append(
-        len(disp) == len(dom.nodes)) or table(disp, basis))
+    monkeypatch.setattr(oracle, "_monomial_table",
+                        lambda disp, basis: tables.append(len(disp)) or table(disp, basis))
     shared = [gram_bergman(w, dom, h, 25) for h in hs]
-    assert sum(node_tables) == 1
+    assert tables == [] and list(dom.memo) == [("phi", w)]
     for a, b in zip(shared, fresh):
         assert np.array_equal(a.gram, b.gram) and np.array_equal(a.onb, b.onb)
         assert a.cond == b.cond
+
+
+def node_sum_gram(w, dom, h, basis):
+    """V^H diag(weights e^{-2 phi/h}) V with V the basis on the grid's nodes:
+    the Gram matrix as summed before it was read off polar moments, kept as
+    a reference."""
+    V = oracle._monomial_table(dom.nodes, basis)
+    wts = dom.weights * np.exp(-2.0 * dom.phi(w) / h)
+    return V.conj().T @ (wts[:, None] * V)
+
+
+NONRADIAL_2D = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
+                ((1, 0, 0, 1), 0.1, 0.0), ((0, 1, 1, 0), 0.1, 0.0),
+                ((2, 0, 1, 1), 0.02, 0.01), ((1, 1, 2, 0), 0.02, -0.01)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_equals_the_node_sum_reference(n):
+    # the same quadrature sums in another order: entrywise within 1e-14 of
+    # sqrt(G_ss G_tt), the Cauchy-Schwarz bound of |G_st|
+    if n == 1:
+        w = make_weight(QUARTIC + [((3, 1), 0.025, 0.01), ((1, 3), 0.025, -0.01)], trust=1.0)
+        dom, degree = make_domain((0.7,)), 25
+    else:
+        w = validate_weight(TruncatedSeries.from_triples(NONRADIAL_2D, 4, 8), 1.0)
+        dom, degree = make_domain((0.7, 0.6), n_radial=10, n_angular=24), 6
+    for h in (0.2, 0.1, 0.05):
+        gk = gram_bergman(w, dom, h, degree)
+        ref = node_sum_gram(w, dom, h, gk.basis)
+        scale = np.sqrt(np.outer(ref.diagonal().real, ref.diagonal().real))
+        assert (np.abs(gk.gram - ref) / scale).max() <= 1e-14, (n, h)
 
 
 def test_grid_memo_keys_phi_and_gram_on_the_weight():
@@ -216,6 +248,16 @@ def test_compare_kernels_null_amplitude():
     x, y = near_diagonal_pairs(0.25)
     stats = compare_kernels(K, gk, x, y)
     assert abs(stats.max_rel - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("size", [1, 2, 19, 20, 39, 40])
+def test_median_is_numpys(size):
+    # odd sizes take the middle value, even ones the mean of the two middle
+    # values, bit for bit as np.median does
+    rng = np.random.default_rng(size)
+    for _ in range(50):
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        assert oracle._median(x) == float(np.median(x))
 
 
 def test_n1_pairs_on_n2_kernel_raise_package_error():
@@ -434,6 +476,17 @@ PROBES = {
 }
 
 
+def node_sum_quad(pd, symbol, h):
+    """(g, conj(b0)/h * sum of measure * symbol) over the nodes of the
+    contour's disc at h, the symbol evaluated at (u, v) on the good contour:
+    the direct quadrature sp_quadrature_check reorders."""
+    rho, g = _contour_radius(pd, h)
+    nodes, wts = oracle.disc_grid(rho, oracle.SP_N_RADIAL, oracle.SP_N_ANGULAR)
+    measure = wts * np.exp(2.0 * phase_on_contour(pd, nodes) / h)
+    fv = symbol.eval_grid(np.concatenate(fast_uv(pd, nodes), axis=1))
+    return g, np.conj(pd.b0[0, 0]) / h * (measure * fv).sum()
+
+
 def probe_by_circle(pd, h):
     """The probe scan with one phase evaluation per circle."""
     angles = np.exp(2j * np.pi * np.arange(SP_PROBE_ANGLES) / SP_PROBE_ANGLES)
@@ -505,9 +558,7 @@ def test_sp_underresolved_rows_are_mostly_expansions_that_vanish(name, under, va
                 rows.append((case.name, h))
             if (oracle._sp_expansion(pd, case.symbol, cfg.hmax) == 0).all():
                 zero.append((case.name, h))
-                g, nodes, measure = oracle._sp_contour(pd, h)
-                fv = oracle._sp_symbol(case.symbol, nodes)
-                quad = np.conj(pd.b0[0, 0]) / h * (measure * fv).sum()
+                g, quad = node_sum_quad(pd, case.symbol, h)
                 assert abs(quad) <= 8.1e-17
                 assert math.exp(-2.0 * g / h) > 0.25 * oracle.SP_TERMINATING_TOL
     assert (len(rows), len(zero)) == (under, vanishing)
@@ -565,24 +616,32 @@ def test_sp_expands_each_case_once_per_phase(monkeypatch):
     assert sorted(expanded) == [3, 3, 4, 4]
 
 
-def test_sp_contour_reads_symbols_off_its_power_rows(monkeypatch):
-    # rows grown in any case order give eval_grid's values bit for bit; a
-    # new h drops the live contour before its own is built, and the powers
-    # it computes into the old arrays are its own nodes'
+def test_sp_contour_reads_symbols_off_its_moments(monkeypatch):
+    # the quad of multi-term symbols up to the slow degree is the node sum
+    # over the contour's disc within 1e-14 of max(1, |quad|); the phase
+    # keeps the contour of one h, so a new h drops the live one
     pd = build_phase(make_weight(CUBIC, maxdeg=26, trust=1.2))
-    symbols = [TruncatedSeries.from_triples([((a, b), 1.0, 0.0), ((1, 0), 0.5, 0.0)], 2, 24)
-               for a, b in ((3, 1), (0, 0), (1, 4), (2, 2))]
-    live = []
+    symbols = [TruncatedSeries.from_triples(
+        [((a, b), 1.0, 0.0), ((1, 0), 0.5, 0.0), ((0, 2), 0.0, -0.25)], 2, pd.slow_deg)
+        for a, b in ((3, 1), (0, 0), (1, 4), (2, 2), (12, 12), (24, 0), (0, 24))]
+    probes = []
     radius = oracle._contour_radius
     monkeypatch.setattr(oracle, "_contour_radius",
-                        lambda pd, h: live.append(pd.memo.get("sp_contour")) or radius(pd, h))
-    for h in (0.1, 0.05):
-        _, rows, _ = oracle._sp_contour(pd, h)
-        uv = np.stack([pw[1] for pw in rows], axis=1)
+                        lambda pd, h: probes.append(h) or radius(pd, h))
+    for h in (0.1, 0.05, 0.1):
         for symbol in symbols:
-            assert np.array_equal(oracle._sp_symbol(symbol, rows), symbol.eval_grid(uv))
-        assert [len(pw) for pw in rows] == [4, 5]
-    assert live == [None, None]
+            quad = sp_quadrature_check(pd, QuadratureCase("s", symbol), h, hmax=2).quad
+            want = node_sum_quad(pd, symbol, h)[1]
+            assert abs(quad - want) <= 1e-14 * max(1.0, abs(quad)), (symbol, h)
+        assert pd.memo["sp_contour"][0] == h
+    assert probes == [0.1, 0.05, 0.1]
+
+
+def test_sp_rejects_a_symbol_above_the_slow_degree():
+    pd = build_phase(make_weight(QUARTIC, maxdeg=26, trust=1.0))
+    case = QuadratureCase("one", TruncatedSeries.constant(1.0, 2, pd.slow_deg + 1))
+    with pytest.raises(ConfigInvalid, match="slow degree"):
+        sp_quadrature_check(pd, case, 0.1, hmax=2)
 
 
 def test_sp_rejects_hmax_below_one():

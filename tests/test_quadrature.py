@@ -9,8 +9,9 @@ from scipy.stats import qmc
 from bergman import quadrature
 from bergman.cli import load_config
 from bergman.errors import ConfigInvalid
-from bergman.quadrature import SOBOL_DIMS, sobol, sobol_ball
-from bergman.series import TruncatedSeries
+from bergman.projector import make_domain
+from bergman.quadrature import SOBOL_DIMS, polar_moments, sobol, sobol_ball
+from bergman.series import TruncatedSeries, _block_monomials, _monomial_table
 from bergman.weight import quadratic_gap_estimate, validate_weight
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +61,27 @@ def test_sobol_ball_is_uniform_on_the_ball(nv):
     assert abs2.sum(axis=1).mean() == pytest.approx(r * r * nv / (nv + 1), rel=1e-3)
     assert abs2.mean(axis=0) == pytest.approx(np.full(nv, r * r / (nv + 1)), rel=1e-3)
     assert np.abs(z.mean(axis=0)).max() < 2e-3 * r
+
+
+@pytest.mark.parametrize("radii,n_radial,n_angular", [
+    ((0.8,), 12, 40), ((0.8,), 3, 24), ((0.8, 0.6), 5, 20)])
+def test_polar_moments_are_the_node_sums(radii, n_radial, n_angular):
+    # H[s + t, t - s] is sum_j f_j conj(y_j^s) y_j^t for every pair of a
+    # degree-8 basis, within 1e-13 of sum_j |f_j| |y_j|^(s + t); three
+    # radial nodes are four on the grid (radial_nodes' floor)
+    n, degree = len(radii), 8
+    dom = make_domain(radii, n_radial, n_angular)
+    rng = np.random.default_rng(n_angular)
+    f = rng.standard_normal(dom.weights.size) + 1j * rng.standard_normal(dom.weights.size)
+    H = polar_moments(f, dom.radii, dom.n_radial, dom.n_angular, degree)
+    basis = list(_block_monomials(n, degree))
+    V = _monomial_table(dom.nodes, basis)
+    direct = V.conj().T @ (f[:, None] * V)
+    bound = np.abs(V).T @ (np.abs(f)[:, None] * np.abs(V))
+    S = np.array(basis)
+    got = H[tuple(i for j in range(n) for i in (S[:, None, j] + S[None, :, j],
+                                               S[None, :, j] - S[:, None, j]))]
+    assert (np.abs(got - direct) / bound).max() <= 1e-13
 
 
 def test_gap_estimate_draws_one_block(monkeypatch):
