@@ -77,9 +77,10 @@ _FIELDS = RunConfig.__dataclass_fields__
 _DEFAULTS = {k: f.default for k, f in _FIELDS.items()}
 _REQUIRED = [k for k, v in _DEFAULTS.items() if v is MISSING]
 # The least value of each bounded integer field; maxdeg is bounded by the
-# degree budget and the series ring, below.
-_LEAST = {"dimension": 1, "order": 0, "hmax": 1, "n_radial": 1, "n_angular": 1,
-          "err_n_radial": 1, "err_n_angular": 1, "seed": 0}
+# degree budget and the series ring, below.  A grid has at least 4 radial
+# nodes (quadrature.radial_nodes), so a smaller count would not be the one run.
+_LEAST = {"dimension": 1, "order": 0, "hmax": 1, "n_radial": 4, "n_angular": 1,
+          "err_n_radial": 4, "err_n_angular": 1, "seed": 0}
 # The most nodes either grid may have, (radial x angular nodes)^dimension.
 # Canonical grids have at most 8192; a count far above this bound would
 # end in a MemoryError while the grid is built, not in an exit 2.

@@ -9,18 +9,23 @@ its Jacobian, theta_pairing and theta_ratio from phase, the gap Weight.gap,
 formal_expansion (which sp_quadrature_check exists to check),
 weighted_norm / check_domain and the grid's phi from projector, and from
 series the monomial enumerator _block_monomials, which lists the Gram
-basis.  The Gram kernel's evaluation table, _monomial_table here, and
-quadrature.polar_moments are the oracles' own.  Sample counts and grids
-are constants of the check that uses them; only the Sobol seed is an argument,
-and quadrature.sampled_ratio drops their near-coincident samples.
+basis.  quadrature.polar_moments, the node sums behind both the Gram matrix
+and the contour quadrature, also builds the kernel stage's projection
+tables; the Gram comparison stays independent of them, because it reads the
+asymptotic kernel pointwise (KernelEvaluator.eval), which reads no table.
+The Gram kernel's evaluation table, _monomial_table here, is the oracles'
+own.  Sample counts and grids are constants of the check that uses them;
+only the Sobol seed is an argument, and quadrature.sampled_ratio drops their
+near-coincident samples.
 
 Work that depends on neither h nor the test function is done once where it
 lives.  Both the Gram matrix and the contour quadrature integrate
 monomials r^p e^{ik theta} against a measure on a polar grid, so they read
 every integral off the measure's polar moments H (quadrature.polar_moments:
-one angular FFT per radius) and build no node-by-monomial table.  A grid
-(DomainSpec.memo) keeps phi on its nodes per weight, so gram_bergman forms
-the h-weighted measure and reads G[s, t] = H[s + t, t - s].
+one product with a table of e^{ik theta} per angular axis) and build no
+node-by-monomial table.  A grid (DomainSpec.memo) keeps phi on its nodes
+per weight, so gram_bergman forms the h-weighted measure and reads
+G[s, t] = H[s + t, t - s].
 sp_quadrature_check checks one (case, h) row on the contour of h (probe
 radius and the moments of the disc's measure to the slow degree), which the
 phase keeps for the h in use; each symbol's integral is a sum over its
@@ -113,9 +118,9 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
     """Brute-force reproducing kernel on monomials of total degree <= degree.
 
     G[s, t] = sum_nodes weights e^{-2 phi/h} conj(y^s) y^t is read off the
-    polar moments of the weighted measure, G[s, t] = H[s + t, t - s]: one
-    angular FFT per radius, and no node-by-basis table.  phi on the nodes
-    comes from the grid's memo.
+    polar moments of the weighted measure, G[s, t] = H[s + t, t - s], and
+    no node-by-basis table is formed.  phi on the nodes comes from the
+    grid's memo.
     """
     check_domain(dom, w)
     if h <= 0:
@@ -128,7 +133,8 @@ def gram_bergman(w: Weight, dom: DomainSpec, h: float, degree: int) -> GramKerne
             f"need at least {4 * degree}")
     basis = tuple(sorted(_block_monomials(w.n, degree), key=lambda a: (sum(a), a)))
     wts = dom.weights * np.exp(-2.0 * dom.phi(w) / h)
-    H = polar_moments(wts, dom.radii, dom.n_radial, dom.n_angular, degree)
+    H = polar_moments(wts, dom.radii, dom.n_radial, dom.n_angular, 2 * degree,
+                      (-degree, degree))
     S = np.array(basis)
     G = H[tuple(i for j in range(w.n) for i in (S[:, None, j] + S[None, :, j],
                                                   S[None, :, j] - S[:, None, j]))]
@@ -385,7 +391,8 @@ def _sp_contour(pd: PhaseData, h: float) -> tuple[float, np.ndarray]:
                   for (al, be), c in pd.phi0.terms())
         # disc_grid's weights, one row per radius
         measure = (wr * r * (2.0 * np.pi / SP_N_ANGULAR))[:, None] * np.exp(2.0 * phi / h)
-        H = polar_moments(measure, (rho,), SP_N_RADIAL, SP_N_ANGULAR, pd.slow_deg)
+        deg = pd.slow_deg
+        H = polar_moments(measure.ravel(), (rho,), SP_N_RADIAL, SP_N_ANGULAR, 2 * deg, (-deg, deg))
         live = pd.memo["sp_contour"] = (h, g, H)
     return live[1:]
 

@@ -119,16 +119,20 @@ def lift_blocks(f: TruncatedSeries) -> dict:
 
     Each monomial expands by the binomial theorem; the u^alpha v^beta block
     is kept to degree f.maxdeg - |alpha| - |beta|, so the blocks hold the
-    lift to total degree f.maxdeg.
+    lift to total degree f.maxdeg.  The binomial products of a monomial x^m
+    are the products of rows m_i of one Pascal table, enumerated in the
+    order of the exponents k they go with.
     """
+    pascal = [[math.comb(e, j) for j in range(e + 1)] for e in range(f.maxdeg + 1)]
     parts: dict = {}      # k -> (key of x^k, the slow series' coefficients)
     for mi, c in f.terms():
         key = monomial_key(mi)
-        for k in itertools.product(*(range(e + 1) for e in mi)):
+        for k, binomials in zip(itertools.product(*(range(e + 1) for e in mi)),
+                                itertools.product(*(pascal[e] for e in mi))):
             if k not in parts:
                 parts[k] = monomial_key(k), {}
             kk, slow = parts[k]
-            slow[key - kk] = c * math.prod(map(math.comb, mi, k))
+            slow[key - kk] = c * math.prod(binomials)
     return {kk: TruncatedSeries(f.nvars, f.maxdeg - sum(k), slow, _checked=True)
             for k, (kk, slow) in parts.items()}
 

@@ -11,15 +11,17 @@ against w_j y_j^t.  Each test function u is then a contraction of that
 table with u's coefficients, so projecting several test functions costs one
 pass of complex exp, not one per function.  Kernels that share the weight
 and h (the truncation orders at one h) differ only in a, so
-projection_table builds their tables in one pass: the factor
-e^{(2/h)(Psi - phi)} is computed once per block of points and multiplied by
-each distinct amplitude.  The table is built from Psi and a in factored
-form X @ B, with the node-side factors B shared by every block of points;
-phi(y) is folded into the constant row of Psi's node factor, so the
-combined exponent Psi - phi is formed inside the matrix product and the
-integrand never overflows inside the trust region.  phi(y) comes from the
-grid, which evaluates it once per weight (DomainSpec.phi) for every table
-build and every weighted_norm on it.
+projection_table builds their tables in one pass: the measure
+e^{(2/h)(Psi - phi)} w of each evaluation row is formed once, and each
+distinct amplitude a = sum A[alpha, beta] x^alpha conj(y)^beta reads its
+table off the row's polar moments H (quadrature.polar_moments, the node
+sums the Gram and contour oracles read too), T[i, t] = sum_beta
+(x_i^alpha A)[i, beta] H_i[beta + t, t - beta], so no amplitude is
+evaluated at the nodes.  Psi - phi is one matrix product: phi(y) is folded
+into the constant row of Psi's node-side factor, so the integrand never
+overflows inside the trust region.  phi(y) comes from the grid, which
+evaluates it once per weight (DomainSpec.phi) for every table build and
+every weighted_norm on it.
 
 The table is holomorphic in the evaluation point, because the amplitude is
 an analytic symbol, so Cauchy's formula gives the rows from one circle
@@ -32,10 +34,11 @@ both probe rows to within CIRCLE_TOL of each row's largest entry, and
 otherwise every row is summed directly, as it is in n >= 2 variables,
 where a torus would need 32^n points (product-2d's inner grid has 1024
 rows).  The guard compares those two rows only: the rows between them are
-not checked, and on the canonical configs they measure within 1.4e-15 of
-their direct sums relative to the table's peak.  At small h the circle's rounding sits at the cancellation scale
-e^{max phi / 2h}, far above the interior rows' values, which no larger
-circle would mend, and the guard declines it.
+not checked, and on the canonical configs they measure within 1.5e-15 of
+their direct sums relative to the table's peak.  At small h the circle's
+rounding sits at the cancellation scale e^{max phi / 2h}, far above the
+interior rows' values, which no larger circle would mend, and the guard
+declines it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 
 from .amplitude import Amplitude, RealizedSymbol, realize
 from .errors import ConfigInvalid, DegenerateFit, IllConditioned
-from .quadrature import polydisc_grid
+from .quadrature import polar_moments, polydisc_grid, radial_nodes
 from .series import TruncatedSeries, _block_monomials, _monomial_table
 from .weight import Weight, _as_points, _pair_points
 
@@ -62,6 +65,9 @@ BLOCK_ELEMENTS = 2 ** 17
 # to each row's largest entry, before the rows are read off it.
 CIRCLE_POINTS = 32
 CIRCLE_TOL = 2.0 ** -46
+# Rows whose polar moments projection_table forms at once: a few rows keep
+# the moments' intermediates small beside the block's exponent buffer.
+MOMENT_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,8 @@ class DomainSpec:
 
     The grid is geometry only; it serves every h.  Its nodes are
     ``polydisc_grid(radii, n_radial, n_angular)``: n_radial and n_angular
-    state the polar structure that quadrature.polar_moments reads.  ``memo``
+    state the polar structure that quadrature.polar_moments reads, n_radial
+    as the count of radial nodes built (make_domain).  ``memo``
     keeps, as long as the grid lives, what its callers would otherwise
     recompute: phi on the nodes per weight (``phi``) and the weighted norm
     of each (weight, test function, h) that reproducing_error divides by.
@@ -104,7 +111,9 @@ def make_domain(radii, n_radial: int = 64, n_angular: int = 128) -> DomainSpec:
     if any(r <= 0 for r in radii):
         raise ConfigInvalid(f"domain radii must be positive, got {radii}")
     nodes, weights = polydisc_grid(radii, n_radial, n_angular)
-    return DomainSpec(radii, n_radial, n_angular, nodes, weights)
+    # the radial count built, which radial_nodes raises to at least 4
+    built = radial_nodes(radii[0], n_radial)[0].size
+    return DomainSpec(radii, built, n_angular, nodes, weights)
 
 
 def check_domain(dom: DomainSpec, w: Weight) -> None:
@@ -161,11 +170,15 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
 
     T[i, t] = sum_j e^{(2/h)(Psi(x_i, conj y_j) - phi(y_j))} a(x_i, conj y_j)
     w_j y_j^t for every monomial y^t of total degree <= ``degree``.  The
-    kernels must share the weight and h, so they differ only in a: the
-    exponential factor is computed once per block of points and multiplied
-    by each kernel's amplitude.  Kernels whose realized symbols are equal
-    (orders cut at the same k) get one table between them.  Each kernel
-    stores ({t: column of T}, T) in its ``tables`` under ``table_key``.
+    kernels must share the weight and h, so they differ only in a.  With
+    a = sum A[alpha, beta] x^alpha conj(y)^beta and y = r e^{i theta},
+    T[i, t] = sum_beta (X_alpha(x_i) A)[i, beta] H_i[beta + t, t - beta],
+    where H_i are the polar moments (quadrature.polar_moments) of row i's
+    measure e^{(2/h)(Psi - phi)} w: the exponential factor and its moments
+    are formed once per block of rows and read by every kernel.  Kernels
+    whose realized symbols are equal (orders cut at the same k) get one
+    table between them.  Each kernel stores ({t: column of T}, T) in its
+    ``tables`` under ``table_key``.
 
     T is holomorphic in x, so for one variable and more than
     4 (CIRCLE_POINTS + 2) rows it is summed at the CIRCLE_POINTS points
@@ -194,27 +207,36 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
         probes = xd[[r.argmin(), r.argmax()]]
         ring = R * np.exp(2j * np.pi / CIRCLE_POINTS * np.arange(CIRCLE_POINTS)[:, None])
         pts = np.concatenate([xd, probes, ring])
-    # Node-side factors, once per grid: Psi = X @ P and a = Xa @ Pa.  Row 0
-    # of P multiplies the constant monomial, so subtracting phi(y) there
-    # makes the GEMM return Psi - phi(y), which stays bounded where the
-    # two terms alone overflow and underflow at small h.
+    # Psi's node-side factor, once per grid: Psi = X @ P.  Row 0 of P
+    # multiplies the constant monomial, so subtracting phi(y) there makes
+    # the GEMM return Psi - phi(y), which stays bounded where the two terms
+    # alone overflow and underflow at small h.
     X, P = K0.w.series.bilinear_factors(pts, yd)
     P[0] -= d.phi(K0.w)
+    # Each symbol enters as its point-side coefficients C = X_alpha(pts) A
+    # and the index of H[beta + t, t - beta] for its columns beta and the
+    # table's columns t.
     symbols = list(dict.fromkeys(K.symbol.series for K in kernels))
-    amps = [a.bilinear_factors(pts, yd) for a in symbols]
-    load = d.weights[:, None] * _monomial_table(d.nodes, monomials)
+    S = np.array(monomials)
+    reads, top = [], 0
+    for a in symbols:
+        xmon, ymon, A = a.bilinear_table()
+        B = np.array(ymon)
+        top = max(top, int(B.max()))
+        at = tuple(i for j in range(n) for i in (B[:, None, j] + S[None, :, j],
+                                                  S[None, :, j] - B[:, None, j]))
+        reads.append((_monomial_table(pts, xmon) @ A, (slice(None),) + at))
     chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
-    # One exponent and one product buffer serve every block and kernel.
-    shape = (min(chunk, pts.shape[0]), d.nodes.shape[0])
-    E_buf, M_buf = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    # One exponent buffer serves every block.
+    E_buf = np.empty((min(chunk, pts.shape[0]), d.nodes.shape[0]), dtype=complex)
 
     def integrate(lo: int, hi: int) -> list[np.ndarray]:
         """Every symbol's table at the points pts[lo:hi]."""
         Ts = [np.empty((hi - lo, len(monomials)), dtype=complex) for _ in symbols]
         for start in range(lo, hi, chunk):
-            blk = slice(start, min(start + chunk, hi))
-            E, M = E_buf[:blk.stop - start], M_buf[:blk.stop - start]
-            np.matmul(X[blk], P, out=E)
+            stop = min(start + chunk, hi)
+            E = E_buf[:stop - start]
+            np.matmul(X[start:stop], P, out=E)
             # Keep this separate pass between the GEMM and exp; do not fold
             # 2/h into P.  exp called straight on an OpenBLAS complex GEMM
             # result measured 10-16x slower: upper AVX-512 register state
@@ -222,11 +244,13 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
             # ufunc runs.
             E *= 2.0 / K0.h
             np.exp(E, out=E)
-            for (Xa, Pa), T in zip(amps, Ts):
-                np.matmul(Xa[blk], Pa, out=M)
-                # E first: the operand order fixes the rounding of the product.
-                np.multiply(E, M, out=M)
-                T[blk.start - lo:blk.stop - lo] = M @ load
+            E *= d.weights
+            for sub in range(start, stop, MOMENT_ROWS):
+                end = min(sub + MOMENT_ROWS, stop)
+                H = polar_moments(E[sub - start:end - start], d.radii, d.n_radial,
+                                  d.n_angular, top + degree, (-top, degree))
+                for (C, at), T in zip(reads, Ts):
+                    T[sub - lo:end - lo] = np.einsum("ib,ibt->it", C[sub:end], H[at])
         return Ts
 
     with np.errstate(over="ignore", invalid="ignore"):

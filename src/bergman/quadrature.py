@@ -17,6 +17,7 @@ block onto a complex ball, so every sample set is a single draw.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -89,29 +90,52 @@ def polydisc_grid(radii: tuple[float, ...], n_radial: int, n_angular: int,
     return nodes, weights
 
 
+def _angular_table(n_angular: int, lo: int, hi: int) -> np.ndarray:
+    """e^{i k theta_a} at the angles theta_a = 2 pi a / n_angular for the
+    frequencies k = 0..hi, lo..-1 (a negative k at its negative index).
+    Each entry is one of the n_angular roots of unity, e^{2 pi i m /
+    n_angular} at m = a k mod n_angular, so a large a k loses no digits."""
+    ks = np.arange(hi - lo + 1)
+    ks[hi + 1:] -= ks.size
+    a = np.arange(n_angular)
+    return np.exp(2j * np.pi / n_angular * a)[np.outer(a, ks) % n_angular]
+
+
 def polar_moments(f: np.ndarray, radii: tuple[float, ...], n_radial: int,
-                  n_angular: int, degree: int) -> np.ndarray:
+                  n_angular: int, max_power: int, freqs: tuple[int, int]) -> np.ndarray:
     """Moments of f on the tensor polar grid of ``polydisc_grid(radii,
     n_radial, n_angular)`` (``disc_grid`` for one radius): the sums
-    H[p_1, k_1, ..., p_n, k_n] = sum over the nodes of f prod_j r_j^p_j
-    e^{i k_j theta_j}, for 0 <= p_j <= 2 degree and |k_j| <= degree, with
-    a negative k_j read at its negative index.  So sum_nodes f conj(y^s) y^t
-    = H[s_1 + t_1, t_1 - s_1, ...] for exponents s_j, t_j <= degree.
+    H[..., p_1, k_1, ..., p_n, k_n] = sum over the nodes of f prod_j
+    r_j^p_j e^{i k_j theta_j}, for 0 <= p_j <= ``max_power`` and lo <= k_j <=
+    hi with (lo, hi) = ``freqs``, lo <= 0 <= hi, a negative k_j read at its
+    negative index.  The nodes are f's last axis; its leading axes are a
+    batch, each summed on its own.  So sum_nodes f conj(y^s) y^t =
+    H[..., s_1 + t_1, t_1 - s_1, ...].
 
     The grid stores its radii outermost, so f is one (radii x angles) block
-    per variable.  The angle sums are one inverse FFT over each angular
-    axis (unscaled, e^{+i k theta}), the radius sums one contraction with
-    the radial powers per variable: the node sums, only reordered.
+    per variable: the node sums, only reordered, are the angle sums, one
+    product with the table of e^{i k theta} per angular axis, then the
+    radius sums, one product with the radial powers per variable.  Each is
+    one matrix product over the whole batch, except the angle sums of the
+    variables before the last, which are stacked ones.
     """
+    table = _angular_table(n_angular, *freqs)
+    n_freqs = table.shape[1]
     rs = [radial_nodes(radius, n_radial)[0] for radius in radii]
-    H = f.reshape([d for r in rs for d in (r.size, n_angular)])
-    H = np.fft.ifftn(H, axes=range(1, 2 * len(rs), 2), norm="forward")
-    ks = np.r_[0:degree + 1, -degree:0] % n_angular
-    for j, r in enumerate(rs):
-        H = np.take(H, ks, axis=2 * j + 1)
-        powers = r ** np.arange(2 * degree + 1)[:, None]
-        H = np.moveaxis(np.tensordot(powers, H, axes=(1, 2 * j)), 0, 2 * j)
-    return H
+    # Angle sums, last variable first: its angle axis is f's last.
+    H, after = f.reshape(-1, n_angular) @ table, n_freqs
+    for r in reversed(rs[:-1]):
+        after *= r.size
+        H = np.matmul(table.T, H.reshape(-1, n_angular, after))
+        after *= n_freqs
+    # Radius sums, first variable first: each contracts the radial axis
+    # that follows the batch and moves its (power, frequency) pair last.
+    batch = math.prod(f.shape[:-1])
+    for r in rs:
+        H = H.reshape(batch, r.size, -1).swapaxes(1, 2).reshape(-1, r.size)
+        H = (H @ (r ** np.arange(max_power + 1)[:, None]).T).reshape(batch, n_freqs, -1)
+        H = H.swapaxes(1, 2)
+    return H.reshape(f.shape[:-1] + (max_power + 1, n_freqs) * len(rs))
 
 
 def _direction_numbers(d: int) -> np.ndarray:

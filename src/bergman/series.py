@@ -357,24 +357,18 @@ class TruncatedSeries:
             acc += c if v is None else c * v
         return acc
 
-    def bilinear_factors(self, u_vals: np.ndarray,
-                         v_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Factors X, B of a 2k-variable series on a product grid.
+    def bilinear_table(self) -> tuple[list[MultiIndex], list[MultiIndex], np.ndarray]:
+        """Coefficient table of a 2k-variable series, (xmon, ymon, A).
 
-        Rows of ``u_vals`` (p, k) fill the first k variables and rows of
-        ``v_vals`` (m, k) the last k; for k = 1 both may be flat.  X (p, r)
-        holds every monomial of the first block up to its largest total
-        degree, constant monomial first, and B = A Y^T (r, m) folds the
-        coefficient table A into the second block's monomials, so the
-        series at (u_i, v_j) is (X @ B)[i, j].  Row blocks of X can share
-        one B, which is much cheaper than eval_grid on all pairs.
+        The series is sum A[a, b] u^xmon[a] v^ymon[b], with u its first k
+        variables and v its last k.  xmon (ymon) holds every monomial of the
+        first (second) block up to the series' largest total degree in that
+        block, constant monomial first.
         """
         if self.nvars % 2:
             raise VariableMismatch(
                 f"bilinear evaluation needs an even variable count, ring has {self.nvars}")
         k = self.nvars // 2
-        u = np.asarray(u_vals, dtype=complex).reshape(-1, k)
-        v = np.asarray(v_vals, dtype=complex).reshape(-1, k)
         terms = self.terms()
         xmon = _block_monomials(k, max((sum(mi[:k]) for mi, _ in terms), default=0))
         ymon = _block_monomials(k, max((sum(mi[k:]) for mi, _ in terms), default=0))
@@ -383,6 +377,23 @@ class TruncatedSeries:
         A = np.zeros((len(xmon), len(ymon)), dtype=complex)
         for mi, c in terms:
             A[xcol[mi[:k]], ycol[mi[k:]]] = c
+        return xmon, ymon, A
+
+    def bilinear_factors(self, u_vals: np.ndarray,
+                         v_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Factors X, B of a 2k-variable series on a product grid.
+
+        Rows of ``u_vals`` (p, k) fill the first k variables and rows of
+        ``v_vals`` (m, k) the last k; for k = 1 both may be flat.  X (p, r)
+        holds the first block's monomials of ``bilinear_table`` and B = A Y^T
+        (r, m) folds the coefficient table A into the second block's, so
+        the series at (u_i, v_j) is (X @ B)[i, j].  Row blocks of X can
+        share one B, which is much cheaper than eval_grid on all pairs.
+        """
+        xmon, ymon, A = self.bilinear_table()
+        k = self.nvars // 2
+        u = np.asarray(u_vals, dtype=complex).reshape(-1, k)
+        v = np.asarray(v_vals, dtype=complex).reshape(-1, k)
         return _monomial_table(u, xmon), A @ _monomial_table(v, ymon).T
 
     # Kept only because the benchmark tracer (perfbench/tracer.py) resolves it;

@@ -10,7 +10,7 @@ from bergman.amplitude import (PAIRING_H, ExpansionTermOps, _block_product, _pha
                                estimate_growth, formal_expansion, realize,
                                solve_amplitude)
 from bergman.errors import InsufficientDegree, VariableMismatch
-from bergman.series import TruncatedSeries, bidegree, exponents
+from bergman.series import TruncatedSeries, bidegree, exponents, monomial_key
 from bergman.weight import validate_weight
 from bergman.phase import build_phase, lift_blocks
 
@@ -205,6 +205,27 @@ NONSEPARABLE = [((1, 0, 1, 0), 0.5, 0.0), ((0, 1, 0, 1), 0.5, 0.0),
                 ((1, 1, 1, 1), 0.1, 0.0), ((2, 0, 2, 0), 0.05, 0.0),
                 ((2, 0, 0, 2), 0.03, 0.0), ((0, 2, 2, 0), 0.03, 0.0),
                 ((1, 0, 0, 1), 0.1, 0.0), ((0, 1, 1, 0), 0.1, 0.0)]
+
+
+@pytest.mark.parametrize("triples, n, maxdeg", [
+    pytest.param(dense_weight_triples(), 1, 62, id="dense"),
+    pytest.param(NONSEPARABLE, 2, 26, id="nonseparable"),
+])
+def test_lift_blocks_binomials_match_math_comb(triples, n, maxdeg):
+    # the Pascal table's binomial products are those of math.comb per
+    # (term, block): every block and coefficient bit for bit, in order
+    f = TruncatedSeries.from_triples(triples, 2 * n, maxdeg)
+    want = {}
+    for mi, c in f.terms():
+        for k in itertools.product(*(range(e + 1) for e in mi)):
+            kk = monomial_key(k)
+            slow = want.setdefault(kk, (maxdeg - sum(k), {}))[1]
+            slow[monomial_key(mi) - kk] = c * math.prod(map(math.comb, mi, k))
+    got = lift_blocks(f)
+    assert list(got) == list(want)
+    for kk, (deg, slow) in want.items():
+        assert got[kk].maxdeg == deg
+        assert list(got[kk].coeffs.items()) == list(slow.items())
 
 
 def test_nonseparable_coefficients_match_their_closed_forms():

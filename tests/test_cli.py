@@ -113,6 +113,8 @@ def test_exponent_arity_checked():
 
 @pytest.mark.parametrize("field,value", [
     ("n_radial", 0), ("n_angular", 0), ("err_n_radial", 0), ("err_n_angular", 0),
+    # a grid has at least 4 radial nodes: a smaller count is not the one run
+    ("n_radial", 3), ("err_n_radial", 3),
     ("test_functions", []), ("hmax", -1), ("seed", -1),
     ("trust_radius", "abc"), ("coefficients", [{"exponents": [1, 1]}]), ("h_grid", ["x"]),
     ("gram_degree", "big"), ("coefficients", [{"exponents": [1, 1], "re": "x"}]),
@@ -165,6 +167,7 @@ def test_main_rejects_zero_angular_nodes(tmp_path, capsys):
     ("hmax", 0, "hmax must be at least 1"),
     ("maxdeg", 256, "maxdeg (256) must be at most 255"),
     ("n_radial", 10 ** 12, "n_radial x n_angular gives a grid of 128000000000000 nodes"),
+    ("n_radial", 3, "n_radial must be at least 4, got 3"),
 ])
 def test_main_rejects_fields_that_cannot_run(tmp_path, capsys, field, value, message):
     cfg_path = tmp_path / "c.json"

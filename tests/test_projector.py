@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -185,12 +186,14 @@ def test_equal_symbols_share_one_table(monkeypatch):
     other = solve_amplitude(build_phase(w), 3)
     pts = np.array(N1_PTS)
     kernels = [assemble_kernel(w, a, 0.1) for a in (amp, amp, other)]
-    factored = []
-    factors = TruncatedSeries.bilinear_factors
-    monkeypatch.setattr(TruncatedSeries, "bilinear_factors",
-                        lambda s, *a: factored.append(s) or factors(s, *a))
+    read = []
+    table = TruncatedSeries.bilinear_table
+    monkeypatch.setattr(TruncatedSeries, "bilinear_table",
+                        lambda s: read.append(s) or table(s))
     projection_table(kernels, dom, pts, 3)
-    assert len(factored) == 3   # Psi and the two distinct symbols
+    # Psi's factors and each distinct symbol's coefficients read the table once
+    assert read == [w.series, kernels[0].symbol.series, kernels[2].symbol.series]
+    assert read[1] != read[2]
     key = table_key(dom, pts)
     tables = [K.tables[key][1] for K in kernels]
     assert tables[0] is tables[1] and tables[2] is not tables[0]
@@ -238,6 +241,12 @@ def test_single_radius_domain_is_the_disc_grid():
     nodes, weights = disc_grid(0.8, 24, 48)
     assert np.array_equal(dom.nodes, nodes[:, None])
     assert np.array_equal(dom.weights, weights)
+
+
+def test_domain_records_the_radial_nodes_it_built():
+    # radial_nodes builds at least 4 Gauss nodes per panel
+    dom = make_domain((0.7,), n_radial=2, n_angular=4)
+    assert dom.n_radial == 4 and dom.nodes.shape[0] == 16
 
 
 def test_weighted_norm_gaussian_closed_form():
@@ -481,6 +490,26 @@ def test_tables_do_not_depend_on_the_block_size(monkeypatch, name, h, circle):
         tables.append(K.tables[table_key(d, xd)][1])
     assert all(np.array_equal(T, tables[0]) for T in tables[1:])
     assert outcomes == circle
+
+
+@pytest.mark.parametrize("name", ["product-2d", "perturbed-quartic"])
+def test_table_build_peak_memory(name):
+    # one build for both orders at h = 0.1 keeps one exponent buffer
+    # (2 MiB) and the moments of a few rows; a build that formed each
+    # symbol's node-side factor and a product buffer peaked at 6.95 MiB
+    # (product-2d) and 9.28 MiB (perturbed-quartic)
+    st = canonical(name)
+    kernels = [assemble_kernel(st.w, a, 0.1)
+               for a in (st.amp, solve_amplitude(st.pd, st.cfg.order - 1))]
+    degree = max(sum(t) for t in st.cfg.test_functions)
+    st.outer.phi(st.w)
+    tracemalloc.start()
+    try:
+        projection_table(kernels, st.outer, st.inner.nodes, degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_no_circle_in_two_variables(monkeypatch):

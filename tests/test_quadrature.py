@@ -10,7 +10,8 @@ from bergman import quadrature
 from bergman.cli import load_config
 from bergman.errors import ConfigInvalid
 from bergman.projector import make_domain
-from bergman.quadrature import SOBOL_DIMS, polar_moments, sobol, sobol_ball
+from bergman.quadrature import (SOBOL_DIMS, disc_grid, polar_moments, polydisc_grid, sobol,
+                                sobol_ball)
 from bergman.series import TruncatedSeries, _block_monomials, _monomial_table
 from bergman.weight import quadratic_gap_estimate, validate_weight
 
@@ -73,7 +74,7 @@ def test_polar_moments_are_the_node_sums(radii, n_radial, n_angular):
     dom = make_domain(radii, n_radial, n_angular)
     rng = np.random.default_rng(n_angular)
     f = rng.standard_normal(dom.weights.size) + 1j * rng.standard_normal(dom.weights.size)
-    H = polar_moments(f, dom.radii, dom.n_radial, dom.n_angular, degree)
+    H = polar_moments(f, dom.radii, dom.n_radial, dom.n_angular, 2 * degree, (-degree, degree))
     basis = list(_block_monomials(n, degree))
     V = _monomial_table(dom.nodes, basis)
     direct = V.conj().T @ (f[:, None] * V)
@@ -81,6 +82,32 @@ def test_polar_moments_are_the_node_sums(radii, n_radial, n_angular):
     S = np.array(basis)
     got = H[tuple(i for j in range(n) for i in (S[:, None, j] + S[None, :, j],
                                                S[None, :, j] - S[:, None, j]))]
+    assert (np.abs(got - direct) / bound).max() <= 1e-13
+
+
+@pytest.mark.parametrize("radii,n_radial,n_angular,powers,freqs", [
+    ((0.8,), 12, 40, 9, (-6, 3)), ((0.8, 0.6), 4, 12, 4, (-3, 2))])
+def test_polar_moments_of_a_batch_are_the_node_sums(radii, n_radial, n_angular, powers, freqs):
+    # each measure of a (3, 2) batch, at every power 0..powers and frequency
+    # lo..hi (a negative one read at its negative index), is the plain sum
+    # of f r^p e^{ik theta} over the nodes of disc_grid or polydisc_grid,
+    # within 1e-13 of the sum of |f| r^p
+    if len(radii) == 1:
+        nodes = disc_grid(radii[0], n_radial, n_angular)[0][:, None]
+    else:
+        nodes = polydisc_grid(radii, n_radial, n_angular)[0]
+    rng = np.random.default_rng(len(radii))
+    f = rng.standard_normal((3, 2, len(nodes))) + 1j * rng.standard_normal((3, 2, len(nodes)))
+    H = polar_moments(f, radii, n_radial, n_angular, powers, freqs)
+    ps, ks = np.arange(powers + 1), np.arange(freqs[0], freqs[1] + 1)
+    # r^p e^{ik theta} of each variable at the nodes, shape (nodes, p, k)
+    waves = [np.abs(y)[:, None, None] ** ps[:, None] * np.exp(1j * np.angle(y)[:, None, None] * ks)
+             for y in nodes.T]
+    sums = "abj," + ",".join(f"j{p}{k}" for p, k in ("pk", "ql")[:len(radii)])
+    sums += "->ab" + "".join(("pk", "ql")[:len(radii)])
+    direct = np.einsum(sums, f, *waves, optimize=True)
+    bound = np.einsum(sums, np.abs(f), *map(np.abs, waves), optimize=True)
+    got = H[(slice(None),) * 2 + np.ix_(*(ps, ks) * len(radii))]
     assert (np.abs(got - direct) / bound).max() <= 1e-13
 
 
