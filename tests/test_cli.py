@@ -113,8 +113,6 @@ def test_exponent_arity_checked():
 
 @pytest.mark.parametrize("field,value", [
     ("n_radial", 0), ("n_angular", 0), ("err_n_radial", 0), ("err_n_angular", 0),
-    # a grid has at least 4 radial nodes: a smaller count is not the one run
-    ("n_radial", 3), ("err_n_radial", 3),
     ("test_functions", []), ("hmax", -1), ("seed", -1),
     ("trust_radius", "abc"), ("coefficients", [{"exponents": [1, 1]}]), ("h_grid", ["x"]),
     ("gram_degree", "big"), ("coefficients", [{"exponents": [1, 1], "re": "x"}]),
@@ -144,6 +142,8 @@ def test_exponent_arity_checked():
     # a grid above MAX_GRID_NODES nodes would end in a MemoryError
     ("n_radial", 10 ** 12), ("n_angular", 2 ** 15), ("err_n_radial", 2 ** 16),
     ("err_n_angular", 10 ** 12),
+    # a grid has at least 4 radial nodes: a smaller count is not the one run
+    ("n_radial", 3), ("err_n_radial", 3),
 ])
 def test_values_that_cannot_run_are_rejected(field, value):
     with pytest.raises(ConfigInvalid, match=field):
