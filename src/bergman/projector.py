@@ -23,22 +23,21 @@ overflows inside the trust region.  phi(y) comes from the grid, which
 evaluates it once per weight (DomainSpec.phi) for every table build and
 every weighted_norm on it.
 
-The table is holomorphic in the evaluation point, because the amplitude is
-an analytic symbol, so Cauchy's formula gives the rows from one circle
-around them: for one variable and many rows (the inner disc's 1152) the
-pass sums the kernel at 32 circle points and two probe rows instead, and
-reads the rows off the circle's FFT (the trapezoid rule for Cauchy's
-integral).  The probe rows, nearest to and farthest from the origin, are
-summed directly; the circle is used only if it is finite and reproduces
-both probe rows to within CIRCLE_TOL of each row's largest entry, and
-otherwise every row is summed directly, as it is in n >= 2 variables,
-where a torus would need 32^n points (product-2d's inner grid has 1024
-rows).  The guard compares those two rows only: the rows between them are
-not checked, and on the canonical configs they measure within 1.5e-15 of
-their direct sums relative to the table's peak.  At small h the circle's
-rounding sits at the cancellation scale e^{max phi / 2h}, far above the
-interior rows' values, which no larger circle would mend, and the guard
-declines it.
+The table is holomorphic in each x_j, since the amplitude is an analytic
+symbol, so Cauchy's formula gives many rows from one torus around them:
+the pass sums the kernel at the M^n points of |x_j| = R_j (R_j the largest
+|x_j| of the rows; torus_points) and two probes, and reads the rows off the
+torus's discrete Fourier transform (the trapezoid rule for Cauchy's
+integral).  The probes, summed directly, are the row nearest to the origin
+and the point (R_j e^{i pi / M})_j halfway between torus points: the
+reconstruction's error peaks on the torus (maximum modulus) and is zero at
+its points, so a row on the torus would check nothing.  The torus is used
+only if it is finite and reproduces both probes to within TORUS_TOL of each
+probe's largest entry; otherwise every row is summed directly, as for
+gaussian at h = 0.01 (rounding at the cancellation scale e^{max phi / 2h})
+and product-2d at h = 0.05 (16 points per variable do not resolve the
+table).  On the canonical configs accepted tables agree with their direct
+sums within 2.5e-15 of the table's peak.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 from .amplitude import Amplitude, RealizedSymbol, realize
 from .errors import ConfigInvalid, DegenerateFit, IllConditioned
-from .quadrature import polar_moments, polydisc_grid, radial_nodes
+from .quadrature import angular_table, moment_reader, polydisc_grid, radial_nodes
 from .series import TruncatedSeries, _block_monomials, _monomial_table
 from .weight import Weight, _as_points, _pair_points
 
@@ -60,11 +59,19 @@ from .weight import Weight, _as_points, _pair_points
 # 51.7 MB, while at 2^17 it reads 49.0 MB either way.  The tables do not
 # depend on the block size.
 BLOCK_ELEMENTS = 2 ** 17
-# The points of the circle projection_table sums the kernel on, and how
-# closely the circle must reproduce its directly summed probe rows, relative
-# to each row's largest entry, before the rows are read off it.
-CIRCLE_POINTS = 32
-CIRCLE_TOL = 2.0 ** -46
+# The most and the fewest points per variable of the torus projection_table
+# sums the kernel on (torus_points), and how closely the torus must
+# reproduce its directly summed probes, relative to each probe's largest
+# entry, before the rows are read off it.
+TORUS_POINTS = 32
+TORUS_LEAST = 16
+TORUS_TOL = 2.0 ** -46
+# Elements of the partial sums that read the rows off the torus at once
+# (256 KiB).  Reading all of product-2d's 1024 rows at once raised the
+# traced peak of its table build from 3.6 to 5.2 MiB, beside the exponent
+# buffer; in these chunks it is 3.7 MiB.  One variable's 1152 rows fit in
+# one chunk.
+TAYLOR_ELEMENTS = 2 ** 14
 # Rows whose polar moments projection_table forms at once: a few rows keep
 # the moments' intermediates small beside the block's exponent buffer.
 MOMENT_ROWS = 4
@@ -180,16 +187,18 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
     table between them.  Each kernel stores ({t: column of T}, T) in its
     ``tables`` under ``table_key``.
 
-    T is holomorphic in x, so for one variable and more than
-    4 (CIRCLE_POINTS + 2) rows it is summed at the CIRCLE_POINTS points
-    R e^{2 pi i a / M} (R the largest |x_i|) and read off the circle's FFT:
-    b = fft(T_circle) / M holds the Taylor coefficients c_t R^t, and
-    T_rows = (xd / R)^t @ b.  The two rows nearest to and farthest from the
-    origin are summed directly too, and the circle is used only if its
-    values are finite and both probe rows agree with their reconstruction
-    to within CIRCLE_TOL of the row's largest entry; otherwise the rows are
-    summed directly.  A table that is not finite raises IllConditioned: h
-    is too small for the kernel's range in double precision.
+    T is holomorphic in each x_j, so when the rows are many (torus_points)
+    it is summed at the M^n points (R_j e^{2 pi i a_j / M})_j of a torus,
+    R_j the largest |x_ij|, and read off the torus's discrete Fourier
+    transform: b = DFT(T_torus) / M^n holds the Taylor coefficients
+    c_k R^k, and T_rows = sum_k b_k prod_j (x_ij / R_j)^k_j, one variable at
+    a time.  Two probes are summed directly too: the row nearest to the
+    origin and the point (R_j e^{i pi / M})_j between the torus points.
+    The torus is used only if its values are finite and both probes agree
+    with their reconstruction to within TORUS_TOL of the probe's largest
+    entry; otherwise the rows are summed directly.  A table that is not
+    finite raises IllConditioned: h is too small for the kernel's range in
+    double precision.
     """
     K0 = kernels[0]
     if any(K.w != K0.w or K.h != K0.h for K in kernels):
@@ -197,16 +206,17 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
     n, rows = K0.n, xd.shape[0]
     monomials = _block_monomials(n, degree)
     yd = np.conj(d.nodes)
-    # Points summed, one slice each: the rows, then the two probe rows and
-    # the circle, so one set of factors serves them all.
-    r = np.abs(xd).max(axis=1)
-    R = r.max(initial=0.0)
-    circle = n == 1 and R > 0 and CIRCLE_POINTS + 2 < rows / 4
+    # Points summed, one slice each: the rows, then the two probes and the
+    # torus, so one set of factors serves them all.
+    M = torus_points(n, rows)
+    R = np.abs(xd).max(axis=0, initial=0.0)
+    torus = M > 0 and np.all(R > 0)
     pts = xd
-    if circle:
-        probes = xd[[r.argmin(), r.argmax()]]
-        ring = R * np.exp(2j * np.pi / CIRCLE_POINTS * np.arange(CIRCLE_POINTS)[:, None])
-        pts = np.concatenate([xd, probes, ring])
+    if torus:
+        ring = 2j * np.pi / M * np.arange(M)
+        probes = np.stack([xd[np.abs(xd).max(axis=1).argmin()], R * np.exp(1j * np.pi / M)])
+        grid = np.meshgrid(*(Rj * np.exp(ring) for Rj in R), indexing="ij")
+        pts = np.concatenate([xd, probes, np.stack(grid, axis=-1).reshape(-1, n)])
     # Psi's node-side factor, once per grid: Psi = X @ P.  Row 0 of P
     # multiplies the constant monomial, so subtracting phi(y) there makes
     # the GEMM return Psi - phi(y), which stays bounded where the two terms
@@ -226,6 +236,7 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
         at = tuple(i for j in range(n) for i in (B[:, None, j] + S[None, :, j],
                                                   S[None, :, j] - B[:, None, j]))
         reads.append((_monomial_table(pts, xmon) @ A, (slice(None),) + at))
+    moments = moment_reader(d.radii, d.n_radial, d.n_angular, top + degree, (-top, degree))
     chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
     # One exponent buffer serves every block.
     E_buf = np.empty((min(chunk, pts.shape[0]), d.nodes.shape[0]), dtype=complex)
@@ -247,17 +258,16 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
             E *= d.weights
             for sub in range(start, stop, MOMENT_ROWS):
                 end = min(sub + MOMENT_ROWS, stop)
-                H = polar_moments(E[sub - start:end - start], d.radii, d.n_radial,
-                                  d.n_angular, top + degree, (-top, degree))
+                H = moments(E[sub - start:end - start])
                 for (C, at), T in zip(reads, Ts):
                     T[sub - lo:end - lo] = np.einsum("ib,ibt->it", C[sub:end], H[at])
         return Ts
 
     with np.errstate(over="ignore", invalid="ignore"):
         Ts = None
-        if circle:
-            Ts = _from_circle(integrate(rows + 2, pts.shape[0]), integrate(rows, rows + 2),
-                              xd / R, probes / R)
+        if torus:
+            Ts = _from_torus(integrate(rows + 2, pts.shape[0]), integrate(rows, rows + 2),
+                             xd / R, probes / R, M)
         if Ts is None:
             Ts = integrate(0, rows)
     if not all(np.isfinite(T).all() for T in Ts):
@@ -268,20 +278,56 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
         K.tables[table_key(d, xd)] = cols, Ts[symbols.index(K.symbol.series)]
 
 
-def _from_circle(sums, direct, xs, probes):
+def torus_points(n: int, rows: int) -> int:
+    """Points per variable of the torus projection_table reads ``rows``
+    rows in n variables off: the largest power of two M <= TORUS_POINTS
+    whose M^n points are at most a quarter of the rows, or 0 (sum every
+    row) if that M is below TORUS_LEAST."""
+    M = TORUS_POINTS
+    while M ** n > rows / 4:
+        M //= 2
+    return M if M >= TORUS_LEAST else 0
+
+
+def _from_torus(sums, direct, xs, probes, M):
     """Tables at the rows ``xs`` (scaled by 1/R) from each symbol's sums on
-    the circle, or None if a sum is not finite or misses a probe row."""
-    powers = [(a,) for a in range(CIRCLE_POINTS)]
+    the torus of M points per variable, or None if a sum is not finite or
+    misses a probe."""
+    n = xs.shape[1]
+    # The DFT over each torus axis, one product with the roots of unity the
+    # polar moments read: importing numpy.fft and running one transform
+    # raises a process's peak memory by 0.6-0.7 MB.
+    dft = np.conj(angular_table(M, 0, M - 1))
     Ts = []
     for S, D in zip(sums, direct):
         if not np.isfinite(S).all():
             return None
-        b = np.fft.fft(S, axis=0) / CIRCLE_POINTS
-        miss = np.abs(_monomial_table(probes, powers) @ b - D).max(axis=1)
-        if not np.all(miss <= CIRCLE_TOL * np.abs(D).max(axis=1)):
+        b = S.reshape((M,) * n + (-1,))
+        for j in range(n):
+            b = np.moveaxis(np.tensordot(dft, b, axes=(1, j)), 0, j)
+        b /= M ** n
+        miss = np.abs(_taylor_sum(b, probes, M) - D).max(axis=1)
+        if not np.all(miss <= TORUS_TOL * np.abs(D).max(axis=1)):
             return None
-        Ts.append(_monomial_table(xs, powers) @ b)
+        Ts.append(_taylor_sum(b, xs, M))
     return Ts
+
+
+def _taylor_sum(b, xs, M):
+    """sum_k b[k] prod_j xs[:, j]^k_j for b of shape (M,)*n + (columns,),
+    contracting one variable at a time over a few rows at a time, so the
+    partial sums hold at most TAYLOR_ELEMENTS elements."""
+    powers = [(a,) for a in range(M)]
+    step = max(1, TAYLOR_ELEMENTS * M // b.size)
+    T = np.empty((xs.shape[0], b.shape[-1]), dtype=complex)
+    for lo in range(0, xs.shape[0], step):
+        x = xs[lo:lo + step]
+        part = _monomial_table(x[:, :1], powers) @ b.reshape(M, -1)
+        for j in range(1, xs.shape[1]):
+            part = np.einsum("ia,iar->ir", _monomial_table(x[:, j:j + 1], powers),
+                             part.reshape(x.shape[0], M, -1))
+        T[lo:lo + step] = part
+    return T
 
 
 def apply_projection(K: KernelEvaluator, u: TruncatedSeries, w: Weight,

@@ -90,7 +90,7 @@ def polydisc_grid(radii: tuple[float, ...], n_radial: int, n_angular: int,
     return nodes, weights
 
 
-def _angular_table(n_angular: int, lo: int, hi: int) -> np.ndarray:
+def angular_table(n_angular: int, lo: int, hi: int) -> np.ndarray:
     """e^{i k theta_a} at the angles theta_a = 2 pi a / n_angular for the
     frequencies k = 0..hi, lo..-1 (a negative k at its negative index).
     Each entry is one of the n_angular roots of unity, e^{2 pi i m /
@@ -119,23 +119,36 @@ def polar_moments(f: np.ndarray, radii: tuple[float, ...], n_radial: int,
     one matrix product over the whole batch, except the angle sums of the
     variables before the last, which are stacked ones.
     """
-    table = _angular_table(n_angular, *freqs)
+    return moment_reader(radii, n_radial, n_angular, max_power, freqs)(f)
+
+
+def moment_reader(radii: tuple[float, ...], n_radial: int, n_angular: int,
+                  max_power: int, freqs: tuple[int, int]):
+    """``polar_moments`` on one grid and one range, as a function of f
+    alone: the e^{i k theta} table and the radial powers are built once,
+    for a caller that reduces many measures on the grid, and live as long
+    as the function does."""
+    table = angular_table(n_angular, *freqs)
     n_freqs = table.shape[1]
-    rs = [radial_nodes(radius, n_radial)[0] for radius in radii]
-    # Angle sums, last variable first: its angle axis is f's last.
-    H, after = f.reshape(-1, n_angular) @ table, n_freqs
-    for r in reversed(rs[:-1]):
-        after *= r.size
-        H = np.matmul(table.T, H.reshape(-1, n_angular, after))
-        after *= n_freqs
-    # Radius sums, first variable first: each contracts the radial axis
-    # that follows the batch and moves its (power, frequency) pair last.
-    batch = math.prod(f.shape[:-1])
-    for r in rs:
-        H = H.reshape(batch, r.size, -1).swapaxes(1, 2).reshape(-1, r.size)
-        H = (H @ (r ** np.arange(max_power + 1)[:, None]).T).reshape(batch, n_freqs, -1)
-        H = H.swapaxes(1, 2)
-    return H.reshape(f.shape[:-1] + (max_power + 1, n_freqs) * len(rs))
+    powers = [(r ** np.arange(max_power + 1)[:, None]).T
+              for r in (radial_nodes(radius, n_radial)[0] for radius in radii)]
+
+    def moments(f: np.ndarray) -> np.ndarray:
+        # Angle sums, last variable first: its angle axis is f's last.
+        H, after = f.reshape(-1, n_angular) @ table, n_freqs
+        for pw in reversed(powers[:-1]):
+            after *= pw.shape[0]
+            H = np.matmul(table.T, H.reshape(-1, n_angular, after))
+            after *= n_freqs
+        # Radius sums, first variable first: each contracts the radial axis
+        # that follows the batch and moves its (power, frequency) pair last.
+        batch = math.prod(f.shape[:-1])
+        for pw in powers:
+            H = H.reshape(batch, pw.shape[0], -1).swapaxes(1, 2).reshape(-1, pw.shape[0])
+            H = (H @ pw).reshape(batch, n_freqs, -1)
+            H = H.swapaxes(1, 2)
+        return H.reshape(f.shape[:-1] + (max_power + 1, n_freqs) * len(powers))
+    return moments
 
 
 def _direction_numbers(d: int) -> np.ndarray:

@@ -409,25 +409,27 @@ def canonical(name):
 
 
 def row_summed(K, d, xd, degree):
-    # the table in row chunks too small for a circle, so every row is summed
+    # the table in row chunks too few for a torus, so every row is summed
+    step = 32
+    assert projector.torus_points(K.n, step) == 0
     parts = []
-    for lo in range(0, xd.shape[0], 128):
+    for lo in range(0, xd.shape[0], step):
         alone = KernelEvaluator(K.w, K.symbol, K.h)
-        projection_table([alone], d, xd[lo:lo + 128], degree)
-        parts.append(alone.tables[table_key(d, xd[lo:lo + 128])][1])
+        projection_table([alone], d, xd[lo:lo + step], degree)
+        parts.append(alone.tables[table_key(d, xd[lo:lo + step])][1])
     return np.concatenate(parts)
 
 
-def circle_outcomes(monkeypatch):
-    # whether each circle projection_table reads off was accepted
+def torus_outcomes(monkeypatch):
+    # (points per variable, accepted) of each torus projection_table reads off
     outcomes = []
-    read = projector._from_circle
+    read = projector._from_torus
 
-    def recorded(*args):
-        Ts = read(*args)
-        outcomes.append(Ts is not None)
+    def recorded(sums, direct, xs, probes, M):
+        Ts = read(sums, direct, xs, probes, M)
+        outcomes.append((M, Ts is not None))
         return Ts
-    monkeypatch.setattr(projector, "_from_circle", recorded)
+    monkeypatch.setattr(projector, "_from_torus", recorded)
     return outcomes
 
 
@@ -440,7 +442,7 @@ def test_table_from_the_circle_matches_row_sums(monkeypatch, name):
     d, xd = st.outer, st.inner.nodes
     degree = max(sum(t) for t in st.cfg.test_functions)
     picked = np.linspace(0, xd.shape[0] - 1, 20).astype(int)
-    outcomes = circle_outcomes(monkeypatch)
+    outcomes = torus_outcomes(monkeypatch)
     for h in st.cfg.h_grid:
         K = assemble_kernel(st.w, st.amp, h)
         projection_table([K], d, xd, degree)
@@ -454,34 +456,34 @@ def test_table_from_the_circle_matches_row_sums(monkeypatch, name):
         direct = direct_projection(K, u, st.w, d, xd[picked])
         miss = np.abs(T[picked] @ np.ones(len(cols)) / h - direct)
         assert np.all(miss <= 1e-12 * np.abs(direct).max()), h
-    assert outcomes == [True] * len(st.cfg.h_grid)
+    assert outcomes == [(32, True)] * len(st.cfg.h_grid)
 
 
 @pytest.mark.parametrize("name, h", [("quadratic-lambda", 0.002), ("gaussian", 0.01),
-                                     ("product-2d", 0.1)])
+                                     ("product-2d", 0.05)])
 def test_declined_circle_leaves_the_row_sums(monkeypatch, name, h):
-    # the circle fails the guard (or is not tried in two variables): the
-    # table is the direct row sum, bit for bit
+    # the circle (the torus in two variables) fails the guard: the table is
+    # the direct row sum, bit for bit
     st = canonical(name)
     d, xd = st.outer, st.inner.nodes
-    outcomes = circle_outcomes(monkeypatch)
+    outcomes = torus_outcomes(monkeypatch)
     K = assemble_kernel(st.w, st.amp, h)
     projection_table([K], d, xd, 3)
     assert np.array_equal(K.tables[table_key(d, xd)][1], row_summed(K, d, xd, 3))
-    assert outcomes == ([False] if st.cfg.dimension == 1 else [])
+    assert outcomes == [(32 if st.cfg.dimension == 1 else 16, False)]
 
 
 @pytest.mark.parametrize("name, h, circle", [
-    pytest.param("perturbed-quartic", 0.05, [True] * 3, id="circle"),
-    pytest.param("gaussian", 0.01, [False] * 3, id="declined-circle"),
-    pytest.param("product-2d", 0.1, [], id="two-variables"),
+    pytest.param("perturbed-quartic", 0.05, [(32, True)] * 3, id="circle"),
+    pytest.param("gaussian", 0.01, [(32, False)] * 3, id="declined-circle"),
+    pytest.param("product-2d", 0.1, [(16, True)] * 3, id="two-variables"),
 ])
 def test_tables_do_not_depend_on_the_block_size(monkeypatch, name, h, circle):
-    # on the circle, with the circle declined, and on the rows of two
+    # on the circle, with the circle declined, and on the torus of two
     # variables, each block size gives the same table, bit for bit
     st = canonical(name)
     d, xd = st.outer, st.inner.nodes
-    outcomes = circle_outcomes(monkeypatch)
+    outcomes = torus_outcomes(monkeypatch)
     tables = []
     for block in (2 ** 16, 2 ** 17, 2 ** 18):
         monkeypatch.setattr(projector, "BLOCK_ELEMENTS", block)
@@ -512,17 +514,49 @@ def test_table_build_peak_memory(name):
     assert peak < 5 * 2 ** 20, peak
 
 
-def test_no_circle_in_two_variables(monkeypatch):
-    # more rows than a 32 x 32 torus needs still sum every row in n = 2
-    w, amp = pipeline(PRODUCT, 1, maxdeg=8, trust=1.0, n=2)
-    dom = make_domain((0.7, 0.7), n_radial=2, n_angular=4)
-    rng = np.random.default_rng(5)
-    xd = 0.3 * (rng.standard_normal((4200, 2)) + 1j * rng.standard_normal((4200, 2)))
-    outcomes = circle_outcomes(monkeypatch)
-    K = assemble_kernel(w, amp, 0.1)
-    projection_table([K], dom, xd, 2)
-    assert outcomes == []
-    assert np.array_equal(K.tables[table_key(dom, xd)][1], row_summed(K, dom, xd, 2))
+def test_torus_size_rule():
+    # the most points per variable, up to 32, whose torus is at most a
+    # quarter of the rows; under 16 points per variable every row is summed
+    assert projector.torus_points(1, 1152) == 32
+    assert projector.torus_points(2, 1024) == 16
+    assert projector.torus_points(2, 4200) == 32
+    assert projector.torus_points(1, 64) == 16
+    assert projector.torus_points(1, 63) == 0
+    assert projector.torus_points(2, 1023) == 0
+    assert projector.torus_points(3, 16384) == 16
+
+
+def test_two_variables_read_off_a_torus(monkeypatch):
+    # product-2d's 1024 inner rows read off a 16 x 16 torus at h = 0.2 and
+    # 0.1 agree with their direct sums to rounding
+    st = canonical("product-2d")
+    d, xd = st.outer, st.inner.nodes
+    outcomes = torus_outcomes(monkeypatch)
+    for h in (0.2, 0.1):
+        K = assemble_kernel(st.w, st.amp, h)
+        projection_table([K], d, xd, 3)
+        ref = row_summed(K, d, xd, 3)
+        T = K.tables[table_key(d, xd)][1]
+        assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref)), h
+    assert outcomes == [(16, True)] * 2
+
+
+def test_guard_probes_between_the_torus_points(monkeypatch):
+    # A 16 x 16 torus on product-2d at h = 0.05 reproduces its farthest row,
+    # a torus point, exactly, yet rows at |x_j| = 0.234 miss their direct
+    # sums by 5e-12 of the table's peak.  The probe between the torus points
+    # sees that miss and declines the torus; at h = 0.1 it accepts.
+    st = canonical("product-2d")
+    d, xd = st.outer, st.inner.nodes
+    K = assemble_kernel(st.w, st.amp, 0.05)
+    ref = row_summed(K, d, xd, 3)
+    monkeypatch.setattr(projector, "torus_points", lambda n, rows: 16)
+    outcomes = torus_outcomes(monkeypatch)
+    projection_table([K], d, xd, 3)
+    assert outcomes == [(16, False)]
+    assert np.array_equal(K.tables[table_key(d, xd)][1], ref)
+    projection_table([assemble_kernel(st.w, st.amp, 0.1)], d, xd, 3)
+    assert outcomes == [(16, False), (16, True)]
 
 
 def test_table_out_of_the_double_range_raises():
