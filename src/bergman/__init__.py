@@ -7,7 +7,23 @@ stationary-phase expansion engine produces the kernel amplitude to a
 requested order in h, and quadrature-based oracles (Gram-matrix kernels,
 Fourier inversion, contour quadrature, sampled inequalities) check the
 result without reusing the expansion machinery.
+
+Importing the package holds OpenBLAS to one thread, unless the caller set
+OPENBLAS_NUM_THREADS or numpy is already loaded: the kernel tables' small
+matrix products gain nothing from more BLAS threads, whose workers
+spin-wait between products, and projector.projection_table sums its rows
+on every CPU instead.  It does so only where the pin holds
+(``BLAS_ONE_THREAD``).
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# True when numpy's OpenBLAS loads after OPENBLAS_NUM_THREADS reads 1.
+BLAS_ONE_THREAD = ("numpy" not in sys.modules
+                   and os.environ.get("OPENBLAS_NUM_THREADS") == "1")
 
 from .amplitude import (Amplitude, ExpansionTermOps, RealizedSymbol,
                         estimate_growth, formal_expansion, realize,

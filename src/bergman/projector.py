@@ -38,14 +38,25 @@ gaussian at h = 0.01 (rounding at the cancellation scale e^{max phi / 2h})
 and product-2d at h = 0.05 (16 points per variable do not resolve the
 table).  On the canonical configs accepted tables agree with their direct
 sums within 2.5e-15 of the table's peak.
+
+No row's quadrature depends on another's, so projection_table hands its
+row chunks to up to ROW_THREADS threads, each with its own share of one
+BLOCK_ELEMENTS exponent buffer.  A chunk's GEMM, exp, moments and einsum
+run as on one thread, so the tables are bit for bit those of one thread.
+The threads run only where the package holds OpenBLAS to one thread
+(bergman.BLAS_ONE_THREAD): a second BLAS thread spin-waits between the
+small products and takes the CPU a row thread would use.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import BLAS_ONE_THREAD
 from .amplitude import Amplitude, RealizedSymbol, realize
 from .errors import ConfigInvalid, DegenerateFit, IllConditioned
 from .quadrature import angular_table, moment_reader, polydisc_grid, radial_nodes
@@ -75,6 +86,20 @@ TAYLOR_ELEMENTS = 2 ** 14
 # Rows whose polar moments projection_table forms at once: a few rows keep
 # the moments' intermediates small beside the block's exponent buffer.
 MOMENT_ROWS = 4
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The most threads projection_table sums row chunks on: every CPU where
+# BLAS is held to one thread (bergman.BLAS_ONE_THREAD), else one.  With
+# two OpenBLAS threads two row threads made a product-2d report slower
+# (0.43 -> 0.59 s), as the idle BLAS worker spin-waits on a CPU.
+ROW_THREADS = _cpus() if BLAS_ONE_THREAD else 1
 
 
 @dataclass(frozen=True)
@@ -237,14 +262,20 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
                                                   S[None, :, j] - B[:, None, j]))
         reads.append((_monomial_table(pts, xmon) @ A, (slice(None),) + at))
     moments = moment_reader(d.radii, d.n_radial, d.n_angular, top + degree, (-top, degree))
-    chunk = max(1, BLOCK_ELEMENTS // d.nodes.shape[0])
-    # One exponent buffer serves every block.
-    E_buf = np.empty((min(chunk, pts.shape[0]), d.nodes.shape[0]), dtype=complex)
+    # Each row thread has its own exponent buffer: one BLOCK_ELEMENTS
+    # budget split between them serves every block.
+    nodes = d.nodes.shape[0]
+    threads = max(1, min(ROW_THREADS, -(-pts.shape[0] * nodes // BLOCK_ELEMENTS)))
+    chunk = max(1, BLOCK_ELEMENTS // threads // nodes)
+    buffers = np.empty((threads, min(chunk, pts.shape[0]), nodes), dtype=complex)
 
     def integrate(lo: int, hi: int) -> list[np.ndarray]:
-        """Every symbol's table at the points pts[lo:hi]."""
+        """Every symbol's table at the points pts[lo:hi], its row chunks
+        taken in turn by up to ``threads`` threads, the caller's among them."""
         Ts = [np.empty((hi - lo, len(monomials)), dtype=complex) for _ in symbols]
-        for start in range(lo, hi, chunk):
+        starts, take, errors = iter(range(lo, hi, chunk)), threading.Lock(), []
+
+        def sum_chunk(E_buf: np.ndarray, start: int) -> None:
             stop = min(start + chunk, hi)
             E = E_buf[:stop - start]
             np.matmul(X[start:stop], P, out=E)
@@ -261,6 +292,32 @@ def projection_table(kernels: list[KernelEvaluator], d: DomainSpec,
                 H = moments(E[sub - start:end - start])
                 for (C, at), T in zip(reads, Ts):
                     T[sub - lo:end - lo] = np.einsum("ib,ibt->it", C[sub:end], H[at])
+
+        def work(E_buf: np.ndarray) -> None:
+            # numpy's error state is per thread: each thread sets its own.
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    while not errors:
+                        with take:
+                            start = next(starts, None)
+                        if start is None:
+                            return
+                        sum_chunk(E_buf, start)
+            except BaseException as exc:
+                errors.append(exc)
+
+        team = []
+        try:
+            for E_buf in buffers[1:-(-(hi - lo) // chunk)]:
+                worker = threading.Thread(target=work, args=(E_buf,))
+                worker.start()
+                team.append(worker)
+            work(buffers[0])
+        finally:
+            for worker in team:
+                worker.join()
+        if errors:
+            raise errors[0]
         return Ts
 
     with np.errstate(over="ignore", invalid="ignore"):

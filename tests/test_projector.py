@@ -1,4 +1,8 @@
+import json
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -474,24 +478,126 @@ def test_declined_circle_leaves_the_row_sums(monkeypatch, name, h):
 
 
 @pytest.mark.parametrize("name, h, circle", [
-    pytest.param("perturbed-quartic", 0.05, [(32, True)] * 3, id="circle"),
-    pytest.param("gaussian", 0.01, [(32, False)] * 3, id="declined-circle"),
-    pytest.param("product-2d", 0.1, [(16, True)] * 3, id="two-variables"),
+    pytest.param("perturbed-quartic", 0.05, (32, True), id="circle"),
+    pytest.param("gaussian", 0.01, (32, False), id="declined-circle"),
+    pytest.param("product-2d", 0.1, (16, True), id="two-variables"),
+    pytest.param("product-2d", 0.05, (16, False), id="declined-torus"),
 ])
 def test_tables_do_not_depend_on_the_block_size(monkeypatch, name, h, circle):
     # on the circle, with the circle declined, and on the torus of two
-    # variables, each block size gives the same table, bit for bit
+    # variables, accepted and declined, each block size and each count of
+    # row threads gives the same table, bit for bit
     st = canonical(name)
     d, xd = st.outer, st.inner.nodes
     outcomes = torus_outcomes(monkeypatch)
+    runs = [(2 ** 16, 1), (2 ** 17, 1), (2 ** 18, 1), (2 ** 17, 2), (2 ** 17, 3)]
     tables = []
-    for block in (2 ** 16, 2 ** 17, 2 ** 18):
+    for block, threads in runs:
         monkeypatch.setattr(projector, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(projector, "ROW_THREADS", threads)
         K = assemble_kernel(st.w, st.amp, h)
         projection_table([K], d, xd, 3)
         tables.append(K.tables[table_key(d, xd)][1])
     assert all(np.array_equal(T, tables[0]) for T in tables[1:])
-    assert outcomes == circle
+    assert outcomes == [circle] * len(runs)
+
+
+def test_row_threads_take_each_chunk_once(monkeypatch):
+    # more row threads than CPUs, switching often, on gaussian's declined
+    # circle (1152 rows summed two at a time): a chunk taken twice or
+    # skipped would leave rows that differ from one thread's table
+    st = canonical("gaussian")
+    d, xd = st.outer, st.inner.nodes
+    tables = []
+    for threads in (1, 8):
+        monkeypatch.setattr(projector, "ROW_THREADS", threads)
+        K = assemble_kernel(st.w, st.amp, 0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            projection_table([K], d, xd, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        tables.append(K.tables[table_key(d, xd)][1])
+    assert np.array_equal(tables[0], tables[1])
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_row_thread_errors_reach_the_caller(monkeypatch, where):
+    # a block that raises, on a row thread or on the caller's, raises from
+    # projection_table once every row thread has ended, and stores no table
+    st = canonical("perturbed-quartic")
+    reader = projector.moment_reader
+
+    class BlockFailed(Exception):
+        pass
+
+    def failing(*args):
+        moments = reader(*args)
+
+        def once(f):
+            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+                raise BlockFailed(where)
+            return moments(f)
+        return once
+    monkeypatch.setattr(projector, "moment_reader", failing)
+    monkeypatch.setattr(projector, "ROW_THREADS", 3)
+    before = threading.active_count()
+    K = assemble_kernel(st.w, st.amp, 0.1)
+    with pytest.raises(BlockFailed, match=where):
+        projection_table([K], st.outer, st.inner.nodes, 3)
+    assert threading.active_count() == before
+    assert not K.tables
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_row_threads_raise_no_floating_point_warning(monkeypatch, threads):
+    # numpy's error state is per thread: each row thread sets its own, so
+    # a table that overflows raises IllConditioned, not a warning that
+    # -W error turned into an exception on a row thread
+    st = canonical("quadratic-lambda")
+    monkeypatch.setattr(projector, "ROW_THREADS", threads)
+    K = assemble_kernel(st.w, st.amp, 1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditioned):
+            projection_table([K], st.outer, st.inner.nodes, 3)
+
+
+def blas_state(preamble, env):
+    # OPENBLAS_NUM_THREADS, bergman.BLAS_ONE_THREAD and the row threads in a
+    # fresh process that runs ``preamble`` and then imports the package
+    env = {k: v for k, v in env.items() if v is not None}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    code = (preamble + "import json, os, bergman; from bergman import projector; "
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "bergman.BLAS_ONE_THREAD, projector.ROW_THREADS, projector._cpus()]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out)
+
+
+def without_blas_threads():
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+def test_import_holds_openblas_to_one_thread():
+    value, one, threads, cpus = blas_state("", without_blas_threads())
+    assert (value, one, threads) == ("1", True, cpus)
+
+
+def test_a_blas_thread_count_the_caller_set_is_kept():
+    # two BLAS threads spin-wait beside the row threads: sum rows on one
+    value, one, threads, _ = blas_state("", dict(without_blas_threads(),
+                                                 OPENBLAS_NUM_THREADS="2"))
+    assert (value, one, threads) == ("2", False, 1)
+
+
+def test_numpy_loaded_first_keeps_the_row_threads_off():
+    # numpy's OpenBLAS has started its threads: setting the variable now
+    # would pin nothing
+    value, one, threads, _ = blas_state("import numpy; ", without_blas_threads())
+    assert (value, one, threads) == (None, False, 1)
 
 
 @pytest.mark.parametrize("name", ["product-2d", "perturbed-quartic"])
